@@ -8,9 +8,7 @@ exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -201,14 +199,7 @@ def _cmd_verify(args):
     sol = _resolved_solution(args)
     grid = _grid_from_args(args)
     degrees = list(range(args.n_min, args.n + 1))
-    workers = max(1, int(os.environ.get("TRA_NUM_THREADS", "1")))
-    if workers > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda n: tridiagonality_check(sol, n, grid, args.check_tol), degrees))
-    else:
-        reports = [tridiagonality_check(sol, n, grid, args.check_tol)
-                   for n in degrees]
+    reports = [tridiagonality_check(sol, n, grid, args.check_tol) for n in degrees]
     worst = max(reports, key=lambda r: r.max_rel_deviation)
     per_n = {str(n): rep.max_rel_deviation for n, rep in zip(degrees, reports)}
     doc = {"config_echo": _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1",

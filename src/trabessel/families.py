@@ -400,6 +400,15 @@ def _check_degree(family, n):
         raise DomainError(f"degree {n} exceeds N={N} for {type(family).__name__}")
 
 
+def degree_bound(family):
+    """Highest degree `_check_degree` accepts for `family`, or None if unbounded."""
+    bounds = [getattr(family, "n_max", None)]
+    N = getattr(family, "N", None)
+    if N is not None and _is_integral(N):
+        bounds.append(round(N))
+    return min((b for b in bounds if b is not None), default=None)
+
+
 def eval_poly_sequence(family, n: int, z):
     """Values of degrees 0..n by upward recursion from P_0 = 1, P_{-1} = 0."""
     family.validate()

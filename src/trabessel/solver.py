@@ -105,6 +105,11 @@ class Binding:
     note: str = ""
 
     def eval(self, n: int):
+        """P_n alone, recursing from degree 0: O(n) per call.
+
+        The per-degree reference for `expansion_coefficients`, which takes
+        all degrees from one recursion pass; tests compare the two exactly.
+        """
         return self.per_n_scale ** n * families.eval_poly(self.family, n, self.argument)
 
 
@@ -699,7 +704,11 @@ def closed_form_cn(sol: ClassSolution, n: int) -> float:
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
     """f_0..f_N with f_0 = 1: f_n = (prod_{m<n} t_m/s_m) * P_n(binding argument).
 
-    For L39B the coefficients are the bound polynomials directly.
+    One upward recursion pass gives P_0..P_N, so the cost is O(N).  The values
+    are bit-identical to `sol.binding.eval(n)` degree by degree, and so are
+    the errors: the lowest degree that fails decides, and s_{n-1} = 0 wins a
+    tie with the family at degree n.  For L39B the coefficients are the bound
+    polynomials directly.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -707,17 +716,35 @@ def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
         raise DomainError(
             f"N={N} violates mu < -N - 1/2 (mu={sol.basis.mu}, n_max={sol.n_max})")
     u, s, t, _, _ = _coeff_functions(sol)
-    f = np.empty(N + 1)
-    f[0] = 1.0
+    cns = [1.0]
     cn = 1.0
+    zero_s = None
     for n in range(1, N + 1):
         sm = s(n - 1)
         if sm == 0.0:
-            raise ZeroDivisionError(
-                f"s_{n-1} = 0: the t/s coefficient product is undefined here")
+            zero_s = n - 1
+            break
         if sol.class_id is not ClassId.L39B:
             cn *= t(n - 1) / sm
-        f[n] = cn * sol.binding.eval(n)
+        cns.append(cn)
+    b = sol.binding
+    M = len(cns) - 1
+    # eval(n) fails at the first degree past the family's bound (HahnQ with an
+    # integral N): recurse up to the bound, then raise that degree's error
+    top = families.degree_bound(b.family)
+    past_top = top is not None and M > max(top, 0)
+    if past_top:
+        M = max(top, 0)
+    seq = families.eval_poly_sequence(b.family, M, b.argument) if M else [1.0]
+    if past_top:
+        families.eval_poly(b.family, M + 1, b.argument)
+    if zero_s is not None:
+        raise ZeroDivisionError(
+            f"s_{zero_s} = 0: the t/s coefficient product is undefined here")
+    f = np.empty(N + 1)
+    f[0] = 1.0
+    for n in range(1, N + 1):
+        f[n] = cns[n] * (b.per_n_scale ** n * seq[n])
     return f
 
 
@@ -729,7 +756,8 @@ def build_series(sol: ClassSolution, N: int) -> SeriesSolution:
 def evaluate_series(series: SeriesSolution, x):
     """y_N(x) = sum f_n phi_n(x) for x > 0 (scalar or array)."""
     vals, _, _ = basis_block(series.basis, series.order, x)
-    total = sum(c * v for c, v in zip(series.coeffs, vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(c * v for c, v in zip(series.coeffs, vals))
     if not np.all(np.isfinite(np.asarray(total))):
         raise DomainError("series evaluation produced non-finite values")
     return total

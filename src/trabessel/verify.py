@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, basis_block, basis_derivatives
-from .errors import DomainError
+from .errors import DomainError, SeriesOverflow
 from .ode import apply_D_values, stencil_derivatives
 from .solver import ClassSolution, SeriesSolution, recursion_coeffs
 
@@ -111,13 +111,18 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
                        notes=worst.notes)
 
 
-def _residual_core(series: SeriesSolution, x):
-    coeffs = np.asarray(series.coeffs, dtype=float)
-    vals, d1, d2 = basis_block(series.basis, series.order, x)
-    y = sum(c * v for c, v in zip(coeffs, vals))
-    y1 = sum(c * v for c, v in zip(coeffs, d1))
-    y2 = sum(c * v for c, v in zip(coeffs, d2))
-    dvals = np.abs(apply_D_values(series.ode, y, y1, y2, x))
+def _residual_core(ode, coeffs, block, x):
+    """Residual of sum_n coeffs[n] phi_n; `block` may hold more degrees than used."""
+    vals, d1, d2 = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sum(c * v for c, v in zip(coeffs, vals))
+        y1 = sum(c * v for c, v in zip(coeffs, d1))
+        y2 = sum(c * v for c, v in zip(coeffs, d2))
+        dvals = np.abs(apply_D_values(ode, y, y1, y2, x))
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dvals))):
+        raise SeriesOverflow(
+            f"the series truncated at N={len(coeffs) - 1} overflows double "
+            "precision on this grid")
     scale = max(float(np.max(np.abs(y))), _SCALE_FLOOR)
     i = int(np.argmax(dvals))
     return float(dvals[i]), float(dvals[i]) / scale, float(x[i]), scale
@@ -127,9 +132,12 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
              tol: float | None = None) -> CheckReport:
     """max |D y_N| over the grid, scaled by max |y_N|.
 
-    For a series attached to an infinite class the report also carries the
-    half-truncation residual (per_n keys N and N//2) so decay with N is
-    visible.  A series with all-zero coefficients is flagged degenerate.
+    One basis block for degrees 0..N serves both sums: for a series attached
+    to an infinite class the report also carries the half-truncation
+    residual (per_n keys N and N//2), summed over the block's first N//2 + 1
+    degrees, so decay with N is visible.  The cost is O(N) in the degree.
+    A series with all-zero coefficients is flagged degenerate; one that
+    overflows double precision on the grid raises SeriesOverflow.
     """
     grid = grid or default_grid()
     x = grid.points()
@@ -137,15 +145,15 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
     if np.all(coeffs == 0.0):
         return CheckReport(0.0, 0.0, float(x[0]), 0.0, tol or 0.0, True,
                            per_n={}, notes=("degenerate: all coefficients zero",))
-    dev, rel, argmax, scale = _residual_core(series, x)
+    block = basis_block(series.basis, series.order, x)
+    dev, rel, argmax, scale = _residual_core(series.ode, coeffs, block, x)
     per_n = {series.order: rel}
     notes = []
     infinite = series.solution is not None and series.solution.n_max is None
     if infinite and series.order >= 2:
-        half = SeriesSolution(series.solution, series.basis, series.ode,
-                              coeffs[:series.order // 2 + 1])
-        _, rel_half, _, _ = _residual_core(half, x)
-        per_n[half.order] = rel_half
+        half = series.order // 2
+        _, rel_half, _, _ = _residual_core(series.ode, coeffs[:half + 1], block, x)
+        per_n[half] = rel_half
         notes.append("decaying with N" if rel < rel_half else "not decaying with N")
     passed = True if tol is None else rel <= tol
     return CheckReport(max_abs_deviation=dev, max_rel_deviation=rel,

@@ -133,14 +133,23 @@ def test_verify_json_report(tmp_path):
     assert set(doc["per_n"]) == {"0", "1", "2", "3"}
 
 
-def test_verify_threaded_fanout(tmp_path):
-    out_file = tmp_path / "verify.json"
-    code, _, _ = run_cli(["verify", "--class", "L39A", "--a", "1.5", "--b", "0",
-                          "--Ap", "0", "--Am", "2", "--A1", "1",
-                          "--A0", "0.9375", "--n", "4", "--out", str(out_file)],
-                         env={"TRA_NUM_THREADS": "4"})
-    assert code == 0
-    assert json.loads(out_file.read_text())["pass"] is True
+def test_verify_threaded_fanout():
+    # verify runs its degrees serially; TRA_NUM_THREADS no longer changes anything
+    argv = ["verify", "--class", "L39A", "--a", "1.5", "--b", "0", "--Ap", "0",
+            "--Am", "2", "--A1", "1", "--A0", "0.9375", "--n", "4"]
+    plain = run_cli(argv)
+    assert plain[0] == 0 and json.loads(plain[1])["pass"] is True
+    assert run_cli(argv, env={"TRA_NUM_THREADS": "4"}) == plain
+
+
+def test_verify_residual_overflow_exit3():
+    code, out, err = run_cli(["verify", "--class", "L39C", "--a", "1.5", "--b", "0",
+                              "--Ap", "0", "--Am", "1", "--A1", "-0.25",
+                              "--A0", "0.9375", "--tau", "3", "--n", "2",
+                              "--with-residual", "--N", "800"])
+    assert code == 3
+    assert json.loads(out)["pass"] is True
+    assert "overflows double precision" in err
 
 
 def test_eval_series_value(tmp_path):

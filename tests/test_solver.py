@@ -5,17 +5,18 @@ import pytest
 from pytest import approx
 
 from trabessel import (ClassId, OdeParams, alt_binding_deviation, build_series,
-                       classify, closed_form_cn, dual_hahn_rejection,
-                       evaluate_series, expansion_coefficients, favard_report,
-                       jacobi_matrix, recursion_coeffs, resolve_class,
-                       tridiag_eigenvalues, u_decomposition)
+                       classify, closed_form_cn, default_truncation,
+                       dual_hahn_rejection, evaluate_series,
+                       expansion_coefficients, favard_report, jacobi_matrix,
+                       recursion_coeffs, resolve_class, tridiag_eigenvalues,
+                       u_decomposition)
 from trabessel.errors import (ConstraintViolation, DefinitenessError,
                               DomainError, RealityViolation, SeriesOverflow)
 from trabessel.families import (ContDualHahnS, DeformedB, DeformedY, DeformedZ,
                                 HahnQ, MeixnerPollaczekP)
 from trabessel.solver import derived_symbols
 
-from conftest import DOCUMENTED
+from conftest import DECAY_SETS, DOCUMENTED
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +322,81 @@ def test_expansion_zero_division():
     sol = resolve_class(p, ClassId.L39C, {"tau": 2.0})
     with pytest.raises(ZeroDivisionError):
         expansion_coefficients(sol, 3)
+
+
+def _per_degree_coefficients(sol, N):
+    """Reference: C_n * binding.eval(n), the family recursed afresh per degree."""
+    f = np.empty(N + 1)
+    f[0] = 1.0
+    cn = 1.0
+    for n in range(1, N + 1):
+        _, s_m, t_m = recursion_coeffs(sol, n - 1)
+        if s_m == 0.0:
+            raise ZeroDivisionError(
+                f"s_{n-1} = 0: the t/s coefficient product is undefined here")
+        if sol.class_id is not ClassId.L39B:
+            cn *= t_m / s_m
+        f[n] = cn * sol.binding.eval(n)
+    return f
+
+
+def _outcome(fn, sol, N):
+    try:
+        return fn(sol, N)
+    except (ArithmeticError, DomainError) as exc:
+        return exc
+
+
+def _case(label, params, cid, N=None):
+    """N = None means the class's default truncation."""
+    return pytest.param(params, cid, N, id=f"{label}-N{'default' if N is None else N}")
+
+
+_EXPANSION_CASES = (
+    [_case(f"{cid.value}-doc", DOCUMENTED[cid], cid, N)
+     for cid in (ClassId.L39A, ClassId.L39B, ClassId.L39C) for N in (0, 1, 50, 200)]
+    + [_case(f"{cid.value}-decay", DECAY_SETS[cid], cid, N)
+       for cid in DECAY_SETS for N in (0, 1, 50, 200)]
+    + [_case(f"{cid.value}-doc", DOCUMENTED[cid], cid, N)
+       for cid in (ClassId.K0, ClassId.K1, ClassId.C8B) for N in (0, 1, None)]
+    + [
+        # the DeformedB recursion overflows at degree 54 of 99
+        _case("K0-Am100.5", (OdeParams(a=1, b=0, A_plus=-1, A_minus=100.5,
+                                       A_one=-0.25, A_zero=2), {}), ClassId.K0),
+        # s_n = 0 for every n
+        _case("L39C-tau2", (OdeParams(a=1.5, b=0, A_plus=0, A_minus=1, A_one=-0.25,
+                                      A_zero=15 / 16), {"tau": 2.0}), ClassId.L39C, 3),
+        # HahnQ with N = 3 < n_max = 11: the first failing degree is 4
+        _case("C8B-HahnN3", (OdeParams(a=1.5, b=0, A_plus=0, A_minus=2, A_one=-0.25,
+                                       A_zero=-0.0625), {"alpha": -3.25, "mu": -12.5}),
+              ClassId.C8B),
+        # HahnQ with N = 0: degree 1 already fails
+        _case("K1-HahnN0", (OdeParams(a=1, b=0, A_plus=0, A_minus=3, A_one=-0.25,
+                                      A_zero=6.25), {"mu": -3.0}), ClassId.K1),
+    ])
+
+
+@pytest.mark.parametrize("params,cid,N", _EXPANSION_CASES)
+def test_expansion_matches_per_degree_reference(params, cid, N):
+    """One recursion pass reproduces the per-degree loop bit for bit, errors
+    included: same type, same message, same lowest failing degree."""
+    ode, free = params
+    sol = resolve_class(ode, cid, free)
+    N = default_truncation(sol) if N is None else N
+    got = _outcome(expansion_coefficients, sol, N)
+    want = _outcome(_per_degree_coefficients, sol, N)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+def test_expansion_k0_overflow_is_a_family_domain_error():
+    p = OdeParams(a=1, b=0, A_plus=-1, A_minus=100.5, A_one=-0.25, A_zero=2)
+    sol = resolve_class(p, ClassId.K0)
+    with pytest.raises(DomainError,
+                       match="DeformedB recursion produced a non-finite value"):
+        expansion_coefficients(sol, default_truncation(sol))
 
 
 def test_truncation_bound_enforced():

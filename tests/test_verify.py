@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,15 @@ from pytest import approx
 
 from trabessel import (ClassId, OdeParams, apply_D, apply_D_values,
                        basis_derivatives, build_series, derivative_crosscheck,
-                       recursion_coeffs, residual, resolve_class,
-                       tridiagonality_check, tridiagonality_sweep)
+                       evaluate_series, recursion_coeffs, residual,
+                       resolve_class, tridiagonality_check,
+                       tridiagonality_sweep)
 from trabessel.basis import BasisSpec
-from trabessel.errors import DomainError
+from trabessel.errors import DomainError, SeriesOverflow
 from trabessel.solver import SeriesSolution
 from trabessel.verify import GridSpec, default_grid
 
-from conftest import DOCUMENTED
+from conftest import DECAY_SETS, DOCUMENTED
 
 
 # ---------------------------------------------------------------------------
@@ -198,3 +201,27 @@ def test_residual_report_includes_half_truncation():
     rep = residual(build_series(sol, 20))
     assert set(rep.per_n) == {20, 10}
     assert any("decaying" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("cid", [ClassId.L39A, ClassId.L39C])
+@pytest.mark.parametrize("N", [40, 200])
+def test_residual_half_truncation_equals_truncated_series(cid, N):
+    """The half residual summed from the prefix of the full block is exactly
+    the residual of the series truncated at N//2."""
+    p, free = DECAY_SETS[cid]
+    sol = resolve_class(p, cid, free)
+    series = build_series(sol, N)
+    half = SeriesSolution(sol, series.basis, series.ode, series.coeffs[:N // 2 + 1])
+    assert residual(series).per_n[N // 2] == residual(half).max_rel_deviation
+
+
+def test_residual_overflow_raises_without_warnings():
+    # the documented L39C coefficients grow past double range by N = 800
+    p, free = DOCUMENTED[ClassId.L39C]
+    series = build_series(resolve_class(p, ClassId.L39C, free), 800)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesOverflow):
+            residual(series)
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_series(series, default_grid().points())
