@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__, jsonio
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      DefinitenessError, DomainError, QuadratureFailure,
                      RealityViolation, SeriesOverflow, TraError, UnsupportedRow)
 from .ode import OdeParams
-from .quantum import confining_well, fd_oracle, oscillator_potential, \
-    spectrum_eq64, well_potential
+from .quantum import (SpectrumResult, confining_well, eq64_energies, fd_oracle,
+                      oscillator_potential, well_potential)
 from .solver import (ClassId, build_series, classify, default_truncation,
                      evaluate_series, resolve_class)
 from .verify import GridSpec, default_grid, residual, tridiagonality_check
@@ -110,6 +108,22 @@ def _free_params(args):
     return free
 
 
+def _write_spectrum(args, result, echo_keys):
+    """Emit a SpectrumResult as "k,E_k,method" CSV or a JSON document."""
+    if args.format == "csv":
+        lines = ["k,E_k,method"]
+        lines += [f"{k},{_F(float(e))},{result.method}"
+                  for k, e in enumerate(result.energies)]
+        _write(args.out, "\n".join(lines) + "\n")
+    else:
+        doc = {"config_echo": _config_echo(args, echo_keys),
+               "method": result.method,
+               "energies": [float(e) for e in result.energies],
+               "metadata": result.metadata}
+        _write(args.out, jsonio.dumps(doc))
+    return 0
+
+
 def _grid_from_args(args) -> GridSpec:
     if args.x_min is None:
         return default_grid()
@@ -196,6 +210,9 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
+    if args.n_min > args.n:
+        raise ConstraintViolation(
+            f"--n-min <= --n (got --n-min {args.n_min}, --n {args.n})")
     sol = _resolved_solution(args)
     grid = _grid_from_args(args)
     degrees = list(range(args.n_min, args.n + 1))
@@ -227,29 +244,17 @@ def _cmd_spectrum(args):
             raise ValueError("well spectrum needs --Am and --Ap")
         _, result = confining_well(args.Am, args.Ap, args.lam, N=args.N,
                                    n_levels=args.levels)
-        method, energies, metadata = result.method, result.energies, result.metadata
         echo_keys = ("system", "Am", "Ap", "lam", "N", "levels")
     elif args.system == "oscillator":
         if args.A1 is None:
             raise ValueError("oscillator spectrum needs --A1")
-        energies = np.array([spectrum_eq64(k, args.lam, args.A1, args.Lambda, args.ell)
-                             for k in range(args.levels)])
-        method = "closed_form_eq64"
-        metadata = {"Lambda": args.Lambda, "ell": args.ell}
+        energies = eq64_energies(args.lam, args.A1, args.Lambda, args.ell, args.levels)
+        result = SpectrumResult(energies, "closed_form_eq64",
+                                {"Lambda": args.Lambda, "ell": args.ell})
         echo_keys = ("system", "A1", "Lambda", "ell", "lam", "levels")
     else:
         raise ValueError(f"unknown system {args.system!r}")
-    if args.format == "csv":
-        lines = ["k,E_k,method"]
-        lines += [f"{k},{_F(float(e))},{method}" for k, e in enumerate(energies)]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        doc = {"config_echo": _config_echo(args, echo_keys),
-               "method": method,
-               "energies": [float(e) for e in energies],
-               "metadata": metadata}
-        _write(args.out, jsonio.dumps(doc))
-    return 0
+    return _write_spectrum(args, result, echo_keys)
 
 
 def _cmd_oracle(args):
@@ -271,20 +276,9 @@ def _cmd_oracle(args):
     result = fd_oracle(potential, (args.r_min, args.r_max), args.grid_size,
                        ell=ell, n_levels=args.levels,
                        include_centrifugal=include_centrifugal)
-    if args.format == "csv":
-        lines = ["k,E_k,method"]
-        lines += [f"{k},{_F(float(e))},{result.method}"
-                  for k, e in enumerate(result.energies)]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        doc = {"config_echo": _config_echo(args, ("system", "Am", "Ap", "A1",
-                                                  "Lambda", "ell", "lam", "r_min",
-                                                  "r_max", "grid_size", "levels")),
-               "method": result.method,
-               "energies": [float(e) for e in result.energies],
-               "metadata": result.metadata}
-        _write(args.out, jsonio.dumps(doc))
-    return 0
+    return _write_spectrum(args, result, ("system", "Am", "Ap", "A1", "Lambda",
+                                          "ell", "lam", "r_min", "r_max",
+                                          "grid_size", "levels"))
 
 
 # ---------------------------------------------------------------------------

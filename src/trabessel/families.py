@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import loggamma, roots_laguerre
 
 from .errors import DomainError, QuadratureFailure, UnsupportedOracle
 
@@ -718,6 +716,11 @@ def orthogonality_integral(family, n: int, m: int, tol: float = 1e-10):
 
     Returns (numeric_integral, analytic_rhs).
     """
+    # imported here, so that only these quadrature oracles load scipy.special,
+    # the slowest import the package has
+    from numpy.polynomial.legendre import leggauss
+    from scipy.special import loggamma, roots_laguerre
+
     family.validate()
     _check_degree(family, max(n, m))
     if isinstance(family, BesselJ):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      UnsupportedRow)
@@ -23,8 +22,9 @@ from .solver import (ClassId, expansion_coefficients, jacobi_matrix,
                      resolve_class, tridiag_eigenvalues)
 
 __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
-           "singular_oscillator", "spectrum_eq64", "fd_oracle", "morse_levels",
-           "well_potential", "well_wavefunction_coeffs", "oscillator_potential"]
+           "singular_oscillator", "spectrum_eq64", "eq64_energies", "fd_oracle",
+           "morse_levels", "well_potential", "well_wavefunction_coeffs",
+           "oscillator_potential"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,11 @@ def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> 
     raise UnsupportedRow(f"a = {a_choice} is not one of 1/2, 1, 3/2, 2")
 
 
+def _check_levels(n_levels: int):
+    if n_levels < 1:
+        raise ConstraintViolation("n_levels >= 1", n_levels)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -105,7 +110,10 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     The centrifugal term ell(ell+1)/2r^2 is added when requested and the
     domain excludes r <= 0.
     """
+    import scipy.linalg   # imported here, so that only eigensolves load it
+
     r_min, r_max = domain
+    _check_levels(n_levels)
     if grid_size < 100:
         raise ConstraintViolation("fd oracle needs grid_size >= 100", grid_size)
     if not r_min < r_max:
@@ -211,6 +219,7 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
     A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2.
     """
+    _check_levels(n_levels)
     if A_plus > 0:
         raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", A_plus)
     if lam <= 0:
@@ -288,6 +297,14 @@ def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> 
     return 4 * lam ** 2 * math.sqrt(-A_one) * (k + 0.5 + 0.5 * math.sqrt(root_arg))
 
 
+def eq64_energies(lam: float, A_one: float, Lambda: float, ell: int,
+                  n_levels: int) -> np.ndarray:
+    """The lowest n_levels closed-form energies E_0..E_{n_levels-1} of eq. 64."""
+    _check_levels(n_levels)
+    return np.array([spectrum_eq64(k, lam, A_one, Lambda, ell)
+                     for k in range(n_levels)])
+
+
 def singular_oscillator(A_one: float, A_minus: float, A_zero: float, ell: int,
                         lam: float, tau: float, n_levels: int = 5):
     """Effective potential, closed-form spectrum and wavefunction parameters.
@@ -305,8 +322,7 @@ def singular_oscillator(A_one: float, A_minus: float, A_zero: float, ell: int,
     # at a = 3/2 the two printed decompositions coincide: 4 A0 - ell(ell+1)
     assert abs(Lambda - (4 * A_zero - ell * (ell + 1))) <= 1e-12 * max(1.0, abs(Lambda))
     v = oscillator_potential(A_one, Lambda, ell, lam)
-    energies = np.array([spectrum_eq64(k, lam, A_one, Lambda, ell)
-                         for k in range(n_levels)])
+    energies = eq64_energies(lam, A_one, Lambda, ell, n_levels)
     root = math.sqrt(4 * A_one + tau ** 2)
     wf = {
         "cos_theta": (4 * A_one + tau ** 2 - 1) / (4 * A_one + tau ** 2 + 1),

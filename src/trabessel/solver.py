@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import families
 from .basis import BasisSpec, basis_block, basis_derivatives
@@ -813,9 +812,10 @@ def tridiag_eigenvalues(diag, off):
         raise DomainError("matrix entries must be finite")
     if diag.size == 0:
         return np.array([])
+    import scipy.linalg   # imported here, so that only eigensolves load it
     try:
         vals = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
     return np.sort(vals)
 

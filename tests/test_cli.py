@@ -6,6 +6,9 @@ import sys
 
 from pytest import approx
 
+import pytest
+
+import trabessel
 from trabessel.cli import main
 
 K0_FLAGS = ["--a", "1", "--b", "0", "--Ap", "-1", "--Am", "5",
@@ -205,3 +208,83 @@ def test_solve_l39c_beta_free_flag(tmp_path):
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert doc["binding"]["family"] == "DeformedZ"   # tau = 3 regime
+
+
+def test_verify_degree_range_exit2():
+    code, out, err = run_cli(["verify", "--class", "L39A", "--a", "1.5", "--b", "0",
+                              "--Ap", "0", "--Am", "2", "--A1", "1",
+                              "--A0", "0.9375", "--n", "2", "--n-min", "5"])
+    assert code == 2 and out == ""
+    assert "--n-min" in err and "--n 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--system", "well", "--Am", "20.5", "--Ap", "-1", "--levels", "0"],
+    ["spectrum", "--system", "oscillator", "--A1", "-0.25", "--levels", "0"],
+    ["spectrum", "--system", "oscillator", "--A1", "-0.25", "--levels", "-3"],
+    ["oracle", "--system", "well", "--Am", "20.5", "--Ap", "-1",
+     "--r-min", "-5.7", "--r-max", "-1.2", "--levels", "0"],
+    ["oracle", "--system", "oscillator", "--A1", "-0.25", "--r-min", "1e-6",
+     "--r-max", "14", "--levels", "-1"],
+], ids=["spectrum-well-0", "spectrum-oscillator-0", "spectrum-oscillator-neg",
+        "oracle-well-0", "oracle-oscillator-neg"])
+def test_spectrum_levels_below_one_exit2(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "n_levels >= 1" in err
+
+
+# Runs one CLI command in a fresh interpreter and reports which scipy modules
+# it loaded; the command's own output is swallowed.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if sys.argv[1:]:
+        from trabessel.cli import main
+        code = main(sys.argv[1:])
+    else:
+        import trabessel
+        code = 0
+print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _scipy_modules_loaded(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + argv,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    return report["scipy"]
+
+
+L39A_FLAGS = ["--class", "L39A", "--a", "1.5", "--b", "0", "--Ap", "0", "--Am", "2",
+              "--A1", "1", "--A0", "0.9375"]
+WELL_FLAGS = ["--system", "well", "--Am", "20.5", "--Ap", "-1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["classify"] + K0_FLAGS,
+    ["solve", "--class", "K0"] + K0_FLAGS,
+    ["eval"] + L39A_FLAGS + ["--N", "20"],
+    ["verify"] + L39A_FLAGS + ["--n", "3"],
+    ["spectrum", "--system", "oscillator", "--A1", "-0.25"],
+], ids=["import", "classify", "solve", "eval", "verify", "spectrum-oscillator"])
+def test_numpy_only_commands_load_no_scipy(argv):
+    assert _scipy_modules_loaded(argv) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"] + WELL_FLAGS,
+    ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",
+                               "--grid-size", "500"],
+], ids=["spectrum-well", "oracle-well"])
+def test_eigensolves_load_scipy_linalg_only(argv):
+    loaded = _scipy_modules_loaded(argv)
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.special")]

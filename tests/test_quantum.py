@@ -197,6 +197,19 @@ def test_singular_oscillator_guards():
         singular_oscillator(-0.25, 1.0, 0.5, 0, 1.0, 0.1)    # 4 A1 + tau^2 <= 0
 
 
+@pytest.mark.parametrize("n_levels", [0, -3])
+def test_spectra_need_at_least_one_level(n_levels):
+    pot = lambda r: 0.5 * r ** 2
+    calls = [lambda: confining_well(20.5, -1.0, 1.0, n_levels=n_levels),
+             lambda: confining_well(20.5, 0.0, 1.0, n_levels=n_levels),   # Morse
+             lambda: fd_oracle(pot, (1e-6, 12.0), 1000, n_levels=n_levels),
+             lambda: singular_oscillator(-0.25, 1.0, 0.5, 0, 1.0, 2.0,
+                                         n_levels=n_levels)]
+    for call in calls:
+        with pytest.raises(ConstraintViolation, match="n_levels >= 1"):
+            call()
+
+
 def test_oscillator_fd_agreement():
     lam, A1, Lam, ell = 1.0, -0.25, 3.0, 0
     pot = oscillator_potential(A1, Lam, ell, lam)   # full effective potential
