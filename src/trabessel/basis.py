@@ -118,37 +118,28 @@ def _poly_triples(basis: BasisSpec, n: int, x):
     return p, d1, d2
 
 
-def basis_derivatives(basis: BasisSpec, n: int, x):
-    """(phi_n, phi_n', phi_n'') at x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("basis functions are defined for x > 0")
-    p, d1, d2 = _poly_triples(basis, n, x)
-    w, lw1, lw2 = _prefactor(basis.power(), basis.beta, x)
-    pn, pn1, pn2 = p[n], d1[n], d2[n]
-    return (w * pn,
-            w * (lw1 * pn + pn1),
-            w * (lw2 * pn + 2 * lw1 * pn1 + pn2))
-
-
-def basis_value(basis: BasisSpec, n: int, x):
-    """phi_n(x) without derivatives."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("basis functions are defined for x > 0")
-    p, _, _ = _poly_triples(basis, n, x)
-    w, _, _ = _prefactor(basis.power(), basis.beta, x)
-    return w * p[n]
-
-
 def basis_block(basis: BasisSpec, n: int, x):
-    """(phi_k, phi_k', phi_k'') for all degrees k = 0..n at once."""
+    """(phi_k, phi_k', phi_k'') for all degrees k = 0..n at once.
+
+    An overflowing prefactor raises SeriesOverflow before any degree check.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("basis functions are defined for x > 0")
-    p, d1, d2 = _poly_triples(basis, n, x)
     w, lw1, lw2 = _prefactor(basis.power(), basis.beta, x)
+    p, d1, d2 = _poly_triples(basis, n, x)
     vals = [w * pk for pk in p]
     der1 = [w * (lw1 * pk + pk1) for pk, pk1 in zip(p, d1)]
     der2 = [w * (lw2 * pk + 2 * lw1 * pk1 + pk2) for pk, pk1, pk2 in zip(p, d1, d2)]
     return vals, der1, der2
+
+
+def basis_derivatives(basis: BasisSpec, n: int, x):
+    """(phi_n, phi_n', phi_n'') at x > 0: row n of basis_block."""
+    vals, der1, der2 = basis_block(basis, n, x)
+    return vals[n], der1[n], der2[n]
+
+
+def basis_value(basis: BasisSpec, n: int, x):
+    """phi_n(x): row n of basis_block's values."""
+    return basis_block(basis, n, x)[0][n]

@@ -19,7 +19,7 @@ from .quantum import (SpectrumResult, confining_well, eq64_energies, fd_oracle,
                       oscillator_potential, well_potential)
 from .solver import (ClassId, build_series, classify, default_truncation,
                      evaluate_series, resolve_class)
-from .verify import GridSpec, default_grid, residual, tridiagonality_check
+from .verify import GridSpec, default_grid, residual, tridiagonality_sweep
 
 _VALIDATION_ERRORS = (ConstraintViolation, DomainError, RealityViolation,
                       UnsupportedRow, ValueError, KeyError)
@@ -215,27 +215,24 @@ def _cmd_verify(args):
             f"--n-min <= --n (got --n-min {args.n_min}, --n {args.n})")
     sol = _resolved_solution(args)
     grid = _grid_from_args(args)
-    degrees = list(range(args.n_min, args.n + 1))
-    reports = [tridiagonality_check(sol, n, grid, args.check_tol) for n in degrees]
-    worst = max(reports, key=lambda r: r.max_rel_deviation)
-    per_n = {str(n): rep.max_rel_deviation for n, rep in zip(degrees, reports)}
+    rep = tridiagonality_sweep(sol, range(args.n_min, args.n + 1), grid, args.check_tol)
     doc = {"config_echo": _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1",
                                               "A0", "mu", "alpha", "tau", "n",
                                               "check_tol")),
-           "max_rel_deviation": worst.max_rel_deviation,
-           "max_abs_deviation": worst.max_abs_deviation,
-           "argmax_x": worst.argmax_x,
-           "per_n": per_n,
-           "pass": all(r.passed for r in reports),
-           "notes": list(worst.notes)}
+           "max_rel_deviation": rep.max_rel_deviation,
+           "max_abs_deviation": rep.max_abs_deviation,
+           "argmax_x": rep.argmax_x,
+           "per_n": {str(n): rel for n, rel in rep.per_n.items()},
+           "pass": rep.passed,
+           "notes": list(rep.notes)}
     _write(args.out, jsonio.dumps(doc))
     # residual report for the assembled series, when requested
     if args.with_residual:
         n_trunc = args.N if args.N is not None else default_truncation(sol)
         series = build_series(sol, n_trunc)
-        rep = residual(series, grid)
-        sys.stdout.write(f"residual(N={n_trunc}): {_F(rep.max_rel_deviation)}\n")
-    return 0 if all(r.passed for r in reports) else 3
+        sys.stdout.write(
+            f"residual(N={n_trunc}): {_F(residual(series, grid).max_rel_deviation)}\n")
+    return 0 if rep.passed else 3
 
 
 def _cmd_spectrum(args):

@@ -18,13 +18,15 @@ class QuadratureFailure(TraError):
 
 
 class ConstraintViolation(TraError):
-    """A solution-class parameter relation does not hold."""
+    """A parameter relation does not hold: `residual` is how far it misses,
+    `got` the offending count or value itself."""
 
-    def __init__(self, relation, residual=None):
+    def __init__(self, relation, residual=None, *, got=None):
         self.relation = relation
         self.residual = residual
+        self.got = got
         msg = relation if residual is None else f"{relation} (residual {residual:.3e})"
-        super().__init__(msg)
+        super().__init__(msg if got is None else f"{relation} (got {got})")
 
 
 class RealityViolation(TraError):

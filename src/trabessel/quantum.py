@@ -59,9 +59,9 @@ class SpectrumResult:
 def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> SystemSpec:
     """Populate the coordinate-map row for one of a = 1/2, 1, 3/2, 2 (b = 0)."""
     if params.b != 0.0:
-        raise ConstraintViolation("coordinate maps need b = 0", params.b)
+        raise ConstraintViolation("coordinate maps need b = 0", got=params.b)
     if lam <= 0:
-        raise ConstraintViolation("lam must be positive", lam)
+        raise ConstraintViolation("lam must be positive", got=lam)
     Ap, Am, A1, A0 = params.A_plus, params.A_minus, params.A_one, params.A_zero
     l2 = lam * lam
     if a_choice == 0.5:
@@ -94,7 +94,7 @@ def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> 
 
 def _check_levels(n_levels: int):
     if n_levels < 1:
-        raise ConstraintViolation("n_levels >= 1", n_levels)
+        raise ConstraintViolation("n_levels >= 1", got=n_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     r_min, r_max = domain
     _check_levels(n_levels)
     if grid_size < 100:
-        raise ConstraintViolation("fd oracle needs grid_size >= 100", grid_size)
+        raise ConstraintViolation("fd oracle needs grid_size >= 100", got=grid_size)
     if not r_min < r_max:
         raise ConstraintViolation("domain must satisfy r_min < r_max")
     if include_centrifugal and ell and r_min <= 0:
@@ -221,13 +221,13 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     """
     _check_levels(n_levels)
     if A_plus > 0:
-        raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", A_plus)
+        raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
     if lam <= 0:
-        raise ConstraintViolation("lam must be positive", lam)
+        raise ConstraintViolation("lam must be positive", got=lam)
     v = well_potential(A_minus, A_plus, lam)
     if A_plus == 0.0:
         if A_minus < 0.5:
-            raise ConstraintViolation("Morse limit needs A- >= 1/2", A_minus)
+            raise ConstraintViolation("Morse limit needs A- >= 1/2", got=A_minus)
         energies = morse_levels(A_minus, lam, n_levels)
         return v, SpectrumResult(energies, "morse_closed_form",
                                  {"A_minus": A_minus, "lam": lam})
@@ -261,7 +261,7 @@ def well_wavefunction_coeffs(A_minus: float, A_plus: float, lam: float,
     (or near) the Jacobi eigenvalues returned by confining_well.
     """
     if A_plus >= 0:
-        raise ConstraintViolation("wavefunction coefficients need A+ < 0", A_plus)
+        raise ConstraintViolation("wavefunction coefficients need A+ < 0", got=A_plus)
     ode = OdeParams(a=1.0, b=0.0, A_plus=A_plus, A_minus=A_minus,
                     A_one=-0.25, A_zero=-2.0 * energy / lam ** 2)
     sol = resolve_class(ode, ClassId.K0)
@@ -287,13 +287,13 @@ def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
 def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> float:
     """E_k = 4 lam^2 sqrt(-A1) [k + 1/2 + sqrt(Lambda + (ell+1/2)^2)/2]."""
     if not A_one < 0:
-        raise ConstraintViolation("A1 < 0", A_one)
+        raise ConstraintViolation("A1 < 0", got=A_one)
     root_arg = Lambda + (ell + 0.5) ** 2
     if root_arg < 0:
         raise ConstraintViolation(
             "Lambda >= -(ell+1/2)^2 (fall-to-the-center guard)", root_arg)
     if k < 0:
-        raise ConstraintViolation("k >= 0", k)
+        raise ConstraintViolation("k >= 0", got=k)
     return 4 * lam ** 2 * math.sqrt(-A_one) * (k + 0.5 + 0.5 * math.sqrt(root_arg))
 
 
@@ -312,11 +312,11 @@ def singular_oscillator(A_one: float, A_minus: float, A_zero: float, ell: int,
     Requires A1 <= 0, 16 A0 >= -1 and 4 A1 + tau^2 > 0 (b = 0, a = 3/2 row).
     """
     if A_one > 0:
-        raise ConstraintViolation("A1 <= 0 (otherwise the particle escapes)", A_one)
+        raise ConstraintViolation("A1 <= 0 (otherwise the particle escapes)", got=A_one)
     if 16 * A_zero < -1:
-        raise ConstraintViolation("16 A0 >= -1 (fall-to-the-center guard)", A_zero)
+        raise ConstraintViolation("16 A0 >= -1 (fall-to-the-center guard)", got=16 * A_zero)
     if 4 * A_one + tau ** 2 <= 0:
-        raise ConstraintViolation("4 A1 + tau^2 > 0", 4 * A_one + tau ** 2)
+        raise ConstraintViolation("4 A1 + tau^2 > 0", got=4 * A_one + tau ** 2)
     nu_sq = A_zero + 1.0 / 16.0
     Lambda = 4 * nu_sq - (ell + 0.5) ** 2
     # at a = 3/2 the two printed decompositions coincide: 4 A0 - ell(ell+1)

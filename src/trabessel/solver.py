@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .basis import BasisSpec, basis_block, basis_derivatives
+from .basis import BasisSpec, basis_block
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
                      DomainError, RealityViolation)
 from .ode import OdeParams, apply_D_values
@@ -241,10 +241,9 @@ def _gate_laguerre_exponent(params, nu, beta, u0, t0, notes):
 
     def probe(exponent):
         b = BasisSpec(kind="laguerre", beta=beta, exponent=exponent, nu=nu)
-        f0 = basis_derivatives(b, 0, xs)
-        f1 = basis_derivatives(b, 1, xs)
-        lhs = apply_D_values(params, *f0, xs)
-        rhs = u0(xs) * f0[0] + t0(xs) * f1[0]
+        vals, der1, der2 = basis_block(b, 1, xs)
+        lhs = apply_D_values(params, vals[0], der1[0], der2[0], xs)
+        rhs = u0(xs) * vals[0] + t0(xs) * vals[1]
         scale = np.max(np.abs(lhs)) + 1e-300
         return np.max(np.abs(lhs - rhs)) / scale
 

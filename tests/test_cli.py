@@ -234,6 +234,25 @@ def test_spectrum_levels_below_one_exit2(argv):
     assert "n_levels >= 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--system", "oscillator", "--A1", "-0.25", "--Lambda", "0",
+      "--ell", "0", "--levels", "0"], "n_levels >= 1 (got 0)"),
+    (["spectrum", "--system", "well", "--Am", "0.2", "--Ap", "0"],
+     "Morse limit needs A- >= 1/2 (got 0.2)"),
+    (["oracle", "--system", "well", "--Am", "20.5", "--Ap", "-1", "--r-min", "0.01",
+      "--r-max", "10", "--grid-size", "50"], "fd oracle needs grid_size >= 100 (got 50)"),
+    (["solve", "--class", "K0", "--a", "1", "--b", "0", "--Ap", "0", "--Am", "20.5",
+      "--A1", "-0.25", "--A0", "2"], "A+ must be nonzero for K0 (residual 0.000e+00)"),
+    (["verify", "--class", "K0", "--a", "1", "--b", "0.5", "--Ap", "-1", "--Am", "20.5",
+      "--A1", "-0.25", "--A0", "2"], "b^2 = 1 + 4*A1 (residual 2.500e-01)"),
+], ids=["levels-count", "morse-value", "grid-size-count", "solver-residual",
+        "solver-relation-residual"])
+def test_constraint_violation_labels_its_number(argv, message):
+    """An offending count or value reads "got"; a relation's miss reads "residual"."""
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # Runs one CLI command in a fresh interpreter and reports which scipy modules
 # it loaded; the command's own output is swallowed.
 _IMPORT_PROBE = """

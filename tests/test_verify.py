@@ -11,6 +11,7 @@ from trabessel import (ClassId, OdeParams, apply_D, apply_D_values,
                        evaluate_series, recursion_coeffs, residual,
                        resolve_class, tridiagonality_check,
                        tridiagonality_sweep)
+from trabessel import verify
 from trabessel.basis import BasisSpec
 from trabessel.errors import DomainError, SeriesOverflow
 from trabessel.solver import SeriesSolution
@@ -138,6 +139,117 @@ def test_check_report_shape():
     assert rep.max_rel_deviation >= 0
     assert 0.05 <= rep.argmax_x <= 20.0
     assert bool(rep) == rep.passed
+
+
+def _per_degree_reference(sol, n, x):
+    """The identity at degree n from three per-degree basis calls:
+    (max |dev|, max |dev| / scale, argmax x, scale)."""
+    u_n, _, t_n = recursion_coeffs(sol, n)
+    phi_n = basis_derivatives(sol.basis, n, x)
+    lhs = apply_D_values(sol.ode, *phi_n, x)
+    rhs = u_n * phi_n[0] + t_n * basis_derivatives(sol.basis, n + 1, x)[0]
+    if n > 0:
+        _, s_prev, _ = recursion_coeffs(sol, n - 1)
+        rhs = rhs + s_prev * basis_derivatives(sol.basis, n - 1, x)[0]
+    dev = np.abs(lhs - sol.omega(x) * rhs)
+    scale = max(float(np.max(np.abs(lhs))), 1e-300)
+    i = int(np.argmax(dev))
+    return float(dev[i]), float(dev[i]) / scale, float(x[i]), scale
+
+
+@pytest.mark.parametrize("grid", [None, GridSpec(0.1, 8.0, 41, "linear")],
+                         ids=["default", "linear"])
+@pytest.mark.parametrize("cid", list(DOCUMENTED))
+def test_sweep_matches_per_degree_reference(cid, grid):
+    """The one-block sweep reproduces the per-degree check bit for bit."""
+    p, free = DOCUMENTED[cid]
+    sol = resolve_class(p, cid, free)
+    degrees = range(21) if sol.n_max is None else range(sol.n_max)
+    x = (grid or default_grid()).points()
+    ref = {n: _per_degree_reference(sol, n, x) for n in degrees}
+    rep = tridiagonality_sweep(sol, degrees, grid)
+    assert rep.per_n == {n: r[1] for n, r in ref.items()}
+    worst = max(ref.values(), key=lambda r: r[1])
+    assert (rep.max_abs_deviation, rep.max_rel_deviation, rep.argmax_x, rep.scale) == worst
+    assert rep.passed
+    one = tridiagonality_check(sol, 3, grid)
+    assert (one.max_abs_deviation, one.max_rel_deviation, one.argmax_x, one.scale) == ref[3]
+
+
+@pytest.mark.parametrize("cid", [ClassId.K0, ClassId.K1, ClassId.C8B])
+def test_sweep_error_precedence_bessel_classes(cid):
+    p, free = DOCUMENTED[cid]
+    sol = resolve_class(p, cid, free)
+    top = sol.n_max
+    vanish = f"coefficient denominator n+mu+3/2 vanishes at n={top}"
+    cases = [(range(top + 1), vanish), ([top, top + 1], vanish),
+             ([top + 1], f"n={top + 1} exceeds the basis bound n_max={top}"),
+             ([-1], "n must be nonnegative"), ([2, -1], "n must be nonnegative")]
+    for degrees, message in cases:
+        with pytest.raises(DomainError) as exc:
+            tridiagonality_sweep(sol, degrees)
+        assert str(exc.value) == message, degrees
+
+
+def test_sweep_error_precedence_follows_degree_order():
+    """The first degree, in the order given, that fails decides the error.
+
+    At mu = -5.3 the basis ends at n_max = 4 while n+mu+3/2 stays nonzero,
+    so the check at 4 fails for want of phi_5.  At b = 3 (beta = -1) the
+    prefactor overflows near x = 0, which fails every degree whose
+    coefficients exist.
+    """
+    free = {"mu": -5.3}
+    sol = resolve_class(OdeParams(a=1.0, b=0.0, A_plus=0.0, A_minus=3.0,
+                                  A_one=-0.25, A_zero=2.0), ClassId.K1, free)
+    beyond = "degree 5 exceeds n_max=4 (mu=-5.3)"
+    cases = [(range(6), beyond), ([4, 6], beyond), ([4], beyond),
+             ([3, 5], "n=5 exceeds the basis bound n_max=4")]
+    for degrees, message in cases:
+        with pytest.raises(DomainError) as exc:
+            tridiagonality_sweep(sol, degrees)
+        assert str(exc.value) == message, degrees
+    sol = resolve_class(OdeParams(a=1.0, b=3.0, A_plus=0.0, A_minus=3.0,
+                                  A_one=2.0, A_zero=2.0), ClassId.K1, free)
+    grid = GridSpec(1e-3, 1.0, 20)
+    for degrees in ([0, 9], [4, 6], range(6)):
+        with pytest.raises(SeriesOverflow):
+            tridiagonality_sweep(sol, degrees, grid)
+    with pytest.raises(DomainError, match="n=6 exceeds the basis bound"):
+        tridiagonality_sweep(sol, [6, 2], grid)
+
+
+def test_sweep_needs_a_degree():
+    p, free = DOCUMENTED[ClassId.L39A]
+    sol = resolve_class(p, ClassId.L39A, free)
+    with pytest.raises(DomainError, match="at least one degree"):
+        tridiagonality_sweep(sol, [])
+
+
+def test_sweep_fails_on_a_nonfinite_deviation():
+    """Near x = 1e-60 the Laguerre factor overflows from degree 2 on; those
+    degrees have NaN deviations, and the sweep must not pass."""
+    p, free = DOCUMENTED[ClassId.L39A]
+    sol = resolve_class(p, ClassId.L39A, free)
+    with np.errstate(all="ignore"):
+        rep = tridiagonality_sweep(sol, range(6), GridSpec(1e-60, 1.0, 20))
+    assert rep.per_n[1] <= 1e-8 and np.isnan(rep.per_n[2])
+    assert not rep.passed
+
+
+def test_sweep_builds_one_basis_block(monkeypatch):
+    """The sweep's work stays linear in the top degree: one basis block,
+    no per-degree basis calls."""
+    calls = {"basis_block": 0, "basis_derivatives": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(verify, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    p, free = DOCUMENTED[ClassId.L39A]
+    sol = resolve_class(p, ClassId.L39A, free)
+    assert tridiagonality_sweep(sol, range(41)).passed
+    assert calls == {"basis_block": 1, "basis_derivatives": 0}
 
 
 # ---------------------------------------------------------------------------
