@@ -127,10 +127,13 @@ def basis_block(basis: BasisSpec, n: int, x):
     if np.any(x <= 0):
         raise DomainError("basis functions are defined for x > 0")
     w, lw1, lw2 = _prefactor(basis.power(), basis.beta, x)
-    p, d1, d2 = _poly_triples(basis, n, x)
-    vals = [w * pk for pk in p]
-    der1 = [w * (lw1 * pk + pk1) for pk, pk1 in zip(p, d1)]
-    der2 = [w * (lw2 * pk + 2 * lw1 * pk1 + pk2) for pk, pk1, pk2 in zip(p, d1, d2)]
+    # a polynomial factor that overflows leaves inf/nan rows without a warning;
+    # the callers that sum or compare rows check them for finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, d1, d2 = _poly_triples(basis, n, x)
+        vals = [w * pk for pk in p]
+        der1 = [w * (lw1 * pk + pk1) for pk, pk1 in zip(p, d1)]
+        der2 = [w * (lw2 * pk + 2 * lw1 * pk1 + pk2) for pk, pk1, pk2 in zip(p, d1, d2)]
     return vals, der1, der2
 
 

@@ -8,6 +8,7 @@ exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__, jsonio
@@ -216,6 +217,10 @@ def _cmd_verify(args):
     sol = _resolved_solution(args)
     grid = _grid_from_args(args)
     rep = tridiagonality_sweep(sol, range(args.n_min, args.n + 1), grid, args.check_tol)
+    bad = [n for n, rel in rep.per_n.items() if not math.isfinite(rel)]
+    if bad:
+        raise SeriesOverflow(f"the tridiagonality check is not finite from n={bad[0]}: "
+                             "the basis overflows double precision on this grid")
     doc = {"config_echo": _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1",
                                               "A0", "mu", "alpha", "tau", "n",
                                               "check_tol")),
@@ -365,7 +370,6 @@ def build_parser():
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--config", default=None)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -382,7 +386,6 @@ def build_parser():
     p.add_argument("--r-max", dest="r_max", type=float, required=True)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=4000)
     p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--config", default=None)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_oracle)

@@ -6,6 +6,9 @@ coefficients, and a binding to an orthogonal-polynomial family evaluated at
 an argument built from the equation parameters.  The same coefficients feed
 a symmetric tridiagonal (Jacobi) matrix whose eigenvalues approximate the
 discrete support of the coefficient-polynomial measure.
+
+Everything class-specific is one row of the table `_CLASSES`: the class's
+resolver, its coefficients u_n, s_n, t_n, a_n, c and its closed-form C_n.
 """
 from __future__ import annotations
 
@@ -214,7 +217,7 @@ def classify(params: OdeParams, tol: float = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# class resolution
+# the class table: resolution, recursion coefficients and C_n per class
 # ---------------------------------------------------------------------------
 
 def _require(cond, relation, residual=None):
@@ -222,50 +225,49 @@ def _require(cond, relation, residual=None):
         raise ConstraintViolation(relation, residual)
 
 
-def _require_real_nu(sym: DerivedSymbols, class_id):
+def _require_square(p: OdeParams, tol):
+    """The relation b^2 = 1 + 4*A1 of K0, K1, C8B and L39B."""
+    residual = abs(p.b ** 2 - 1 - 4 * p.A_one)
+    _require(residual <= tol, "b^2 = 1 + 4*A1", residual)
+
+
+def _real_symbols(p: OdeParams, class_id, **basis_params) -> DerivedSymbols:
+    """derived_symbols for a class whose formulas need real nu."""
+    sym = derived_symbols(p, **basis_params)
     if sym.nu_imaginary:
         raise RealityViolation(
             f"{class_id.value} needs 4*A0 >= -(a-1)^2; nu^2 = {sym.nu_sq} < 0")
+    return sym
 
 
-def _gate_laguerre_exponent(params, nu, beta, u0, t0, notes):
-    """Pick the laguerre prefactor exponent by a small operator probe.
+def _gated_laguerre_basis(p: OdeParams, sym, beta, row, omega):
+    """(basis, notes) of L39A, L39B and L39C: the Laguerre basis for nu > -1/2.
 
-    The printed exponent -nu-(a+1)/2 is tried first; when it fails the
-    operator identity at n=0 while -nu+(1-a)/2 passes, the passing exponent
-    is adopted and the switch recorded.
+    The prefactor exponent is picked by a small operator probe at n = 0:
+    the printed -nu-(a+1)/2 is tried first; when it fails while
+    -nu+(1-a)/2 passes, the passing exponent is adopted and the switch noted.
     """
-    printed = -nu - (params.a + 1.0) / 2.0
-    alternative = -nu + (1.0 - params.a) / 2.0
+    _require(sym.nu > -0.5, "nu > -1/2 (weight integrability)", sym.nu)
     xs = np.array([0.4, 1.1, 3.0])
-
-    def probe(exponent):
-        b = BasisSpec(kind="laguerre", beta=beta, exponent=exponent, nu=nu)
-        vals, der1, der2 = basis_block(b, 1, xs)
-        lhs = apply_D_values(params, vals[0], der1[0], der2[0], xs)
-        rhs = u0(xs) * vals[0] + t0(xs) * vals[1]
-        scale = np.max(np.abs(lhs)) + 1e-300
-        return np.max(np.abs(lhs - rhs)) / scale
-
-    if probe(printed) <= 1e-8:
-        return printed
-    if probe(alternative) <= 1e-8:
-        notes.append("laguerre exponent -nu-(a+1)/2 failed the operator check; "
-                     "adopted -nu+(1-a)/2")
-        return alternative
+    printed = -sym.nu - (p.a + 1.0) / 2.0
+    for exponent in (printed, -sym.nu + (1.0 - p.a) / 2.0):
+        basis = BasisSpec(kind="laguerre", beta=beta, exponent=exponent, nu=sym.nu)
+        vals, der1, der2 = basis_block(basis, 1, xs)
+        lhs = apply_D_values(p, vals[0], der1[0], der2[0], xs)
+        rhs = omega(xs) * row.u(0) * vals[0] + omega(xs) * row.t(0) * vals[1]
+        if np.max(np.abs(lhs - rhs)) / (np.max(np.abs(lhs)) + 1e-300) <= 1e-8:
+            notes = [] if exponent == printed else [
+                "laguerre exponent -nu-(a+1)/2 failed the operator check; "
+                "adopted -nu+(1-a)/2"]
+            return basis, notes
     raise ConstraintViolation("no laguerre basis exponent passes the operator check")
 
 
-def _laguerre_basis(params, sym, beta, u, s, t, omega, notes):
-    """Build the laguerre BasisSpec with the operator-gated exponent."""
-    def u0(x):
-        return omega(x) * u(0)
-
-    def t0(x):
-        return omega(x) * t(0)
-
-    exponent = _gate_laguerre_exponent(params, sym.nu, beta, u0, t0, notes)
-    return BasisSpec(kind="laguerre", beta=beta, exponent=exponent, nu=sym.nu)
+def _printed_alt(family) -> Binding:
+    """A continuous-Hahn binding as printed, kept for alt_binding_deviation."""
+    return Binding(family, 0.0, informational=True,
+                   note="as printed; fails the coefficient recursion by a diagonal sign "
+                        "(see alt_binding_deviation)")
 
 
 def _z_family_binding(lam, w, tau, c0):
@@ -308,6 +310,296 @@ def _z_family_binding(lam, w, tau, c0):
                    note="derived discrete representation of the deformed coefficients")
 
 
+def _bessel_cn(mu, n):
+    return ((n + mu + 0.5) / (mu + 0.5)) * families.pochhammer(-n - 2 * mu, n) \
+        / math.factorial(n)
+
+
+class _Row:
+    """One solution class: `resolve(params, free, tol)` builds its
+    ClassSolution; an instance, made from (ode, symbols, basis mu, free
+    tau), gives u_n, s_n, t_n, a_n and c (u_n = a_n - z*c) and C_n.
+
+    Each coefficient is its own method on one degree in Python floats:
+    numpy would square an array by x*x where ** calls pow, and computing
+    all four at once would divide by zero at s_N of a finite basis.
+    """
+
+    def u(self, n):
+        """u_n = u_const + a_n wherever u_n - a_n is constant in n."""
+        return self.u_const + self.a_n(n)
+
+
+class _K0(_Row):
+    c = 1.0
+
+    @staticmethod
+    def resolve(p, free, tol):
+        _require_square(p, tol)
+        _require(p.A_one >= -0.25, "A1 >= -1/4 (reality of b)", p.A_one)
+        _require(abs(p.A_plus) > tol, "A+ must be nonzero for K0", p.A_plus)
+        alpha = (p.b - 1) * (p.a / 2 - 1) - p.A_minus
+        beta = (1 - p.b) / 2
+        mu = p.b * (p.a / 2 - 1) - p.A_minus
+        sym = _real_symbols(p, ClassId.K0, alpha=alpha, beta=beta, mu=mu)
+        _require(mu < -0.5, "mu < -1/2 (at least one basis degree)", mu)
+        basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
+        fam = families.DeformedB(mu=mu, gamma=4.0 / p.A_plus, n_max=basis.n_max)
+        return ClassSolution(ClassId.K0, p, basis, sym,
+                             Binding(fam, 4.0 * sym.nu_sq / p.A_plus),
+                             Omega(p.A_plus / 4.0, 0))
+
+    def __init__(self, p, sym, mu, tau):
+        self.mu, self.nu_sq, self.gamma = mu, sym.nu_sq, 4.0 / p.A_plus
+
+    def u(self, n):
+        mu = self.mu
+        return (-2 * mu / ((n + mu) * (n + mu + 1))
+                + self.gamma * ((n + mu + 0.5) ** 2 - self.nu_sq))
+
+    def s(self, n):
+        return -(n + 1) / ((n + self.mu + 1) * (n + self.mu + 1.5))
+
+    def t(self, n):
+        mu = self.mu
+        return (n + 2 * mu + 1) / ((n + mu + 1) * (n + mu + 0.5))
+
+    def a_n(self, n):
+        mu = self.mu
+        return -2 * mu / ((n + mu) * (n + mu + 1)) + self.gamma * (n + mu + 0.5) ** 2
+
+    def cn(self, n):
+        return _bessel_cn(self.mu, n)
+
+
+class _C8B(_Row):
+    c = 4.0
+
+    @staticmethod
+    def resolve(p, free, tol):
+        _require_square(p, tol)
+        _require(p.A_one >= -0.25, "A1 >= -1/4 (reality of b)", p.A_one)
+        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+        missing = {"alpha", "mu"} - free.keys()
+        if missing:
+            raise ConstraintViolation(f"C8B needs free parameters {sorted(missing)}")
+        alpha, mu = float(free["alpha"]), float(free["mu"])
+        _require(mu < -0.5, "mu < -1/2", mu)
+        beta = (1 - p.b) / 2
+        sym = _real_symbols(p, ClassId.C8B, alpha=alpha, beta=beta, mu=mu)
+        basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
+        nu, kappa = sym.nu, sym.kappa
+        half = alpha + (p.a - 1) / 2
+        branch = int(free.get("branch", +1))
+        sgn = 1.0 if branch >= 0 else -1.0
+        fam = families.HahnQ(p=half - 1 + sgn * nu, q=2 * mu + 1 - half - sgn * nu,
+                             N=-half + sgn * nu)
+        alt = _printed_alt(families.ContHahnH(
+            p=-kappa, q=-kappa + 2 * (mu + 1) - (2 * alpha + p.a - 1),
+            c=kappa + half + nu, d=kappa + half - nu))
+        return ClassSolution(ClassId.C8B, p, basis, sym, Binding(fam, -kappa),
+                             Omega(0.25, -1),
+                             free={"alpha": alpha, "mu": mu, "branch": branch},
+                             alt_binding=alt)
+
+    def __init__(self, p, sym, mu, tau):
+        self.mu, self.chi_sq, self.sp = mu, sym.chi_sq, sym.sigma_plus
+        self.u_const = 4 * sym.kappa
+
+    def s(self, n):
+        mu, sp = self.mu, self.sp
+        return (-(n + 1) * ((n + mu + 1.5) ** 2 - self.chi_sq - 2 * sp * (n + 2 * mu + 2))
+                / ((n + mu + 1) * (n + mu + 1.5)))
+
+    def t(self, n):
+        mu = self.mu
+        return ((n + 2 * mu + 1) * ((n + mu + 0.5) ** 2 - self.chi_sq + 2 * self.sp * n)
+                / ((n + mu + 1) * (n + mu + 0.5)))
+
+    def a_n(self, n):
+        mu, sp = self.mu, self.sp
+        return 2 * (mu * self.chi_sq + 2 * sp * (mu + 0.5) ** 2
+                    - (mu + 2 * sp) * (n + mu + 0.5) ** 2) / ((n + mu) * (n + mu + 1))
+
+    def cn(self, n):
+        mu, chi_sq, sp = self.mu, self.chi_sq, self.sp
+        prod = 1.0
+        for m in range(n):
+            prod *= ((m + mu + 0.5) ** 2 - chi_sq + 2 * sp * m) \
+                / ((m + mu + 1.5) ** 2 - chi_sq - 2 * sp * (m + 2 * mu + 2))
+        return _bessel_cn(mu, n) * prod
+
+
+class _K1(_C8B):
+    """C8B at alpha = mu + 1 - a/2, where sigma_+ = 0 and chi^2 = nu^2: it
+    shares s_n and t_n to the bit; a_n and C_n keep their printed forms."""
+
+    @staticmethod
+    def resolve(p, free, tol):
+        _require_square(p, tol)
+        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+        if "mu" not in free:
+            raise ConstraintViolation("K1 needs the free basis parameter mu")
+        mu = float(free["mu"])
+        _require(mu < -0.5, "mu < -1/2", mu)
+        alpha = mu + 1 - p.a / 2
+        beta = (1 - p.b) / 2
+        sym = _real_symbols(p, ClassId.K1, alpha=alpha, beta=beta, mu=mu)
+        basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
+        nu, xi = sym.nu, sym.xi
+        fam = families.HahnQ(p=mu - nu - 0.5, q=mu + nu + 0.5, N=-(mu + nu + 0.5))
+        alt = _printed_alt(families.ContHahnH(p=-(mu + xi), q=1 - (mu + xi),
+                                              c=2 * mu + xi + 0.5 + nu,
+                                              d=2 * mu + xi + 0.5 - nu))
+        return ClassSolution(ClassId.K1, p, basis, sym, Binding(fam, -(mu + xi)),
+                             Omega(0.25, -1), free={"mu": mu}, alt_binding=alt)
+
+    def __init__(self, p, sym, mu, tau):
+        self.mu, self.chi_sq, self.sp = mu, sym.nu_sq, 0.0
+        self.u_const = 4 * (sym.xi + mu)
+
+    def a_n(self, n):
+        mu = self.mu
+        return -2 * mu * ((n + mu + 0.5) ** 2 - self.chi_sq) / ((n + mu) * (n + mu + 1))
+
+    def cn(self, n):
+        mu, nu_sq = self.mu, self.chi_sq
+        lead = ((mu + 0.5) ** 2 - nu_sq) / (mu + 0.5)
+        return lead * (n + mu + 0.5) / ((n + mu + 0.5) ** 2 - nu_sq) \
+            * families.pochhammer(-n - 2 * mu, n) / math.factorial(n)
+
+
+class _L39C(_Row):
+    @staticmethod
+    def resolve(p, free, tol):
+        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+        if "tau" in free:
+            tau = float(free["tau"])
+            beta = (tau + 1 - p.b) / 2
+        elif "beta" in free:
+            beta = float(free["beta"])
+            tau = 2 * beta + p.b - 1
+        else:
+            raise ConstraintViolation("L39C needs the free deformation tau (or beta)")
+        _require(abs(tau) > tol, "tau != 0 (tau = 0 is the undeformed class)", tau)
+        w = 4 * p.A_one - p.b ** 2
+        big_s = w + tau ** 2
+        _require(big_s > tol, "4*A1 - b^2 + tau^2 > 0", big_s)
+        sym = _real_symbols(p, ClassId.L39C, beta=beta)
+        omega = Omega(-0.25, -1)
+        basis, notes = _gated_laguerre_basis(p, sym, beta, _L39C(p, sym, None, tau), omega)
+        lam = sym.nu + 0.5
+        eta = tau / math.sqrt(big_s)
+        if abs(eta) > 1:
+            binding = _z_family_binding(lam, w, tau, -2 * p.A_minus + p.b * (p.a - 2))
+            notes.append("|eta| > 1: discrete Z-family binding")
+        else:
+            z = (2 * p.A_minus + p.b * (2 - p.a)) / (2 * math.sqrt(big_s))
+            theta = math.acos((big_s - 1) / (big_s + 1))
+            binding = Binding(families.DeformedY(lam=lam, theta=theta, eta=eta), z)
+            if abs(eta) == 1:
+                notes.append("|eta| = 1 boundary: Y-form retained")
+        return ClassSolution(ClassId.L39C, p, basis, sym, binding, omega,
+                             free={"tau": tau}, notes=tuple(notes))
+
+    def __init__(self, p, sym, mu, tau):
+        w = 4 * p.A_one - p.b ** 2
+        self.nu, self.slope = sym.nu, w + tau ** 2 - 1
+        self.s_scale, self.t_scale = w + (tau - 1) ** 2, w + (tau + 1) ** 2
+        self.u_const = 2 * (-2 * p.A_minus + p.b * (p.a - 2))
+        self.c = 4.0 * math.sqrt(w + tau ** 2)
+
+    def s(self, n):
+        return self.s_scale * (n + 2 * self.nu + 1)
+
+    def t(self, n):
+        return self.t_scale * (n + 1)
+
+    def a_n(self, n):
+        return -self.slope * (2 * n + 2 * self.nu + 1)
+
+    def cn(self, n):
+        ratio = self.t_scale / self.s_scale
+        return math.factorial(n) / families.pochhammer(2 * self.nu + 1, n) * ratio ** n
+
+
+class _L39A(_L39C):
+    """L39C's recursion at tau = 0, divided through by 4*A1 - b^2 + 1."""
+
+    @staticmethod
+    def resolve(p, free, tol):
+        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+        w = 4 * p.A_one - p.b ** 2
+        _require(w > tol, "4*A1 > b^2", w)
+        beta = (1 - p.b) / 2
+        sym = _real_symbols(p, ClassId.L39A, beta=beta)
+        omega = Omega(-(w + 1) / 4.0, -1)
+        basis, notes = _gated_laguerre_basis(p, sym, beta, _L39A(p, sym, None, None), omega)
+        fam = families.MeixnerPollaczekP(lam=sym.nu + 0.5, theta=math.acos((w - 1) / (w + 1)))
+        z = (2 * p.A_minus + p.b * (2 - p.a)) / (2 * math.sqrt(w))
+        return ClassSolution(ClassId.L39A, p, basis, sym, Binding(fam, z), omega,
+                             notes=tuple(notes))
+
+    def __init__(self, p, sym, mu, tau):
+        w = 4 * p.A_one - p.b ** 2
+        if abs(w + 1) < 1e-300:
+            raise DomainError("L39A coefficients undefined: 4*A1 - b^2 + 1 = 0")
+        self.nu, self.slope = sym.nu, (w - 1) / (w + 1)
+        self.s_scale = self.t_scale = 1.0
+        self.u_const = 2 * (-2 * p.A_minus + p.b * (p.a - 2)) / (w + 1)
+        self.c = 4.0 * math.sqrt(w) / (w + 1)
+
+
+class _L39B(_Row):
+    c = -1.0   # the eigenvalue variable is z^2 = -nu^2
+
+    @staticmethod
+    def resolve(p, free, tol):
+        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+        _require_square(p, tol)
+        beta = (1 - p.b) / 2
+        sym = derived_symbols(p, beta=beta)
+        z_sq = -sym.nu_sq  # stays real for either sign of nu^2
+        if sym.nu_imaginary:
+            # continuous-spectrum branch: the binding is recorded through
+            # nu^2 only, and _row refuses its coefficients
+            basis = BasisSpec(kind="laguerre", beta=beta, exponent=(1 - p.a) / 2, nu=0.0)
+            binding = Binding(families.ContDualHahnS(p=1.0, c=0.0, d=0.0), z_sq,
+                              informational=True, note="imaginary-nu placeholder")
+            return ClassSolution(ClassId.L39B, p, basis, sym, binding, Omega(1.0, 0), notes=(
+                "nu^2 < 0: imaginary-nu continuous branch; binding recorded via "
+                "z^2 = -nu^2, coefficients unavailable",))
+        omega = Omega(1.0, 0)
+        basis, notes = _gated_laguerre_basis(p, sym, beta, _L39B(p, sym, None, None), omega)
+        fam = families.ContDualHahnS(p=sym.nu + 1, c=sym.nu, d=sym.zeta - sym.nu + 0.5)
+        return ClassSolution(ClassId.L39B, p, basis, sym, Binding(fam, z_sq), omega,
+                             notes=tuple(notes))
+
+    def __init__(self, p, sym, mu, tau):
+        self.nu, self.zeta = sym.nu, sym.zeta
+
+    def u(self, n):
+        return -(n + self.zeta + 0.5) * (2 * n + 2 * self.nu + 1)
+
+    def s(self, n):
+        return (n + 2 * self.nu + 1) * (n + self.zeta + 1.5)
+
+    def t(self, n):
+        return (n + 1) * (n + self.zeta + 0.5)
+
+    def a_n(self, n):
+        nu, zeta = self.nu, self.zeta
+        return -(n * (n + zeta - 0.5) + (n + 2 * nu + 1) * (n + zeta + 1.5)
+                 - (nu + 1) ** 2)
+
+    def cn(self, n):
+        return 1.0  # f_n = Q_n carries no prefactor
+
+
+_CLASSES = {ClassId.K0: _K0, ClassId.K1: _K1, ClassId.C8B: _C8B,
+            ClassId.L39A: _L39A, ClassId.L39B: _L39B, ClassId.L39C: _L39C}
+
+
 def resolve_class(params: OdeParams, class_id: ClassId, free: dict | None = None,
                   tol: float = DEFAULT_TOL) -> ClassSolution:
     """Resolve one admissible class into a full ClassSolution.
@@ -316,317 +608,31 @@ def resolve_class(params: OdeParams, class_id: ClassId, free: dict | None = None
     (C8B), tau or beta (L39C).
     """
     free = dict(free or {})
-    notes = []
     if class_id.is_redirect:
         raise ConstraintViolation(
             f"{class_id.value} is a documented non-case and has no solution")
+    return _CLASSES[class_id].resolve(params, free, tol)
 
-    if class_id is ClassId.K0:
-        _require(abs(params.b ** 2 - 1 - 4 * params.A_one) <= tol,
-                 "b^2 = 1 + 4*A1", abs(params.b ** 2 - 1 - 4 * params.A_one))
-        _require(params.A_one >= -0.25, "A1 >= -1/4 (reality of b)", params.A_one)
-        _require(abs(params.A_plus) > tol, "A+ must be nonzero for K0", params.A_plus)
-        alpha = (params.b - 1) * (params.a / 2 - 1) - params.A_minus
-        beta = (1 - params.b) / 2
-        mu = params.b * (params.a / 2 - 1) - params.A_minus
-        sym = derived_symbols(params, alpha=alpha, beta=beta, mu=mu)
-        _require_real_nu(sym, class_id)
-        _require(mu < -0.5, "mu < -1/2 (at least one basis degree)", mu)
-        basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
-        gamma = 4.0 / params.A_plus
-        z = 4.0 * sym.nu_sq / params.A_plus
-        fam = families.DeformedB(mu=mu, gamma=gamma, n_max=basis.n_max)
-        return ClassSolution(class_id, params, basis, sym,
-                             Binding(fam, z), Omega(params.A_plus / 4.0, 0),
-                             free={}, notes=tuple(notes))
 
-    if class_id is ClassId.K1:
-        _require(abs(params.b ** 2 - 1 - 4 * params.A_one) <= tol,
-                 "b^2 = 1 + 4*A1", abs(params.b ** 2 - 1 - 4 * params.A_one))
-        _require(abs(params.A_plus) <= tol, "A+ = 0", params.A_plus)
-        if "mu" not in free:
-            raise ConstraintViolation("K1 needs the free basis parameter mu")
-        mu = float(free["mu"])
-        _require(mu < -0.5, "mu < -1/2", mu)
-        alpha = mu + 1 - params.a / 2
-        beta = (1 - params.b) / 2
-        sym = derived_symbols(params, alpha=alpha, beta=beta, mu=mu)
-        _require_real_nu(sym, class_id)
-        basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
-        nu = sym.nu
-        fam = families.HahnQ(p=mu - nu - 0.5, q=mu + nu + 0.5, N=-(mu + nu + 0.5))
-        alt = Binding(
-            families.ContHahnH(p=-(mu + sym.xi), q=1 - (mu + sym.xi),
-                               c=2 * mu + sym.xi + 0.5 + nu, d=2 * mu + sym.xi + 0.5 - nu),
-            0.0, informational=True,
-            note="as printed; fails the coefficient recursion by a diagonal sign "
-                 "(see alt_binding_deviation)")
-        return ClassSolution(class_id, params, basis, sym,
-                             Binding(fam, -(mu + sym.xi)), Omega(0.25, -1),
-                             free={"mu": mu}, alt_binding=alt, notes=tuple(notes))
+def _row(sol: ClassSolution, what="recursion coefficients"):
+    """The table row of `sol`'s class, bound to its parameters.
 
-    if class_id is ClassId.C8B:
-        _require(abs(params.b ** 2 - 1 - 4 * params.A_one) <= tol,
-                 "b^2 = 1 + 4*A1", abs(params.b ** 2 - 1 - 4 * params.A_one))
-        _require(params.A_one >= -0.25, "A1 >= -1/4 (reality of b)", params.A_one)
-        _require(abs(params.A_plus) <= tol, "A+ = 0", params.A_plus)
-        missing = {"alpha", "mu"} - free.keys()
-        if missing:
-            raise ConstraintViolation(f"C8B needs free parameters {sorted(missing)}")
-        alpha, mu = float(free["alpha"]), float(free["mu"])
-        _require(mu < -0.5, "mu < -1/2", mu)
-        beta = (1 - params.b) / 2
-        sym = derived_symbols(params, alpha=alpha, beta=beta, mu=mu)
-        _require_real_nu(sym, class_id)
-        basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
-        nu = sym.nu
-        half = alpha + (params.a - 1) / 2
-        branch = int(free.get("branch", +1))
-        sgn = 1.0 if branch >= 0 else -1.0
-        fam = families.HahnQ(p=half - 1 + sgn * nu, q=2 * mu + 1 - half - sgn * nu,
-                             N=-half + sgn * nu)
-        alt = Binding(
-            families.ContHahnH(p=-sym.kappa, q=-sym.kappa + 2 * (mu + 1) - (2 * alpha + params.a - 1),
-                               c=sym.kappa + half + nu, d=sym.kappa + half - nu),
-            0.0, informational=True,
-            note="as printed; fails the coefficient recursion by a diagonal sign "
-                 "(see alt_binding_deviation)")
-        return ClassSolution(class_id, params, basis, sym,
-                             Binding(fam, -sym.kappa), Omega(0.25, -1),
-                             free={"alpha": alpha, "mu": mu, "branch": branch},
-                             alt_binding=alt, notes=tuple(notes))
-
-    if class_id is ClassId.L39A:
-        _require(abs(params.A_plus) <= tol, "A+ = 0", params.A_plus)
-        w = 4 * params.A_one - params.b ** 2
-        _require(w > tol, "4*A1 > b^2", w)
-        beta = (1 - params.b) / 2
-        sym = derived_symbols(params, beta=beta)
-        _require_real_nu(sym, class_id)
-        _require(sym.nu > -0.5, "nu > -1/2 (weight integrability)", sym.nu)
-        u, s, t, _, _ = _coeff_functions_l39a(params, sym)
-        omega = Omega(-(w + 1) / 4.0, -1)
-        basis = _laguerre_basis(params, sym, beta, u, s, t, omega, notes)
-        lam = sym.nu + 0.5
-        costh = (w - 1) / (w + 1)
-        z = (2 * params.A_minus + params.b * (2 - params.a)) / (2 * math.sqrt(w))
-        fam = families.MeixnerPollaczekP(lam=lam, theta=math.acos(costh))
-        return ClassSolution(class_id, params, basis, sym,
-                             Binding(fam, z), omega, free={}, notes=tuple(notes))
-
-    if class_id is ClassId.L39B:
-        _require(abs(params.A_plus) <= tol, "A+ = 0", params.A_plus)
-        _require(abs(params.b ** 2 - 1 - 4 * params.A_one) <= tol,
-                 "b^2 = 1 + 4*A1", abs(params.b ** 2 - 1 - 4 * params.A_one))
-        beta = (1 - params.b) / 2
-        sym = derived_symbols(params, beta=beta)
-        z_sq = -sym.nu_sq  # stays real for either sign of nu^2
-        if sym.nu_imaginary:
-            # continuous-spectrum branch: binding recorded through nu^2 only;
-            # coefficient generation needs real nu and is refused elsewhere
-            notes.append("nu^2 < 0: imaginary-nu continuous branch; binding "
-                         "recorded via z^2 = -nu^2, coefficients unavailable")
-            basis = BasisSpec(kind="laguerre", beta=beta,
-                              exponent=(1 - params.a) / 2, nu=0.0)
-            fam = families.ContDualHahnS(p=1.0, c=0.0, d=0.0)
-            return ClassSolution(class_id, params, basis, sym,
-                                 Binding(fam, z_sq, informational=True,
-                                         note="imaginary-nu placeholder"),
-                                 Omega(1.0, 0), free={}, notes=tuple(notes))
-        _require(sym.nu > -0.5, "nu > -1/2 (weight integrability)", sym.nu)
-        u, s, t, _, _ = _coeff_functions_l39b(params, sym)
-        omega = Omega(1.0, 0)
-        basis = _laguerre_basis(params, sym, beta, u, s, t, omega, notes)
-        nu, zeta = sym.nu, sym.zeta
-        fam = families.ContDualHahnS(p=nu + 1, c=nu, d=zeta - nu + 0.5)
-        return ClassSolution(class_id, params, basis, sym,
-                             Binding(fam, z_sq), omega, free={}, notes=tuple(notes))
-
-    if class_id is ClassId.L39C:
-        _require(abs(params.A_plus) <= tol, "A+ = 0", params.A_plus)
-        if "tau" in free:
-            tau = float(free["tau"])
-            beta = (tau + 1 - params.b) / 2
-        elif "beta" in free:
-            beta = float(free["beta"])
-            tau = 2 * beta + params.b - 1
-        else:
-            raise ConstraintViolation("L39C needs the free deformation tau (or beta)")
-        _require(abs(tau) > tol, "tau != 0 (tau = 0 is the undeformed class)", tau)
-        w = 4 * params.A_one - params.b ** 2
-        big_s = w + tau ** 2
-        _require(big_s > tol, "4*A1 - b^2 + tau^2 > 0", big_s)
-        sym = derived_symbols(params, beta=beta)
-        _require_real_nu(sym, class_id)
-        _require(sym.nu > -0.5, "nu > -1/2 (weight integrability)", sym.nu)
-        u, s, t, _, _ = _coeff_functions_l39c(params, sym, tau)
-        omega = Omega(-0.25, -1)
-        basis = _laguerre_basis(params, sym, beta, u, s, t, omega, notes)
-        lam = sym.nu + 0.5
-        eta = tau / math.sqrt(big_s)
-        z = (2 * params.A_minus + params.b * (2 - params.a)) / (2 * math.sqrt(big_s))
-        if abs(eta) > 1:
-            c0 = -2 * params.A_minus + params.b * (params.a - 2)
-            binding = _z_family_binding(lam, w, tau, c0)
-            notes.append("|eta| > 1: discrete Z-family binding")
-        else:
-            costh = (big_s - 1) / (big_s + 1)
-            binding = Binding(families.DeformedY(lam=lam, theta=math.acos(costh), eta=eta), z)
-            if abs(eta) == 1:
-                notes.append("|eta| = 1 boundary: Y-form retained")
-        return ClassSolution(class_id, params, basis, sym, binding, omega,
-                             free={"tau": tau}, notes=tuple(notes))
-
-    raise DomainError(f"unknown class {class_id}")
+    Also the one guard on the imaginary-nu branch of L39B, which resolves
+    with a placeholder basis but has no coefficients.
+    """
+    row_class = _CLASSES.get(sol.class_id)
+    if row_class is None:
+        raise DomainError(f"no {what} for {sol.class_id}")
+    if sol.class_id is ClassId.L39B and sol.symbols.nu_imaginary:
+        raise RealityViolation(
+            "L39B coefficient formulas need real nu; the imaginary-nu "
+            "continuous branch exposes only the z^2 = -nu^2 binding")
+    return row_class(sol.ode, sol.symbols, sol.basis.mu, sol.free.get("tau"))
 
 
 # ---------------------------------------------------------------------------
 # recursion coefficients
 # ---------------------------------------------------------------------------
-
-def _coeff_functions_k0(p: OdeParams, sym, mu):
-    gamma = 4.0 / p.A_plus
-
-    def u(n):
-        return (-2 * mu / ((n + mu) * (n + mu + 1))
-                + gamma * ((n + mu + 0.5) ** 2 - sym.nu_sq))
-
-    def s(n):
-        return -(n + 1) / ((n + mu + 1) * (n + mu + 1.5))
-
-    def t(n):
-        return (n + 2 * mu + 1) / ((n + mu + 1) * (n + mu + 0.5))
-
-    def a_n(n):
-        return -2 * mu / ((n + mu) * (n + mu + 1)) + gamma * (n + mu + 0.5) ** 2
-
-    return u, s, t, a_n, 1.0
-
-
-def _coeff_functions_k1(p: OdeParams, sym, mu):
-    nu_sq, xi = sym.nu_sq, sym.xi
-
-    def u(n):
-        return (4 * (xi + mu)
-                - 2 * mu * ((n + mu + 0.5) ** 2 - nu_sq) / ((n + mu) * (n + mu + 1)))
-
-    def s(n):
-        return -(n + 1) * ((n + mu + 1.5) ** 2 - nu_sq) / ((n + mu + 1) * (n + mu + 1.5))
-
-    def t(n):
-        return (n + 2 * mu + 1) * ((n + mu + 0.5) ** 2 - nu_sq) / ((n + mu + 1) * (n + mu + 0.5))
-
-    def a_n(n):
-        return -2 * mu * ((n + mu + 0.5) ** 2 - nu_sq) / ((n + mu) * (n + mu + 1))
-
-    return u, s, t, a_n, 4.0
-
-
-def _coeff_functions_c8b(p: OdeParams, sym, mu):
-    chi_sq, sp, kappa = sym.chi_sq, sym.sigma_plus, sym.kappa
-
-    def u(n):
-        return (4 * kappa
-                + 2 * (mu * chi_sq + 2 * sp * (mu + 0.5) ** 2
-                       - (mu + 2 * sp) * (n + mu + 0.5) ** 2) / ((n + mu) * (n + mu + 1)))
-
-    def s(n):
-        return (-(n + 1) * ((n + mu + 1.5) ** 2 - chi_sq - 2 * sp * (n + 2 * mu + 2))
-                / ((n + mu + 1) * (n + mu + 1.5)))
-
-    def t(n):
-        return ((n + 2 * mu + 1) * ((n + mu + 0.5) ** 2 - chi_sq + 2 * sp * n)
-                / ((n + mu + 1) * (n + mu + 0.5)))
-
-    def a_n(n):
-        return 2 * (mu * chi_sq + 2 * sp * (mu + 0.5) ** 2
-                    - (mu + 2 * sp) * (n + mu + 0.5) ** 2) / ((n + mu) * (n + mu + 1))
-
-    return u, s, t, a_n, 4.0
-
-
-def _coeff_functions_l39a(p: OdeParams, sym):
-    w = 4 * p.A_one - p.b ** 2
-    if abs(w + 1) < 1e-300:
-        raise DomainError("L39A coefficients undefined: 4*A1 - b^2 + 1 = 0")
-    nu = sym.nu
-
-    def u(n):
-        return (2 * (-2 * p.A_minus + p.b * (p.a - 2)) / (w + 1)
-                - (w - 1) / (w + 1) * (2 * n + 2 * nu + 1))
-
-    def s(n):
-        return n + 2 * nu + 1.0
-
-    def t(n):
-        return n + 1.0
-
-    def a_n(n):
-        return -(w - 1) / (w + 1) * (2 * n + 2 * nu + 1)
-
-    return u, s, t, a_n, 4.0 * math.sqrt(w) / (w + 1)
-
-
-def _coeff_functions_l39b(p: OdeParams, sym):
-    nu, zeta = sym.nu, sym.zeta
-
-    def u(n):
-        return -(n + zeta + 0.5) * (2 * n + 2 * nu + 1)
-
-    def s(n):
-        return (n + 2 * nu + 1) * (n + zeta + 1.5)
-
-    def t(n):
-        return (n + 1) * (n + zeta + 0.5)
-
-    def a_n(n):
-        # eigenvalue variable is z^2 = -nu^2 with c = -1
-        return -(n * (n + zeta - 0.5) + (n + 2 * nu + 1) * (n + zeta + 1.5)
-                 - (nu + 1) ** 2)
-
-    return u, s, t, a_n, -1.0
-
-
-def _coeff_functions_l39c(p: OdeParams, sym, tau):
-    w = 4 * p.A_one - p.b ** 2
-    nu = sym.nu
-
-    def u(n):
-        return (2 * (-2 * p.A_minus + p.b * (p.a - 2))
-                - (w + tau ** 2 - 1) * (2 * n + 2 * nu + 1))
-
-    def s(n):
-        return (w + (tau - 1) ** 2) * (n + 2 * nu + 1)
-
-    def t(n):
-        return (w + (tau + 1) ** 2) * (n + 1)
-
-    def a_n(n):
-        return -(w + tau ** 2 - 1) * (2 * n + 2 * nu + 1)
-
-    return u, s, t, a_n, 4.0 * math.sqrt(w + tau ** 2)
-
-
-def _coeff_functions(sol: ClassSolution):
-    cid = sol.class_id
-    if cid is ClassId.L39B and sol.symbols.nu_imaginary:
-        raise RealityViolation(
-            "L39B coefficient formulas need real nu; the imaginary-nu "
-            "continuous branch exposes only the z^2 = -nu^2 binding")
-    if cid is ClassId.K0:
-        return _coeff_functions_k0(sol.ode, sol.symbols, sol.basis.mu)
-    if cid is ClassId.K1:
-        return _coeff_functions_k1(sol.ode, sol.symbols, sol.basis.mu)
-    if cid is ClassId.C8B:
-        return _coeff_functions_c8b(sol.ode, sol.symbols, sol.basis.mu)
-    if cid is ClassId.L39A:
-        return _coeff_functions_l39a(sol.ode, sol.symbols)
-    if cid is ClassId.L39B:
-        return _coeff_functions_l39b(sol.ode, sol.symbols)
-    if cid is ClassId.L39C:
-        return _coeff_functions_l39c(sol.ode, sol.symbols, sol.free["tau"])
-    raise DomainError(f"no recursion coefficients for {cid}")
-
 
 def _check_bessel_degree(sol: ClassSolution, n: int):
     if sol.basis.kind == "bessel":
@@ -645,14 +651,14 @@ def recursion_coeffs(sol: ClassSolution, n: int):
     if sol.n_max is not None and n > sol.n_max:
         raise DomainError(f"n={n} exceeds the basis bound n_max={sol.n_max}")
     _check_bessel_degree(sol, n)
-    u, s, t, _, _ = _coeff_functions(sol)
-    return u(n), s(n), t(n)
+    row = _row(sol)
+    return row.u(n), row.s(n), row.t(n)
 
 
 def u_decomposition(sol: ClassSolution):
     """(a_n callable, c) with u_n = a_n - z*c and z the binding argument."""
-    _, _, _, a_n, c = _coeff_functions(sol)
-    return a_n, c
+    row = _row(sol)
+    return row.a_n, row.c
 
 
 # ---------------------------------------------------------------------------
@@ -666,37 +672,7 @@ def default_truncation(sol: ClassSolution) -> int:
 
 def closed_form_cn(sol: ClassSolution, n: int) -> float:
     """Printed closed form of C_n = prod_{m<n} t_m/s_m, where one exists."""
-    cid = sol.class_id
-    if cid is ClassId.K0:
-        mu = sol.basis.mu
-        return ((n + mu + 0.5) / (mu + 0.5)) * families.pochhammer(-n - 2 * mu, n) \
-            / math.factorial(n)
-    if cid is ClassId.K1:
-        mu, nu_sq = sol.basis.mu, sol.symbols.nu_sq
-        lead = ((mu + 0.5) ** 2 - nu_sq) / (mu + 0.5)
-        return lead * (n + mu + 0.5) / ((n + mu + 0.5) ** 2 - nu_sq) \
-            * families.pochhammer(-n - 2 * mu, n) / math.factorial(n)
-    if cid is ClassId.C8B:
-        mu = sol.basis.mu
-        chi_sq, sp = sol.symbols.chi_sq, sol.symbols.sigma_plus
-        prod = 1.0
-        for m in range(n):
-            prod *= ((m + mu + 0.5) ** 2 - chi_sq + 2 * sp * m) \
-                / ((m + mu + 1.5) ** 2 - chi_sq - 2 * sp * (m + 2 * mu + 2))
-        return ((n + mu + 0.5) / (mu + 0.5)) * families.pochhammer(-n - 2 * mu, n) \
-            / math.factorial(n) * prod
-    if cid is ClassId.L39A:
-        nu = sol.symbols.nu
-        return math.factorial(n) / families.pochhammer(2 * nu + 1, n)
-    if cid is ClassId.L39C:
-        nu = sol.symbols.nu
-        tau = sol.free["tau"]
-        w = 4 * sol.ode.A_one - sol.ode.b ** 2
-        ratio = (w + (tau + 1) ** 2) / (w + (tau - 1) ** 2)
-        return math.factorial(n) / families.pochhammer(2 * nu + 1, n) * ratio ** n
-    if cid is ClassId.L39B:
-        return 1.0  # f_n = Q_n carries no prefactor
-    raise DomainError(f"no closed-form C_n for {cid}")
+    return _row(sol, "closed-form C_n").cn(n)
 
 
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
@@ -713,17 +689,17 @@ def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
     if sol.n_max is not None and N > sol.n_max:
         raise DomainError(
             f"N={N} violates mu < -N - 1/2 (mu={sol.basis.mu}, n_max={sol.n_max})")
-    u, s, t, _, _ = _coeff_functions(sol)
+    row = _row(sol)
     cns = [1.0]
     cn = 1.0
     zero_s = None
     for n in range(1, N + 1):
-        sm = s(n - 1)
+        sm = row.s(n - 1)
         if sm == 0.0:
             zero_s = n - 1
             break
         if sol.class_id is not ClassId.L39B:
-            cn *= t(n - 1) / sm
+            cn *= row.t(n - 1) / sm
         cns.append(cn)
     b = sol.binding
     M = len(cns) - 1
@@ -779,8 +755,8 @@ def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     if sol.n_max is not None and N > sol.n_max:
         raise DomainError(
             f"N={N} violates mu < -N - 1/2 (mu={sol.basis.mu})")
-    u, s, t, _, _ = _coeff_functions(sol)
-    prods = np.array([s(n) * t(n) for n in range(N)])
+    row = _row(sol)
+    prods = np.array([row.s(n) * row.t(n) for n in range(N)])
     return FavardReport(products=prods, definite=bool(np.all(prods > 0)))
 
 
@@ -797,10 +773,9 @@ def jacobi_matrix(sol: ClassSolution, N: int):
         raise DefinitenessError(
             f"s_n t_n <= 0 at n={bad} ({rep.products[bad]:.3e}); "
             "no symmetric Jacobi form")
-    u, s, t, a_n, c = _coeff_functions(sol)
-    diag = np.array([a_n(n) / c for n in range(N + 1)])
-    off = np.array([math.sqrt(s(n) * t(n)) / abs(c) for n in range(N)])
-    return diag, off
+    row = _row(sol)
+    diag = np.array([row.a_n(n) / row.c for n in range(N + 1)])
+    return diag, np.sqrt(rep.products) / abs(row.c)
 
 
 def tridiag_eigenvalues(diag, off):
@@ -832,7 +807,8 @@ def dual_hahn_rejection(sol: ClassSolution) -> dict:
     """
     if sol.class_id is not ClassId.L39B:
         raise DomainError("the dual Hahn diagnostic applies to L39B only")
-    nu, zeta = sol.symbols.nu, sol.symbols.zeta
+    row = _row(sol)
+    nu, zeta = row.nu, row.zeta
     n_val = -(2 * nu + 1)
     return {
         "p": zeta + 0.5,
@@ -856,12 +832,13 @@ def alt_binding_deviation(sol: ClassSolution, n_max: int = 8) -> float:
     """
     if sol.alt_binding is None:
         raise DomainError(f"{sol.class_id.value} has no alternative binding")
-    u, s, t, _, _ = _coeff_functions(sol)
     p_direct = [1.0]
+    s_prev = None
     for n in range(n_max):
-        nxt = -(u(n) * p_direct[-1]
-                + (s(n - 1) * p_direct[-2] if n else 0.0)) / t(n)
+        u_n, s_n, t_n = recursion_coeffs(sol, n)
+        nxt = -(u_n * p_direct[-1] + (s_prev * p_direct[-2] if n else 0.0)) / t_n
         p_direct.append(nxt)
+        s_prev = s_n
     worst = 0.0
     for n in range(n_max + 1):
         h = families.eval_poly(sol.alt_binding.family, n, sol.alt_binding.argument)

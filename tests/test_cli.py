@@ -155,6 +155,21 @@ def test_verify_residual_overflow_exit3():
     assert "overflows double precision" in err
 
 
+def test_verify_overflowing_basis_exit3_without_warnings():
+    """Near x = 1e-60 the Laguerre factor overflows from degree 2 on: a
+    numerical failure (exit 3), reported without numpy warnings."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "trabessel.cli", "verify"] + L39A_FLAGS
+        + ["--n", "40", "--x-min", "1e-60", "--x-max", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "overflows double precision" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_eval_series_value(tmp_path):
     out_file = tmp_path / "eval.csv"
     code, _, _ = run_cli(["eval", "--class", "K0"] + K0_FLAGS

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from trabessel import (ClassId, OdeParams, alt_binding_deviation, build_series,
                        recursion_coeffs, resolve_class, tridiag_eigenvalues,
                        u_decomposition)
 from trabessel.errors import (ConstraintViolation, DefinitenessError,
-                              DomainError, RealityViolation, SeriesOverflow)
+                              DomainError, RealityViolation, SeriesOverflow,
+                              TraError)
 from trabessel.families import (ContDualHahnS, DeformedB, DeformedY, DeformedZ,
                                 HahnQ, MeixnerPollaczekP)
 from trabessel.solver import derived_symbols
@@ -144,11 +146,107 @@ def test_reality_violations():
         recursion_coeffs(sol, 0)
 
 
+def _imaginary_nu_l39b():
+    p = OdeParams(a=1, b=0, A_plus=0, A_minus=5, A_one=-0.25, A_zero=-3.0)
+    sol = resolve_class(p, ClassId.L39B)
+    assert sol.symbols.nu_imaginary
+    return sol
+
+
+def test_imaginary_nu_l39b_has_no_closed_form_cn():
+    """The continuous branch has no coefficients, so no C_n either."""
+    with pytest.raises(RealityViolation, match="L39B coefficient formulas need real nu"):
+        closed_form_cn(_imaginary_nu_l39b(), 3)
+
+
+def test_imaginary_nu_l39b_has_no_dual_hahn_reading():
+    with pytest.raises(RealityViolation, match="L39B coefficient formulas need real nu"):
+        dual_hahn_rejection(_imaginary_nu_l39b())
+
+
 def test_constraint_violation_reports_relation():
     p = OdeParams(a=1, b=0, A_plus=-1, A_minus=5, A_one=0.5, A_zero=2)
     with pytest.raises(ConstraintViolation) as err:
         resolve_class(p, ClassId.K0)
     assert "b^2" in str(err.value)
+
+
+def _resolve_error(cid, free=None, tol=1e-12, exc=ConstraintViolation, message="",
+                   **changes):
+    """One resolve_class failure: the documented set of `cid` with `changes`."""
+    doc_ode, doc_free = DOCUMENTED.get(cid, DOCUMENTED[ClassId.L39A])
+    ode = dataclasses.replace(doc_ode, **changes)
+    label = [cid.value] + [f"{k}={v:g}" for k, v in changes.items()]
+    if free is not None:
+        label += [f"{k}={v:g}" for k, v in free.items()] or ["no-free"]
+    free = doc_free if free is None else free
+    return pytest.param(cid, ode, free, tol, exc, message, id="-".join(label))
+
+
+_RESOLVE_ERRORS = [
+    _resolve_error(ClassId.K0, A_one=0.5, message="b^2 = 1 + 4*A1 (residual 3.000e+00)"),
+    _resolve_error(ClassId.K0, A_one=-0.25 - 1e-13,
+                   message="A1 >= -1/4 (reality of b) (residual -2.500e-01)"),
+    _resolve_error(ClassId.K0, A_plus=0.0,
+                   message="A+ must be nonzero for K0 (residual 0.000e+00)"),
+    _resolve_error(ClassId.K0, A_zero=-3.0, exc=RealityViolation,
+                   message="K0 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
+    _resolve_error(ClassId.K0, A_minus=0.0,
+                   message="mu < -1/2 (at least one basis degree) (residual -0.000e+00)"),
+    # K0 checks nu before mu ...
+    _resolve_error(ClassId.K0, A_minus=0.0, A_zero=-3.0, exc=RealityViolation,
+                   message="K0 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
+    _resolve_error(ClassId.K1, A_one=0.5, message="b^2 = 1 + 4*A1 (residual 3.000e+00)"),
+    _resolve_error(ClassId.K1, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
+    _resolve_error(ClassId.K1, free={}, message="K1 needs the free basis parameter mu"),
+    _resolve_error(ClassId.K1, free={"mu": -0.25}, message="mu < -1/2 (residual -2.500e-01)"),
+    _resolve_error(ClassId.K1, A_zero=-3.0, exc=RealityViolation,
+                   message="K1 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
+    # ... while K1 checks mu before nu
+    _resolve_error(ClassId.K1, A_zero=-3.0, free={"mu": -0.25},
+                   message="mu < -1/2 (residual -2.500e-01)"),
+    _resolve_error(ClassId.C8B, A_one=0.5, message="b^2 = 1 + 4*A1 (residual 3.000e+00)"),
+    _resolve_error(ClassId.C8B, A_one=-0.3, tol=0.5,
+                   message="A1 >= -1/4 (reality of b) (residual -3.000e-01)"),
+    _resolve_error(ClassId.C8B, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
+    _resolve_error(ClassId.C8B, free={}, message="C8B needs free parameters ['alpha', 'mu']"),
+    _resolve_error(ClassId.C8B, free={"mu": -12.5},
+                   message="C8B needs free parameters ['alpha']"),
+    _resolve_error(ClassId.C8B, free={"alpha": -12.05, "mu": -0.25},
+                   message="mu < -1/2 (residual -2.500e-01)"),
+    _resolve_error(ClassId.C8B, A_zero=-3.0, exc=RealityViolation,
+                   message="C8B needs 4*A0 >= -(a-1)^2; nu^2 = -2.9375 < 0"),
+    _resolve_error(ClassId.L39A, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
+    _resolve_error(ClassId.L39A, A_one=0.0, message="4*A1 > b^2 (residual 0.000e+00)"),
+    _resolve_error(ClassId.L39A, A_zero=-3.0, exc=RealityViolation,
+                   message="L39A needs 4*A0 >= -(a-1)^2; nu^2 = -2.9375 < 0"),
+    _resolve_error(ClassId.L39B, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
+    _resolve_error(ClassId.L39B, A_one=1.0, message="b^2 = 1 + 4*A1 (residual 5.000e+00)"),
+    _resolve_error(ClassId.L39C, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
+    _resolve_error(ClassId.L39C, free={},
+                   message="L39C needs the free deformation tau (or beta)"),
+    _resolve_error(ClassId.L39C, free={"tau": 0.0},
+                   message="tau != 0 (tau = 0 is the undeformed class) (residual 0.000e+00)"),
+    _resolve_error(ClassId.L39C, free={"beta": 0.5},
+                   message="tau != 0 (tau = 0 is the undeformed class) (residual 0.000e+00)"),
+    _resolve_error(ClassId.L39C, free={"tau": 0.5},
+                   message="4*A1 - b^2 + tau^2 > 0 (residual -7.500e-01)"),
+    _resolve_error(ClassId.L39C, A_zero=-3.0, exc=RealityViolation,
+                   message="L39C needs 4*A0 >= -(a-1)^2; nu^2 = -2.9375 < 0"),
+    _resolve_error(ClassId.L39C, A_one=-0.5, free={"tau": math.sqrt(3.0)},
+                   message="no discrete Z representation at 4*A1 - b^2 + tau^2 = 1 "
+                           "(diagonal slope vanishes)"),
+] + [_resolve_error(cid, message=f"{cid.value} is a documented non-case and has no solution")
+     for cid in ClassId if cid.is_redirect]
+
+
+@pytest.mark.parametrize("cid,ode,free,tol,exc,message", _RESOLVE_ERRORS)
+def test_resolve_class_errors_pinned(cid, ode, free, tol, exc, message):
+    """Every refusal of resolve_class, with its exact type and text; the
+    precedence cases show which check each class makes first."""
+    with pytest.raises(TraError) as err:
+        resolve_class(ode, cid, free, tol)
+    assert type(err.value) is exc and str(err.value) == message
 
 
 def test_laguerre_exponent_gate_recorded():
@@ -521,6 +619,19 @@ def test_alt_binding_is_informational():
         assert sol.alt_binding.informational
         # the printed identification fails by a diagonal sign: deviation is large
         assert alt_binding_deviation(sol, 6) > 1.0
+
+
+@pytest.mark.parametrize("cid,at_bound", [(ClassId.K1, 412235.49557336216),
+                                           (ClassId.C8B, 1004158.0657785739)])
+def test_alt_binding_deviation_stops_at_the_basis_bound(cid, at_bound):
+    """Degrees up to n_max keep their values; past it the recursion
+    coefficients do not exist, which is a DomainError."""
+    p, free = DOCUMENTED[cid]
+    sol = resolve_class(p, cid, free)
+    assert alt_binding_deviation(sol, sol.n_max) == at_bound
+    for n_max in (sol.n_max + 1, 30):
+        with pytest.raises(DomainError):
+            alt_binding_deviation(sol, n_max)
 
 
 def test_hahn_binding_matches_exactly():
