@@ -7,6 +7,8 @@ Two kinds are used by the solution classes:
 
 Polynomial derivatives come from the term-by-term differentiated upward
 recursions (seeds P_0' = P_0'' = 0), the prefactor from the product rule.
+`basis_block` gives (n+1,) + x.shape arrays, row k for degree k, in one pass
+(phi alone with derivs=False), bit for bit as the loops in tests/test_basis.py.
 """
 from __future__ import annotations
 
@@ -17,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError, SeriesOverflow
 
-__all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block",
-           "bessel_poly_derivs", "laguerre_poly_derivs"]
+__all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
 
 _LOG_OVERFLOW = 700.0  # exp argument ceiling for double precision
 
@@ -55,41 +56,22 @@ class BasisSpec:
         return self.alpha if self.kind == "bessel" else self.exponent
 
 
-def bessel_poly_derivs(mu: float, n: int, x):
-    """(J_k, J_k', J_k'') for k = 0..n via the differentiated recursion."""
-    x = np.asarray(x, dtype=float)
-    p = [np.ones_like(x)]
-    d1 = [np.zeros_like(x)]
-    d2 = [np.zeros_like(x)]
+def _differentiated_rows(n, shape, derivs, step):
+    """(P, P', P'') or (P,) for k = 0..n: P_{k+1} = (A_k P_k + C_k P_{k-1}) / d_k, P_0 = 1,
+    (A_k, beta_k, C_k, d_k) = step(k), A_k = alpha_k + beta_k t; P' and P'' add beta_k P_k
+    and 2 beta_k P'_k.  Each degree's values lie together; row 0 is degree -1, all zeros."""
+    rows = np.zeros((n + 2, 3 if derivs else 1) + shape)
+    rows[1, 0] = 1.0
+    lift = np.array([1.0, 2.0]).reshape((2,) + (1,) * len(shape))
     for m in range(n):
-        k = (m + mu + 1) * (2 * m + 2 * mu + 1) / (m + 2 * mu + 1)
-        a = k * mu / ((m + mu) * (m + mu + 1))
-        b = 2.0 * k
-        c = k * (m / ((m + mu) * (2 * m + 2 * mu + 1))) if m else 0.0
-        pm = p[m - 1] if m else 0.0
-        pm1 = d1[m - 1] if m else 0.0
-        pm2 = d2[m - 1] if m else 0.0
-        p.append((a + b * x) * p[m] + c * pm)
-        d1.append(b * p[m] + (a + b * x) * d1[m] + c * pm1)
-        d2.append(2 * b * d1[m] + (a + b * x) * d2[m] + c * pm2)
-    return p, d1, d2
-
-
-def laguerre_poly_derivs(alpha: float, n: int, u):
-    """(L_k^alpha, dL/du, d2L/du2) for k = 0..n at argument u."""
-    u = np.asarray(u, dtype=float)
-    p = [np.ones_like(u)]
-    d1 = [np.zeros_like(u)]
-    d2 = [np.zeros_like(u)]
-    for m in range(n):
-        pm = p[m - 1] if m else 0.0
-        pm1 = d1[m - 1] if m else 0.0
-        pm2 = d2[m - 1] if m else 0.0
-        w = 2 * m + alpha + 1 - u
-        p.append((w * p[m] - (m + alpha) * pm) / (m + 1))
-        d1.append((w * d1[m] - p[m] - (m + alpha) * pm1) / (m + 1))
-        d2.append((w * d2[m] - 2 * d1[m] - (m + alpha) * pm2) / (m + 1))
-    return p, d1, d2
+        A, beta, C, d = step(m)
+        new, prev = rows[m + 2], rows[m + 1]
+        np.multiply(A, prev, out=new)
+        if derivs:
+            new[1:] += beta * lift * prev[:2]
+        new += C * rows[m]
+        new /= d
+    return np.moveaxis(rows[1:], 1, 0)
 
 
 def _prefactor(power: float, beta: float, x):
@@ -103,26 +85,37 @@ def _prefactor(power: float, beta: float, x):
     return w, lw1, lw2
 
 
-def _poly_triples(basis: BasisSpec, n: int, x):
-    """Polynomial factor (value, d/dx, d2/dx2) for degrees 0..n at x."""
+def _poly_rows(basis: BasisSpec, n: int, x, derivs):
+    """Polynomial factor (value, d/dx, d2/dx2) for degrees 0..n: J^mu(x) or L^{2nu}(1/x)."""
+    if n < 0:
+        raise DomainError(f"degree {n} is negative")
     if basis.kind == "bessel":
         if n > basis.n_max:
-            raise DomainError(
-                f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
-        return bessel_poly_derivs(basis.mu, n, x)
-    u = 1.0 / np.asarray(x, dtype=float)
-    p, du, duu = laguerre_poly_derivs(2 * basis.nu, n, u)
-    # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u
-    d1 = [-u ** 2 * g for g in du]
-    d2 = [u ** 4 * g2 + 2 * u ** 3 * g1 for g1, g2 in zip(du, duu)]
-    return p, d1, d2
+            raise DomainError(f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
+
+        def step(m, mu=basis.mu):
+            k = (m + mu + 1) * (2 * m + 2 * mu + 1) / (m + 2 * mu + 1)
+            a = k * mu / ((m + mu) * (m + mu + 1))
+            b = 2.0 * k
+            c = k * (m / ((m + mu) * (2 * m + 2 * mu + 1))) if m else 0.0
+            return a + b * x, b, c, 1
+        return _differentiated_rows(n, x.shape, derivs, step)
+    u, alpha = 1.0 / x, 2 * basis.nu
+    rows = _differentiated_rows(
+        n, x.shape, derivs, lambda m: (2 * m + alpha + 1 - u, -1.0, -(m + alpha), m + 1))
+    if derivs:
+        # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u
+        _, du, duu = rows
+        duu *= u ** 4
+        duu += 2 * u ** 3 * du
+        du *= -u ** 2
+    return rows
 
 
-def basis_block(basis: BasisSpec, n: int, x):
-    """(phi_k, phi_k', phi_k'') for all degrees k = 0..n at once.
-
-    An overflowing prefactor raises SeriesOverflow before any degree check.
-    """
+def basis_block(basis: BasisSpec, n: int, x, derivs=True):
+    """(phi_k, phi_k', phi_k'') for k = 0..n, each (n+1,) + x.shape; without
+    `derivs` the last two are None.  An overflowing prefactor raises
+    SeriesOverflow before any degree check."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("basis functions are defined for x > 0")
@@ -130,19 +123,29 @@ def basis_block(basis: BasisSpec, n: int, x):
     # a polynomial factor that overflows leaves inf/nan rows without a warning;
     # the callers that sum or compare rows check them for finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        p, d1, d2 = _poly_triples(basis, n, x)
-        vals = [w * pk for pk in p]
-        der1 = [w * (lw1 * pk + pk1) for pk, pk1 in zip(p, d1)]
-        der2 = [w * (lw2 * pk + 2 * lw1 * pk1 + pk2) for pk, pk1, pk2 in zip(p, d1, d2)]
-    return vals, der1, der2
+        rows = _poly_rows(basis, n, x, derivs)
+        if derivs:
+            # product rule, in place: phi' = w (lw1 P + P'), phi'' = w (lw2 P + 2 lw1 P' + P'')
+            p, d1, d2 = rows
+            d2 += lw2 * p + 2 * lw1 * d1
+            d1 += lw1 * p
+        rows *= w
+    return (rows[0], rows[1], rows[2]) if derivs else (rows[0], None, None)
+
+
+def series_sum(coeffs, rows):
+    """sum_k coeffs[k] rows[k], bit for bit as Python's sum(): cumsum adds
+    strictly in order (.sum(axis=0) may pair terms), and the final + 0.0
+    turns an all -0.0 sum into sum()'s +0.0, as its int 0 start does."""
+    terms = np.reshape(coeffs, (-1,) + (1,) * (rows.ndim - 1)) * rows[:len(coeffs)]
+    return np.cumsum(terms, axis=0, out=terms)[-1] + 0.0
 
 
 def basis_derivatives(basis: BasisSpec, n: int, x):
     """(phi_n, phi_n', phi_n'') at x > 0: row n of basis_block."""
-    vals, der1, der2 = basis_block(basis, n, x)
-    return vals[n], der1[n], der2[n]
+    return tuple(rows[n] for rows in basis_block(basis, n, x))
 
 
 def basis_value(basis: BasisSpec, n: int, x):
     """phi_n(x): row n of basis_block's values."""
-    return basis_block(basis, n, x)[0][n]
+    return basis_block(basis, n, x, derivs=False)[0][n]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .basis import BasisSpec, basis_block
+from .basis import BasisSpec, basis_block, series_sum
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
                      DomainError, RealityViolation)
 from .ode import OdeParams, apply_D_values
@@ -670,8 +670,17 @@ def default_truncation(sol: ClassSolution) -> int:
     return sol.n_max if sol.n_max is not None else 50
 
 
+def _require_degree(sol: ClassSolution, N: int, name: str):
+    if N < 0:
+        raise DomainError(f"{name} must be nonnegative")
+    if sol.n_max is not None and N > sol.n_max:
+        raise DomainError(f"{name}={N} violates mu < -{name} - 1/2 "
+                          f"(mu={sol.basis.mu}, n_max={sol.n_max})")
+
+
 def closed_form_cn(sol: ClassSolution, n: int) -> float:
     """Printed closed form of C_n = prod_{m<n} t_m/s_m, where one exists."""
+    _require_degree(sol, n, "n")
     return _row(sol, "closed-form C_n").cn(n)
 
 
@@ -684,11 +693,7 @@ def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
     tie with the family at degree n.  For L39B the coefficients are the bound
     polynomials directly.
     """
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if sol.n_max is not None and N > sol.n_max:
-        raise DomainError(
-            f"N={N} violates mu < -N - 1/2 (mu={sol.basis.mu}, n_max={sol.n_max})")
+    _require_degree(sol, N, "N")
     row = _row(sol)
     cns = [1.0]
     cn = 1.0
@@ -728,11 +733,11 @@ def build_series(sol: ClassSolution, N: int) -> SeriesSolution:
 
 
 def evaluate_series(series: SeriesSolution, x):
-    """y_N(x) = sum f_n phi_n(x) for x > 0 (scalar or array)."""
-    vals, _, _ = basis_block(series.basis, series.order, x)
+    """y_N(x) = sum f_n phi_n(x) for x > 0 (scalar or array), from phi_n alone."""
+    vals, _, _ = basis_block(series.basis, series.order, x, derivs=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(c * v for c, v in zip(series.coeffs, vals))
-    if not np.all(np.isfinite(np.asarray(total))):
+        total = series_sum(series.coeffs, vals)
+    if not np.all(np.isfinite(total)):
         raise DomainError("series evaluation produced non-finite values")
     return total
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, basis_block, basis_derivatives
+from .basis import BasisSpec, basis_block, basis_derivatives, basis_value, series_sum
 from .errors import DomainError, SeriesOverflow
 from .ode import apply_D_values, stencil_derivatives
 from .solver import ClassSolution, SeriesSolution, recursion_coeffs
@@ -116,11 +116,8 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
 
 def _residual_core(ode, coeffs, block, x):
     """Residual of sum_n coeffs[n] phi_n; `block` may hold more degrees than used."""
-    vals, d1, d2 = block
     with np.errstate(over="ignore", invalid="ignore"):
-        y = sum(c * v for c, v in zip(coeffs, vals))
-        y1 = sum(c * v for c, v in zip(coeffs, d1))
-        y2 = sum(c * v for c, v in zip(coeffs, d2))
+        y, y1, y2 = (series_sum(coeffs, rows) for rows in block)
         dvals = np.abs(apply_D_values(ode, y, y1, y2, x))
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dvals))):
         raise SeriesOverflow(
@@ -142,8 +139,7 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
     A series with all-zero coefficients is flagged degenerate; one that
     overflows double precision on the grid raises SeriesOverflow.
     """
-    grid = grid or default_grid()
-    x = grid.points()
+    x = (grid or default_grid()).points()
     coeffs = np.asarray(series.coeffs, dtype=float)
     if np.all(coeffs == 0.0):
         return CheckReport(0.0, 0.0, float(x[0]), 0.0, tol or 0.0, True,
@@ -167,12 +163,8 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
 def derivative_crosscheck(basis: BasisSpec, n: int, x) -> float:
     """Relative gap between analytic and stencil derivatives of phi_n at x."""
     x = np.asarray(x, dtype=float)
-    v, d1, d2 = basis_derivatives(basis, n, x)
-
-    def f(xx):
-        return basis_derivatives(basis, n, xx)[0]
-
-    _, s1, s2 = stencil_derivatives(f, x)
+    _, d1, d2 = basis_derivatives(basis, n, x)
+    _, s1, s2 = stencil_derivatives(lambda xx: basis_value(basis, n, xx), x)
     g1 = np.max(np.abs(d1 - s1) / np.maximum(1.0, np.abs(d1)))
     g2 = np.max(np.abs(d2 - s2) / np.maximum(1.0, np.abs(d2)))
     return float(max(g1, g2))

@@ -5,6 +5,7 @@ free parameters broadly, and check the operator identity, both coefficient
 routes, and the binding against the raw recursion on every draw.
 """
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,12 @@ import pytest
 from trabessel import (ClassId, OdeParams, closed_form_cn,
                        expansion_coefficients, recursion_coeffs, resolve_class,
                        tridiagonality_sweep)
+
+
+def _seed(cid):
+    """A per-class seed that is the same in every interpreter (str hash()
+    is randomized per process), so a failing draw can be replayed."""
+    return zlib.crc32(cid.value.encode())
 
 
 def _away_from_half_integers(x, gap=0.07):
@@ -61,7 +68,7 @@ def draw_class_instance(rng, cid):
 @pytest.mark.parametrize("cid", [ClassId.K0, ClassId.K1, ClassId.C8B,
                                  ClassId.L39A, ClassId.L39B, ClassId.L39C])
 def test_tridiagonality_random_parameters(cid):
-    rng = np.random.default_rng(hash(cid.value) % 2 ** 31)
+    rng = np.random.default_rng(_seed(cid))
     for _ in range(5):
         params, free = draw_class_instance(rng, cid)
         sol = resolve_class(params, cid, free)
@@ -73,7 +80,7 @@ def test_tridiagonality_random_parameters(cid):
                                  ClassId.L39A, ClassId.L39C])
 def test_coefficient_routes_random_parameters(cid):
     """prod t/s vs the printed closed form, random admissible draws."""
-    rng = np.random.default_rng(1 + hash(cid.value) % 2 ** 31)
+    rng = np.random.default_rng(1 + _seed(cid))
     for _ in range(5):
         params, free = draw_class_instance(rng, cid)
         sol = resolve_class(params, cid, free)
@@ -89,7 +96,7 @@ def test_coefficient_routes_random_parameters(cid):
                                  ClassId.L39A, ClassId.L39B, ClassId.L39C])
 def test_binding_random_parameters(cid):
     """family-evaluated f_n vs the raw three-term recursion for Q_n."""
-    rng = np.random.default_rng(2 + hash(cid.value) % 2 ** 31)
+    rng = np.random.default_rng(2 + _seed(cid))
     for _ in range(5):
         params, free = draw_class_instance(rng, cid)
         sol = resolve_class(params, cid, free)

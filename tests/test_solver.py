@@ -363,6 +363,24 @@ def test_l39a_c2_frozen():
     assert closed_form_cn(sol, 2) == approx(1 / 6)  # n!/(2nu+1)_n at n=2, nu=1
 
 
+def test_closed_form_cn_checks_the_degree():
+    """n < 0 in every class, and n past n_max of a Bessel basis, raise
+    DomainError under the rule of expansion_coefficients."""
+    beyond = {ClassId.K0: "n=20 violates mu < -n - 1/2 (mu=-20.5, n_max=19)",
+              ClassId.K1: "n=12 violates mu < -n - 1/2 (mu=-12.5, n_max=11)",
+              ClassId.C8B: "n=12 violates mu < -n - 1/2 (mu=-12.5, n_max=11)"}
+    for cid, (p, free) in DOCUMENTED.items():
+        sol = resolve_class(p, cid, free)
+        cases = [(-1, "n must be nonnegative"), (-3, "n must be nonnegative")]
+        if cid in beyond:
+            assert math.isfinite(closed_form_cn(sol, sol.n_max))
+            cases.append((sol.n_max + 1, beyond[cid]))
+        for n, message in cases:
+            with pytest.raises(DomainError) as exc:
+                closed_form_cn(sol, n)
+            assert type(exc.value) is DomainError and str(exc.value) == message, (cid, n)
+
+
 def test_coefficient_route_equivalence():
     """prod t/s equals the printed closed form C_n, n <= 10, 1e-12 relative."""
     for cid in (ClassId.K0, ClassId.K1, ClassId.C8B, ClassId.L39A, ClassId.L39C):
