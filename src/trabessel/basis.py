@@ -7,12 +7,16 @@ Two kinds are used by the solution classes:
 
 Polynomial derivatives come from the term-by-term differentiated upward
 recursions (seeds P_0' = P_0'' = 0), the prefactor from the product rule.
+Coefficient rows for all degrees come first, by the scalar recursion's float operations
+in its order (no denominator vanishes for m < n <= n_max); the loop over degrees then
+makes 4 ufunc calls per degree for values (3 where d_m = 1, as for bessel), 6 with derivatives.
 `basis_block` gives (n+1,) + x.shape arrays, row k for degree k, in one pass
 (phi alone with derivs=False), bit for bit as the loops in tests/test_basis.py.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,22 +60,26 @@ class BasisSpec:
         return self.alpha if self.kind == "bessel" else self.exponent
 
 
-def _differentiated_rows(n, shape, derivs, step):
-    """(P, P', P'') or (P,) for k = 0..n: P_{k+1} = (A_k P_k + C_k P_{k-1}) / d_k, P_0 = 1,
-    (A_k, beta_k, C_k, d_k) = step(k), A_k = alpha_k + beta_k t; P' and P'' add beta_k P_k
-    and 2 beta_k P'_k.  Each degree's values lie together; row 0 is degree -1, all zeros."""
-    rows = np.zeros((n + 2, 3 if derivs else 1) + shape)
+def _differentiated_rows(A, beta, C, d, derivs):
+    """(P, P', P'') or (P,) for k = 0..n: P_{m+1} = (A_m P_m + C_m P_{m-1}) / d_m, P_0 = 1,
+    from rows over m < n: A_m = alpha_m + beta_m t, (n,) + shape; beta, C and d broadcast
+    against it.  P' and P'' add beta_m P_m and 2 beta_m P'_m.  Each degree's rows lie
+    together; row 0 is degree -1, all zeros."""
+    rows = np.zeros((len(A) + 2, 3 if derivs else 1) + A.shape[1:])
     rows[1, 0] = 1.0
-    lift = np.array([1.0, 2.0]).reshape((2,) + (1,) * len(shape))
-    for m in range(n):
-        A, beta, C, d = step(m)
-        new, prev = rows[m + 2], rows[m + 1]
-        np.multiply(A, prev, out=new)
-        if derivs:
-            new[1:] += beta * lift * prev[:2]
-        new += C * rows[m]
-        new /= d
-    return np.moveaxis(rows[1:], 1, 0)
+    tmp = np.empty(rows.shape[1:])
+    lift = beta[:, None] * np.array([1.0, 2.0]).reshape((2,) + (1,) * (A.ndim - 1))
+    # C_m and d_m as Python floats: numpy takes them faster than 1-element arrays
+    for older, prev, new, A_m, lift_m, C_m, d_m in zip(rows, rows[1:], rows[2:], A, lift,
+                                                       C.ravel().tolist(), d.ravel().tolist()):
+        np.multiply(A_m, prev, out=new)
+        if derivs:  # not new[1:] += ..., which writes back through __setitem__
+            np.add(new[1:], np.multiply(lift_m, prev[:2], out=tmp[:2]), out=new[1:])
+        np.multiply(C_m, older, out=tmp)
+        np.add(new, tmp, out=new)
+        if d_m != 1.0:  # x / 1 is exact
+            np.divide(new, d_m, out=new)
+    return rows[1:].swapaxes(0, 1)
 
 
 def _prefactor(power: float, beta: float, x):
@@ -79,30 +87,27 @@ def _prefactor(power: float, beta: float, x):
     if np.any(logw > _LOG_OVERFLOW):
         raise SeriesOverflow(
             f"x^{power} e^(-{beta}/x) overflows double precision on this grid")
-    w = np.exp(logw)
-    lw1 = power / x + beta / x ** 2              # w'/w
-    lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3  # w''/w
-    return w, lw1, lw2
+    return np.exp(logw)
 
 
 def _poly_rows(basis: BasisSpec, n: int, x, derivs):
     """Polynomial factor (value, d/dx, d2/dx2) for degrees 0..n: J^mu(x) or L^{2nu}(1/x)."""
     if n < 0:
         raise DomainError(f"degree {n} is negative")
+    if basis.kind == "bessel" and n > basis.n_max:
+        raise DomainError(f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
+    m = np.arange(operator.index(n), dtype=float).reshape((-1,) + (1,) * x.ndim)
     if basis.kind == "bessel":
-        if n > basis.n_max:
-            raise DomainError(f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
-
-        def step(m, mu=basis.mu):
-            k = (m + mu + 1) * (2 * m + 2 * mu + 1) / (m + 2 * mu + 1)
-            a = k * mu / ((m + mu) * (m + mu + 1))
-            b = 2.0 * k
-            c = k * (m / ((m + mu) * (2 * m + 2 * mu + 1))) if m else 0.0
-            return a + b * x, b, c, 1
-        return _differentiated_rows(n, x.shape, derivs, step)
+        mu = basis.mu
+        k = (m + mu + 1) * (2 * m + 2 * mu + 1) / (m + 2 * mu + 1)
+        a = k * mu / ((m + mu) * (m + mu + 1))
+        b = 2.0 * k
+        c = k * (m / ((m + mu) * (2 * m + 2 * mu + 1)))
+        c[:1] = 0.0
+        return _differentiated_rows(a + b * x, b, c, np.ones_like(m), derivs)
     u, alpha = 1.0 / x, 2 * basis.nu
     rows = _differentiated_rows(
-        n, x.shape, derivs, lambda m: (2 * m + alpha + 1 - u, -1.0, -(m + alpha), m + 1))
+        2 * m + alpha + 1 - u, np.full_like(m, -1.0), -(m + alpha), m + 1, derivs)
     if derivs:
         # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u
         _, du, duu = rows
@@ -119,12 +124,15 @@ def basis_block(basis: BasisSpec, n: int, x, derivs=True):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("basis functions are defined for x > 0")
-    w, lw1, lw2 = _prefactor(basis.power(), basis.beta, x)
+    power, beta = basis.power(), basis.beta
+    w = _prefactor(power, beta, x)
     # a polynomial factor that overflows leaves inf/nan rows without a warning;
     # the callers that sum or compare rows check them for finiteness
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _poly_rows(basis, n, x, derivs)
         if derivs:
+            lw1 = power / x + beta / x ** 2              # w'/w
+            lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3  # w''/w
             # product rule, in place: phi' = w (lw1 P + P'), phi'' = w (lw2 P + 2 lw1 P' + P'')
             p, d1, d2 = rows
             d2 += lw2 * p + 2 * lw1 * d1

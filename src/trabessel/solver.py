@@ -21,7 +21,7 @@ import numpy as np
 from . import families
 from .basis import BasisSpec, basis_block, series_sum
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
-                     DomainError, RealityViolation)
+                     DomainError, RealityViolation, SeriesOverflow)
 from .ode import OdeParams, apply_D_values
 
 __all__ = [
@@ -644,15 +644,22 @@ def _check_bessel_degree(sol: ClassSolution, n: int):
                 raise DomainError(f"coefficient denominator {label} vanishes at n={n}")
 
 
+def _recursion_rows(sol: ClassSolution, degrees):
+    """recursion_coeffs(sol, n) for each n in turn, binding the class row once."""
+    row = None
+    for n in degrees:
+        if n < 0:
+            raise DomainError("n must be nonnegative")
+        if sol.n_max is not None and n > sol.n_max:
+            raise DomainError(f"n={n} exceeds the basis bound n_max={sol.n_max}")
+        _check_bessel_degree(sol, n)
+        row = row or _row(sol)
+        yield row.u(n), row.s(n), row.t(n)
+
+
 def recursion_coeffs(sol: ClassSolution, n: int):
     """(u_n, s_n, t_n) of the class's three-term relation."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if sol.n_max is not None and n > sol.n_max:
-        raise DomainError(f"n={n} exceeds the basis bound n_max={sol.n_max}")
-    _check_bessel_degree(sol, n)
-    row = _row(sol)
-    return row.u(n), row.s(n), row.t(n)
+    return next(_recursion_rows(sol, (n,)))
 
 
 def u_decomposition(sol: ClassSolution):
@@ -681,7 +688,10 @@ def _require_degree(sol: ClassSolution, N: int, name: str):
 def closed_form_cn(sol: ClassSolution, n: int) -> float:
     """Printed closed form of C_n = prod_{m<n} t_m/s_m, where one exists."""
     _require_degree(sol, n, "n")
-    return _row(sol, "closed-form C_n").cn(n)
+    try:
+        return _row(sol, "closed-form C_n").cn(n)
+    except OverflowError:  # n! or a power past double range, from n = 171 on
+        raise SeriesOverflow(f"closed-form C_n overflows double precision at n={n}") from None
 
 
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .basis import BasisSpec, basis_block, basis_derivatives, basis_value, series_sum
 from .errors import DomainError, SeriesOverflow
 from .ode import apply_D_values, stencil_derivatives
-from .solver import ClassSolution, SeriesSolution, recursion_coeffs
+from .solver import ClassSolution, SeriesSolution, _recursion_rows
 
 __all__ = ["GridSpec", "CheckReport", "default_grid", "tridiagonality_check",
            "tridiagonality_sweep", "residual", "derivative_crosscheck"]
@@ -87,26 +87,28 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
         raise DomainError("a tridiagonality sweep needs at least one degree")
     x = (grid or default_grid()).points()
     rows = []
+    coeffs = _recursion_rows(sol, (m for n in degrees for m in ((n, n - 1) if n > 0 else (n,))))
     try:
         for n in degrees:
-            u_n, _, t_n = recursion_coeffs(sol, n)
-            rows.append((n, u_n, t_n, recursion_coeffs(sol, n - 1)[1] if n > 0 else None))
+            u_n, _, t_n = next(coeffs)
+            rows.append((n, u_n, t_n, next(coeffs)[1] if n > 0 else 0.0))
     finally:
         # a basis failure of an earlier degree (no phi_{n_max+1}, an
         # overflowing prefactor) precedes a later degree's coefficient error
         if rows:
             vals, der1, der2 = basis_block(sol.basis, max(r[0] for r in rows) + 1, x)
-    omega = sol.omega(x)
+    ns, u, t, s_prev = (np.array(c) for c in zip(*rows))
+    lhs = apply_D_values(sol.ode, vals[ns], der1[ns], der2[ns], x)
+    rhs = u[:, None] * vals[ns] + t[:, None] * vals[ns + 1]
+    lower = ns > 0  # no s_{-1} term at n = 0: + 0 * phi_0 would turn -0.0 into +0.0
+    rhs[lower] += s_prev[lower, None] * vals[ns[lower] - 1]
+    dev = np.abs(lhs - sol.omega(x) * rhs)
+    i = np.argmax(dev, axis=1)
     checks = {}
-    for n, u_n, t_n, s_prev in rows:
-        lhs = apply_D_values(sol.ode, vals[n], der1[n], der2[n], x)
-        rhs = u_n * vals[n] + t_n * vals[n + 1]
-        if n > 0:
-            rhs = rhs + s_prev * vals[n - 1]
-        dev = np.abs(lhs - omega * rhs)
-        scale = max(float(np.max(np.abs(lhs))), _SCALE_FLOOR)
-        i = int(np.argmax(dev))
-        checks[n] = (float(dev[i]), float(dev[i]) / scale, float(x[i]), scale)
+    for (n, *_), d, x_i, peak in zip(rows, dev[np.arange(len(ns)), i].tolist(), x[i].tolist(),
+                                     np.max(np.abs(lhs), axis=1).tolist()):
+        scale = max(peak, _SCALE_FLOOR)
+        checks[n] = (d, d / scale, x_i, scale)
     dev, rel, argmax, scale = max(checks.values(), key=lambda c: c[1])
     return CheckReport(max_abs_deviation=dev, max_rel_deviation=rel, argmax_x=argmax,
                        scale=scale, tolerance=tol,

@@ -14,10 +14,11 @@ from trabessel import (ClassId, GridSpec, OdeParams, build_series,
 from trabessel import basis as basis_mod
 from trabessel import verify
 from trabessel.basis import basis_block, series_sum
-from trabessel.errors import DomainError, SeriesOverflow
+from trabessel.errors import DomainError, SeriesOverflow, TraError
 from trabessel.ode import apply_D_values
 
 from conftest import DECAY_SETS, DOCUMENTED
+from test_property_sweeps import draw_class_instance
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,14 @@ def ref_basis_block(basis, n, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("basis functions are defined for x > 0")
-    w, lw1, lw2 = basis_mod._prefactor(basis.power(), basis.beta, x)
+    power, beta = basis.power(), basis.beta
+    logw = power * np.log(x) - beta / x
+    if np.any(logw > 700.0):
+        raise SeriesOverflow(
+            f"x^{power} e^(-{beta}/x) overflows double precision on this grid")
+    w = np.exp(logw)
+    lw1 = power / x + beta / x ** 2
+    lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3
     with np.errstate(over="ignore", invalid="ignore"):
         p, d1, d2 = ref_poly_triples(basis, n, x)
         vals = [w * pk for pk in p]
@@ -149,18 +157,39 @@ POINTS = dict({name: g.points() for name, g in GRIDS.items()},
 LADDER = (0, 1, 50, 200, 800)
 
 
+def _drawn_sets():
+    """One admissible draw per class from a fixed seed: generic mu and nu,
+    where the documented and decay sets have half-integer mu and nu = 1, so
+    more of the coefficient arithmetic rounds."""
+    rng = np.random.default_rng(11)
+    drawn = {}
+    for cid in (ClassId.K0, ClassId.K1, ClassId.C8B, ClassId.L39A, ClassId.L39B, ClassId.L39C):
+        while cid not in drawn:
+            p, free = draw_class_instance(rng, cid)
+            try:
+                resolve_class(p, cid, free)
+            except TraError:
+                continue
+            drawn[cid] = (p, free)
+    return drawn
+
+
+SETS = {"doc": DOCUMENTED, "decay": DECAY_SETS, "draw": _drawn_sets()}
+
+
 def _cases():
-    for label, sets in (("doc", DOCUMENTED), ("decay", DECAY_SETS)):
+    for label, sets in SETS.items():
         for cid, (p, free) in sets.items():
             sol = resolve_class(p, cid, free)
             top = sol.n_max if sol.n_max is not None else max(LADDER)
-            for N in sorted({min(N, top) for N in LADDER}):
+            ladder = LADDER if label != "draw" else LADDER[1:4]
+            for N in sorted({min(N, top) for N in ladder}):
                 yield pytest.param(label, cid, N, id=f"{cid.value}-{label}-N{N}")
 
 
 @pytest.mark.parametrize("label,cid,N", _cases())
 def test_block_series_and_residual_match_loop_reference(monkeypatch, label, cid, N):
-    p, free = (DOCUMENTED if label == "doc" else DECAY_SETS)[cid]
+    p, free = SETS[label][cid]
     series = build_series(resolve_class(p, cid, free), N)
     refs = {}
     for name, x in POINTS.items():
@@ -225,6 +254,18 @@ def test_block_errors_match_loop_reference():
         _outcome(ref_basis_block, sol.basis, 2, [0.5, 0.0])
 
 
+def test_block_derivatives_on_a_huge_grid_raise_no_warning():
+    """On x in [1e200, 1e300] the prefactor's w'/w and w''/w pass through
+    x^2 and x^3 = inf; they are formed inside the block's floating-point
+    guard, so the tier-1 error::RuntimeWarning filter lets the block through."""
+    p, free = DOCUMENTED[ClassId.L39A]
+    sol = resolve_class(p, ClassId.L39A, free)
+    x = GridSpec(1e200, 1e300, 16).points()
+    vals, der1, der2 = basis_block(sol.basis, 5, x)
+    assert vals.shape == der1.shape == der2.shape == (6, 16)
+    assert _bits(basis_block(sol.basis, 5, x, derivs=False)[0]) == _bits(vals)
+
+
 def test_block_rejects_a_negative_degree():
     p, free = DOCUMENTED[ClassId.L39A]
     sol = resolve_class(p, ClassId.L39A, free)
@@ -242,8 +283,8 @@ def test_evaluate_series_builds_no_derivative_rows(monkeypatch):
     row_sets = []
     engine = basis_mod._differentiated_rows
 
-    def counted(n, shape, derivs, step):
-        rows = engine(n, shape, derivs, step)
+    def counted(*args):
+        rows = engine(*args)
         row_sets.append(len(rows))
         return rows
     monkeypatch.setattr(basis_mod, "_differentiated_rows", counted)

@@ -170,6 +170,22 @@ def test_verify_overflowing_basis_exit3_without_warnings():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_eval_on_a_huge_grid_prints_no_warnings():
+    """eval takes phi_n alone, so the prefactor's log-derivatives, which pass
+    through x^2 = inf beyond x = 1e154, are never formed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "trabessel.cli", "eval"] + L39A_FLAGS
+        + ["--N", "5", "--x-min", "1e200", "--x-max", "1e300", "--x-count", "4"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["x"] == [1e200, 2.1544346900319308e+233, 4.6415888336129816e+266, 1e300]
+    assert out["y"] == [2.3833173333333348e-249, 5.1347015402881062e-291, 0, 0]
+
+
 def test_eval_series_value(tmp_path):
     out_file = tmp_path / "eval.csv"
     code, _, _ = run_cli(["eval", "--class", "K0"] + K0_FLAGS

@@ -381,6 +381,18 @@ def test_closed_form_cn_checks_the_degree():
             assert type(exc.value) is DomainError and str(exc.value) == message, (cid, n)
 
 
+def test_closed_form_cn_overflow_is_a_series_overflow():
+    """From n = 171 on, n! leaves double range: the closed form of L39A and
+    L39C raises SeriesOverflow (exit 3), not Python's OverflowError."""
+    for cid in (ClassId.L39A, ClassId.L39C):
+        p, free = DOCUMENTED[cid]
+        sol = resolve_class(p, cid, free)
+        assert closed_form_cn(sol, 170) == 0.0
+        with pytest.raises(SeriesOverflow) as exc:
+            closed_form_cn(sol, 171)
+        assert str(exc.value) == "closed-form C_n overflows double precision at n=171"
+
+
 def test_coefficient_route_equivalence():
     """prod t/s equals the printed closed form C_n, n <= 10, 1e-12 relative."""
     for cid in (ClassId.K0, ClassId.K1, ClassId.C8B, ClassId.L39A, ClassId.L39C):

@@ -11,13 +11,14 @@ from trabessel import (ClassId, OdeParams, apply_D, apply_D_values,
                        evaluate_series, recursion_coeffs, residual,
                        resolve_class, tridiagonality_check,
                        tridiagonality_sweep)
-from trabessel import verify
-from trabessel.basis import BasisSpec
+from trabessel import solver, verify
+from trabessel.basis import BasisSpec, basis_block
 from trabessel.errors import DomainError, SeriesOverflow
 from trabessel.solver import SeriesSolution
 from trabessel.verify import GridSpec, default_grid
 
 from conftest import DECAY_SETS, DOCUMENTED
+from test_basis import UNDERFLOW, _bits
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +240,87 @@ def test_sweep_fails_on_a_nonfinite_deviation():
 
 def test_sweep_builds_one_basis_block(monkeypatch):
     """The sweep's work stays linear in the top degree: one basis block,
-    no per-degree basis calls."""
-    calls = {"basis_block": 0, "basis_derivatives": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(verify, name), **kwargs):
+    no per-degree basis calls, one operator application on the whole block
+    and one lookup of the class row."""
+    calls = {"basis_block": 0, "basis_derivatives": 0, "apply_D_values": 0, "_row": 0}
+    for module, name in ((verify, "basis_block"), (verify, "basis_derivatives"),
+                         (verify, "apply_D_values"), (solver, "_row")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
     p, free = DOCUMENTED[ClassId.L39A]
     sol = resolve_class(p, ClassId.L39A, free)
     assert tridiagonality_sweep(sol, range(41)).passed
-    assert calls == {"basis_block": 1, "basis_derivatives": 0}
+    assert calls == {"basis_block": 1, "basis_derivatives": 0, "apply_D_values": 1, "_row": 1}
+
+
+def ref_tridiagonality_sweep(sol, n_values, grid=None, tol=1e-8):
+    """The per-degree loop version of tridiagonality_sweep: the coefficients
+    from recursion_coeffs and the identity checked one degree at a time."""
+    degrees = list(n_values)
+    if not degrees:
+        raise DomainError("a tridiagonality sweep needs at least one degree")
+    x = (grid or default_grid()).points()
+    rows = []
+    try:
+        for n in degrees:
+            u_n, _, t_n = recursion_coeffs(sol, n)
+            rows.append((n, u_n, t_n, recursion_coeffs(sol, n - 1)[1] if n > 0 else None))
+    finally:
+        if rows:
+            vals, der1, der2 = basis_block(sol.basis, max(r[0] for r in rows) + 1, x)
+    omega = sol.omega(x)
+    checks = {}
+    for n, u_n, t_n, s_prev in rows:
+        lhs = apply_D_values(sol.ode, vals[n], der1[n], der2[n], x)
+        rhs = u_n * vals[n] + t_n * vals[n + 1]
+        if n > 0:
+            rhs = rhs + s_prev * vals[n - 1]
+        dev = np.abs(lhs - omega * rhs)
+        scale = max(float(np.max(np.abs(lhs))), verify._SCALE_FLOOR)
+        i = int(np.argmax(dev))
+        checks[n] = (float(dev[i]), float(dev[i]) / scale, float(x[i]), scale)
+    dev, rel, argmax, scale = max(checks.values(), key=lambda c: c[1])
+    return verify.CheckReport(max_abs_deviation=dev, max_rel_deviation=rel, argmax_x=argmax,
+                              scale=scale, tolerance=tol,
+                              passed=all(c[1] <= tol for c in checks.values()),
+                              per_n={n: c[1] for n, c in checks.items()},
+                              notes=tuple(sol.notes))
+
+
+def _sweep_outcome(fn, *args):
+    """_bits of the report, with per_n's key order, or the error's type and message."""
+    try:
+        rep = fn(*args)
+    except Exception as exc:  # the error is part of the compared result
+        return "error", type(exc).__name__, str(exc)
+    return "ok", _bits(rep), tuple(rep.per_n)
+
+
+SWEEP_GRIDS = {"default": None, "linear97": GridSpec(0.05, 20.0, 97, "linear"),
+               "underflow": UNDERFLOW, "nan_deviation": GridSpec(1e-60, 1.0, 20)}
+
+
+@pytest.mark.parametrize("cid,label", [(cid, label) for label, sets in
+                                       (("doc", DOCUMENTED), ("decay", DECAY_SETS))
+                                       for cid in sets])
+def test_sweep_matches_loop_reference(cid, label):
+    """The whole-block sweep reproduces the per-degree loop bit for bit:
+    values, per_n order, -0.0 and NaN rows, and the error that decides."""
+    p, free = (DOCUMENTED if label == "doc" else DECAY_SETS)[cid]
+    sol = resolve_class(p, cid, free)
+    top = 40 if sol.n_max is None else sol.n_max
+    lists = [range(top + 1), [5, 0, 3], [2, 2], [0], [top - 1], [3, -1], [3, top + 1]]
+    errors = 0
+    for gname, grid in SWEEP_GRIDS.items():
+        for degrees in lists:
+            with np.errstate(all="ignore"):
+                want = _sweep_outcome(ref_tridiagonality_sweep, sol, degrees, grid)
+                got = _sweep_outcome(tridiagonality_sweep, sol, degrees, grid)
+            assert got == want, (gname, list(degrees))
+            errors += want[0] == "error"
+    assert errors >= len(SWEEP_GRIDS)  # [3, -1] fails on every grid
 
 
 # ---------------------------------------------------------------------------
