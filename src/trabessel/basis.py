@@ -16,12 +16,11 @@ makes 4 ufunc calls per degree for values (3 where d_m = 1, as for bessel), 6 wi
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeriesOverflow
+from .errors import DomainError, SeriesOverflow, _check_integer
 
 __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
 
@@ -92,11 +91,12 @@ def _prefactor(power: float, beta: float, x):
 
 def _poly_rows(basis: BasisSpec, n: int, x, derivs):
     """Polynomial factor (value, d/dx, d2/dx2) for degrees 0..n: J^mu(x) or L^{2nu}(1/x)."""
+    _check_integer(n)
     if n < 0:
         raise DomainError(f"degree {n} is negative")
     if basis.kind == "bessel" and n > basis.n_max:
         raise DomainError(f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
-    m = np.arange(operator.index(n), dtype=float).reshape((-1,) + (1,) * x.ndim)
+    m = np.arange(n, dtype=float).reshape((-1,) + (1,) * x.ndim)
     if basis.kind == "bessel":
         mu = basis.mu
         k = (m + mu + 1) * (2 * m + 2 * mu + 1) / (m + 2 * mu + 1)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a degree
+is an integer."""
+import numbers
 
 
 class TraError(Exception):
@@ -55,3 +57,9 @@ class UnsupportedRow(TraError):
 
 class SeriesOverflow(TraError):
     """Basis prefactor overflows double precision at the evaluation point."""
+
+
+def _check_integer(n, name="degree"):
+    """DomainError unless n is an integer: np.int64(3) is one; True and 2.0 are not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, not {n!r}")

@@ -6,10 +6,13 @@ deformation, the singular Bessel variant tied to Laguerre polynomials,
 the (dual/continuous) Hahn group, Meixner-Pollaczek and Meixner, and the
 deformed Meixner-Pollaczek pair Y/Z.
 
-Every family evaluates upward from P_0 = 1, P_{-1} = 0.  Families with a
-terminating-hypergeometric representation expose an independent oracle
-(`eval_oracle`); the three deformed families are defined by recursion only
-and are cross-checked through reduction identities instead.
+One engine evaluates every family upward, P_{m+1} = (a_m P_m + b_m P_{m-1}) / d_m
+from P_0 = 1, P_{-1} = 0; a family supplies only its (a_m, b_m, d_m), with the
+float operations of its recursion in their order.  Meixner-Pollaczek and Meixner
+are the deformed Y and Z at eta = 0.0, bit for bit, and share their coefficient
+functions.  Families with a terminating-hypergeometric representation expose
+an independent oracle (`eval_oracle`); the three deformed families are defined
+by recursion only and are cross-checked through reduction identities instead.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure, UnsupportedOracle
+from .errors import DomainError, QuadratureFailure, UnsupportedOracle, _check_integer
 
 __all__ = [
     "BesselJ", "BesselJbar", "LaguerreL", "DeformedB", "DualHahnR",
@@ -199,195 +202,135 @@ def _is_integral(x, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# upward recursions
+# upward recursions; the sign flips (x - y as x + (-y)) and the divisions by
+# 1.0 that the engine's form needs are exact
 # ---------------------------------------------------------------------------
 
-def _seq_besselj(fam: BesselJ, n, x):
+def _three_term(steps, one=1.0):
+    """[P_0, ..., P_n] from P_0 = one, P_{-1} = 0 and the (a_m, b_m, d_m), m < n, of
+    `steps`.  The first next() runs a family's set-up, so its errors come at n = 0 too."""
+    seq, prev, cur = [one], 0.0 * one, one
+    for a, b, d in steps:
+        prev, cur = cur, (a * cur + b * prev) / d
+        seq.append(cur)
+    return seq
+
+
+def _besselj(fam: BesselJ, n, x):
+    # the bessel basis block's coefficients (basis._poly_rows): both give the same bits
     mu = fam.mu
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
         k = (m + mu + 1) * (2 * m + 2 * mu + 1) / (m + 2 * mu + 1)
-        cur = k * ((2 * x + mu / ((m + mu) * (m + mu + 1))) * seq[-1]
-                   + (m / ((m + mu) * (2 * m + 2 * mu + 1)) if m else 0.0) * prev)
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield (k * mu / ((m + mu) * (m + mu + 1)) + 2.0 * k * x,
+               k * (m / ((m + mu) * (2 * m + 2 * mu + 1))) if m else 0.0, 1.0)
 
 
-def _seq_besseljbar(fam: BesselJbar, n, x):
+def _besseljbar(fam: BesselJbar, n, x):
     # from the Laguerre recursion: Jbar_{n+1} = [1-(2n+2nu+1)x] Jbar_n - n(n+2nu) x^2 Jbar_{n-1}
     nu = fam.nu
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
-        cur = (1.0 - (2 * m + 2 * nu + 1) * x) * seq[-1] - m * (m + 2 * nu) * x * x * prev
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield 1.0 - (2 * m + 2 * nu + 1) * x, -(m * (m + 2 * nu) * x * x), 1.0
 
 
-def _seq_laguerre(fam: LaguerreL, n, x):
+def _laguerre(fam: LaguerreL, n, x):
     al = fam.alpha
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
-        cur = ((2 * m + al + 1 - x) * seq[-1] - (m + al) * prev) / (m + 1)
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield 2 * m + al + 1 - x, -(m + al), m + 1
 
 
-def _seq_deformedb(fam: DeformedB, n, z):
-    # recursion (deformation only shifts the diagonal); up-coefficient denominator
+def _deformedb(fam: DeformedB, n, z):
+    # deformation only shifts the diagonal; up-coefficient denominator
     # uses n+mu+1/2 so that B_n^mu(4x; 0) = J_n^mu(x) holds exactly
     mu, gam = fam.mu, fam.gamma
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
         diag = -2 * mu / ((m + mu) * (m + mu + 1)) + gam * (m + mu + 0.5) ** 2
         down = (m / ((m + mu) * (m + mu + 0.5))) if m else 0.0
         up = (m + 2 * mu + 1) / ((m + mu + 1) * (m + mu + 0.5))
-        cur = ((z - diag) * seq[-1] + down * prev) / up
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield z - diag, down, up
 
 
-def _seq_dualhahn(fam: DualHahnR, n, m_arg):
+def _dualhahn(fam: DualHahnR, n, m_arg):
     p, q, N = fam.p, fam.q, fam.N
     z2 = (m_arg + (p + q + 1) / 2) ** 2
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
         down = m * (N - m + q + 1) if m else 0.0
         up = (N - m) * (m + p + 1)
         if up == 0.0:
             raise DomainError(f"DualHahnR recursion stalls at n={m} (N-n or n+p+1 vanishes)")
         diag = (N - m) * (m + p + 1) + m * (N - m + q + 1) + 0.25 * (p + q + 1) ** 2
-        cur = ((diag - z2) * seq[-1] - down * prev) / up
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield diag - z2, -down, up
 
 
-def _seq_cdualhahn(fam: ContDualHahnS, n, z2):
+def _cdualhahn(fam: ContDualHahnS, n, z2):
     p, c, d = fam.p, fam.c, fam.d
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
         down = m * (m + c + d - 1) if m else 0.0
         up = (m + p + c) * (m + p + d)
         if up == 0.0:
             raise DomainError(f"ContDualHahnS recursion stalls at n={m} ((n+p+c)(n+p+d)=0)")
         diag = m * (m + c + d - 1) + (m + p + c) * (m + p + d) - p ** 2
-        cur = ((diag - z2) * seq[-1] - down * prev) / up
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield diag - z2, -down, up
 
 
-def _seq_hahn(fam: HahnQ, n, m_arg):
+def _hahn(fam: HahnQ, n, m_arg):
     p, q, N = fam.p, fam.q, fam.N
-    seq = [1.0]
-    prev = 0.0
     for m in range(n):
         denom_d = (2 * m + p + q) * (2 * m + p + q + 1)
         down = m * (m + q) * (m + p + q + N + 1) / denom_d if m else 0.0
         up = (N - m) * (m + p + 1) * (m + p + q + 1) / ((2 * m + p + q + 1) * (2 * m + p + q + 2))
         if up == 0.0:
             raise DomainError(f"HahnQ recursion stalls at n={m}")
-        cur = ((down + up - m_arg) * seq[-1] - down * prev) / up
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield down + up - m_arg, -down, up
 
 
-def _seq_conthahn(fam: ContHahnH, n, x):
+def _conthahn(fam: ContHahnH, n, x):
     p, q, c, d = (complex(fam.p), complex(fam.q), complex(fam.c), complex(fam.d))
     tot = p + q + c + d
-    seq = [complex(1.0)]
-    prev = complex(0.0)
     for m in range(n):
         down = (m * (m + q + c - 1) * (m + q + d - 1)
                 / ((2 * m + tot - 2) * (2 * m + tot - 1))) if m else 0.0
         up = (m + p + c) * (m + p + d) * (m + tot - 1) / ((2 * m + tot - 1) * (2 * m + tot))
         if up == 0:
             raise DomainError(f"ContHahnH recursion stalls at n={m}")
-        cur = ((up - down - (p + 1j * x)) * seq[-1] + down * prev) / up
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield up - down - (p + 1j * x), down, up
 
 
-def _seq_mp(fam: MeixnerPollaczekP, n, x):
+def _y(fam, n, x, eta=0.0):
+    # Y_n^lam(x; theta, eta); at eta = 0.0 Meixner-Pollaczek P_n^lam(x; theta), bit for bit
     lam, th = fam.lam, fam.theta
     s, c = math.sin(th), math.cos(th)
-    seq = [1.0]
-    prev = 0.0
+    lo, hi = 1 - eta * s, 1 + eta * s
     for m in range(n):
-        cur = ((2 * x * s + 2 * (m + lam) * c) * seq[-1] - (m + 2 * lam - 1) * prev) / (m + 1)
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield 2 * x * s + 2 * (m + lam) * c, -((m + 2 * lam - 1) * lo), (m + 1) * hi
 
 
-def _seq_meixner(fam: MeixnerM, n, m_arg):
+def _z(fam, n, m_arg, eta=0.0):
+    # Z_n^lam(m; theta, eta); at eta = 0.0 Meixner M_n^lam(m; theta), bit for bit
     lam, th = fam.lam, fam.theta
     ch, sh = math.cosh(th), math.sinh(th)
-    seq = [1.0]
-    prev = 0.0
+    lo, hi = 1 - eta * sh, 1 + eta * sh
     for m in range(n):
-        cur = (2 * ((m + lam) * ch - lam * sh - m_arg * sh) * seq[-1]
-               - (m + 2 * lam - 1) * prev) / (m + 1)
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
+        yield 2 * ((m + lam) * ch - lam * sh - m_arg * sh), -((m + 2 * lam - 1) * lo), (m + 1) * hi
 
 
-def _seq_y(fam: DeformedY, n, x):
-    lam, th, eta = fam.lam, fam.theta, fam.eta
-    s, c = math.sin(th), math.cos(th)
-    seq = [1.0]
-    prev = 0.0
-    for m in range(n):
-        cur = ((2 * x * s + 2 * (m + lam) * c) * seq[-1]
-               - (m + 2 * lam - 1) * (1 - eta * s) * prev) / ((m + 1) * (1 + eta * s))
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
-
-
-def _seq_z(fam: DeformedZ, n, m_arg):
-    lam, th, eta = fam.lam, fam.theta, fam.eta
-    ch, sh = math.cosh(th), math.sinh(th)
-    seq = [1.0]
-    prev = 0.0
-    for m in range(n):
-        cur = (2 * ((m + lam) * ch - lam * sh - m_arg * sh) * seq[-1]
-               - (m + 2 * lam - 1) * (1 - eta * sh) * prev) / ((m + 1) * (1 + eta * sh))
-        prev = seq[-1]
-        seq.append(cur)
-    return seq
-
-
-_STEPPERS = {
-    BesselJ: _seq_besselj,
-    BesselJbar: _seq_besseljbar,
-    LaguerreL: _seq_laguerre,
-    DeformedB: _seq_deformedb,
-    DualHahnR: _seq_dualhahn,
-    ContDualHahnS: _seq_cdualhahn,
-    HahnQ: _seq_hahn,
-    ContHahnH: _seq_conthahn,
-    MeixnerPollaczekP: _seq_mp,
-    MeixnerM: _seq_meixner,
-    DeformedY: _seq_y,
-    DeformedZ: _seq_z,
+_STEPS = {
+    BesselJ: _besselj,
+    BesselJbar: _besseljbar,
+    LaguerreL: _laguerre,
+    DeformedB: _deformedb,
+    DualHahnR: _dualhahn,
+    ContDualHahnS: _cdualhahn,
+    HahnQ: _hahn,
+    ContHahnH: _conthahn,
+    MeixnerPollaczekP: _y,
+    MeixnerM: _z,
+    DeformedY: lambda fam, n, x: _y(fam, n, x, fam.eta),
+    DeformedZ: lambda fam, n, m_arg: _z(fam, n, m_arg, fam.eta),
 }
 
 
 def _check_degree(family, n):
+    _check_integer(n)
     if n < 0:
         raise DomainError("degree must be nonnegative")
     n_max = getattr(family, "n_max", None)
@@ -411,10 +354,10 @@ def eval_poly_sequence(family, n: int, z):
     """Values of degrees 0..n by upward recursion from P_0 = 1, P_{-1} = 0."""
     family.validate()
     _check_degree(family, n)
-    seq = _STEPPERS[type(family)](family, n, z)
-    for v in seq:
-        if not (cmath.isfinite(v) if isinstance(v, complex) else math.isfinite(v)):
-            raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
+    one = complex(1.0) if isinstance(family, ContHahnH) else 1.0
+    seq = _three_term(_STEPS[type(family)](family, n, z), one)
+    if not all(map(cmath.isfinite, seq)):  # real values too
+        raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
     return seq
 
 
@@ -658,23 +601,20 @@ def generating_check(family, x, t: float, n_terms: int = 30):
         mu = family.mu
         closed = 2.0 ** (2 * mu) / r * (1 + r) ** (-2 * mu) * math.exp(2 * t / (1 + r))
         return partial, closed
+    if not isinstance(family, (MeixnerPollaczekP, MeixnerM, DeformedY, DeformedZ)):
+        raise DomainError(f"no generating function implemented for {type(family).__name__}")
+    seq = eval_poly_sequence(family, n_terms, x)
+    partial = sum(seq[n] * t ** n for n in range(n_terms + 1))
+    lam, th = family.lam, family.theta
     if isinstance(family, MeixnerPollaczekP):
-        seq = eval_poly_sequence(family, n_terms, x)
-        partial = sum(seq[n] * t ** n for n in range(n_terms + 1))
-        lam, th = family.lam, family.theta
         closed = ((1 - t * cmath.exp(1j * th)) ** (-lam + 1j * x)
                   * (1 - t * cmath.exp(-1j * th)) ** (-lam - 1j * x))
         return partial, closed.real
     if isinstance(family, MeixnerM):
-        seq = eval_poly_sequence(family, n_terms, x)
-        partial = sum(seq[n] * t ** n for n in range(n_terms + 1))
-        lam, th = family.lam, family.theta
         closed = (1 - t * math.exp(th)) ** x * (1 - t * math.exp(-th)) ** (-x - 2 * lam)
         return partial, closed
+    eta = family.eta
     if isinstance(family, DeformedY):
-        seq = eval_poly_sequence(family, n_terms, x)
-        partial = sum(seq[n] * t ** n for n in range(n_terms + 1))
-        lam, th, eta = family.lam, family.theta, family.eta
         s, c = math.sin(th), math.cos(th)
         rt = cmath.sqrt(complex(eta ** 2 - 1))
         alpha = (c + rt * s) / (1 + eta * s)
@@ -683,22 +623,17 @@ def generating_check(family, x, t: float, n_terms: int = 30):
         big_b = lam - x / rt
         closed = (1 - alpha * t) ** (-big_a) * (1 - beta * t) ** (-big_b)
         return partial, closed.real
-    if isinstance(family, DeformedZ):
-        # closed form carries the sqrt(q) rescaling of t implied by the
-        # Meixner connection; the plain printed form fails at first order
-        seq = eval_poly_sequence(family, n_terms, x)
-        partial = sum(seq[n] * t ** n for n in range(n_terms + 1))
-        lam, th, eta = family.lam, family.theta, family.eta
-        sh, ch = math.sinh(th), math.cosh(th)
-        if abs(eta * sh) >= 1:
-            raise DomainError(f"DeformedZ generating check needs |eta sinh theta| < 1")
-        q = (1 - eta * sh) / (1 + eta * sh)
-        phi = math.acosh(ch / math.sqrt(1 - eta ** 2 * sh ** 2))
-        mt = (x + lam) / math.sqrt(1 + eta ** 2) - lam
-        teff = t * math.sqrt(q)
-        closed = (1 - teff * math.exp(phi)) ** mt * (1 - teff * math.exp(-phi)) ** (-mt - 2 * lam)
-        return partial, closed
-    raise DomainError(f"no generating function implemented for {type(family).__name__}")
+    # DeformedZ: the closed form carries the sqrt(q) rescaling of t implied by
+    # the Meixner connection; the plain printed form fails at first order
+    sh, ch = math.sinh(th), math.cosh(th)
+    if abs(eta * sh) >= 1:
+        raise DomainError(f"DeformedZ generating check needs |eta sinh theta| < 1")
+    q = (1 - eta * sh) / (1 + eta * sh)
+    phi = math.acosh(ch / math.sqrt(1 - eta ** 2 * sh ** 2))
+    mt = (x + lam) / math.sqrt(1 + eta ** 2) - lam
+    teff = t * math.sqrt(q)
+    closed = (1 - teff * math.exp(phi)) ** mt * (1 - teff * math.exp(-phi)) ** (-mt - 2 * lam)
+    return partial, closed
 
 
 # ---------------------------------------------------------------------------

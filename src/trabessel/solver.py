@@ -21,7 +21,7 @@ import numpy as np
 from . import families
 from .basis import BasisSpec, basis_block, series_sum
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
-                     DomainError, RealityViolation, SeriesOverflow)
+                     DomainError, RealityViolation, SeriesOverflow, _check_integer)
 from .ode import OdeParams, apply_D_values
 
 __all__ = [
@@ -648,6 +648,7 @@ def _recursion_rows(sol: ClassSolution, degrees):
     """recursion_coeffs(sol, n) for each n in turn, binding the class row once."""
     row = None
     for n in degrees:
+        _check_integer(n, "n")
         if n < 0:
             raise DomainError("n must be nonnegative")
         if sol.n_max is not None and n > sol.n_max:
@@ -678,6 +679,7 @@ def default_truncation(sol: ClassSolution) -> int:
 
 
 def _require_degree(sol: ClassSolution, N: int, name: str):
+    _check_integer(N, name)
     if N < 0:
         raise DomainError(f"{name} must be nonnegative")
     if sol.n_max is not None and N > sol.n_max:
@@ -847,13 +849,14 @@ def alt_binding_deviation(sol: ClassSolution, n_max: int = 8) -> float:
     """
     if sol.alt_binding is None:
         raise DomainError(f"{sol.class_id.value} has no alternative binding")
-    p_direct = [1.0]
-    s_prev = None
-    for n in range(n_max):
-        u_n, s_n, t_n = recursion_coeffs(sol, n)
-        nxt = -(u_n * p_direct[-1] + (s_prev * p_direct[-2] if n else 0.0)) / t_n
-        p_direct.append(nxt)
-        s_prev = s_n
+
+    def steps():  # P_{n+1} = (-u_n P_n - s_{n-1} P_{n-1}) / t_n, s_{-1} = 0
+        s_prev = 0.0
+        for u_n, s_n, t_n in _recursion_rows(sol, range(n_max)):
+            yield -u_n, -s_prev, t_n
+            s_prev = s_n
+
+    p_direct = families._three_term(steps())
     worst = 0.0
     for n in range(n_max + 1):
         h = families.eval_poly(sol.alt_binding.family, n, sol.alt_binding.argument)

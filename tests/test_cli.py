@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from pytest import approx
 
@@ -338,3 +340,34 @@ def test_eigensolves_load_scipy_linalg_only(argv):
     loaded = _scipy_modules_loaded(argv)
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.special")]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded without writing bytecode under perfbench/."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("key", sorted(WORKLOADS.CLI_COMMANDS))
+def test_cli_output_matches_the_benchmark_golden(key):
+    """Each benchmark CLI command, in a fresh process, exits and prints as
+    recorded in perfbench/cli_golden.json (stdout by sha256)."""
+    want = json.loads(WORKLOADS.CLI_GOLDEN.read_text(encoding="utf-8"))[key]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(WORKLOADS.cli_argv(WORKLOADS.CLI_COMMANDS[key]), capture_output=True,
+                          env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == want["exit"], proc.stderr
+    assert WORKLOADS.stdout_digest(proc.stdout) == want["stdout_sha256"]

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from trabessel import (BesselJ, BesselJbar, ContDualHahnS, ContHahnH, DeformedB,
                        DeformedY, DeformedZ, DualHahnR, HahnQ, LaguerreL,
                        MeixnerM, MeixnerPollaczekP, eval_oracle, eval_poly,
                        pochhammer)
+from trabessel.basis import BasisSpec, _poly_rows
 from trabessel.errors import DomainError, UnsupportedOracle
 from trabessel.families import eval_poly_sequence
 
@@ -204,3 +206,59 @@ def test_conthahn_complex_values():
     v = eval_poly(fam, 3, 0.6)
     assert isinstance(v, complex)
     assert v == approx(eval_oracle(fam, 3, 0.6), rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# one recursion engine: shared coefficients give the same bits
+# ---------------------------------------------------------------------------
+
+def _seq_bits(seq):
+    return np.array(seq, dtype=float).view(np.int64)
+
+
+def test_basis_rows_are_the_family_sequences():
+    """The basis block's polynomial rows are BesselJ(mu) at x and
+    LaguerreL(2 nu) at 1/x, bit for bit, on seeded grids."""
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        x = rng.uniform(0.01, 5.0, size=16)
+        mu = -rng.uniform(1.5, 45)
+        bessel = BasisSpec("bessel", beta=1.0, alpha=0.0, mu=mu)
+        nu = rng.uniform(-0.4, 3.0)
+        laguerre = BasisSpec("laguerre", beta=1.0, exponent=0.5, nu=nu)
+        n = int(rng.integers(1, 120))
+        for basis, fam, top, arg in ((bessel, BesselJ(mu, bessel.n_max), bessel.n_max, x),
+                                     (laguerre, LaguerreL(2 * nu), n, 1.0 / x)):
+            rows = _poly_rows(basis, top, x, False)[0]
+            for i, z in enumerate(arg.tolist()):
+                assert np.array_equal(_seq_bits(eval_poly_sequence(fam, top, z)),
+                                      rows[:, i].view(np.int64)), (fam, z)
+
+
+def test_meixner_pair_is_the_deformed_pair_at_eta_zero():
+    """MeixnerPollaczekP is DeformedY at eta = 0.0 and MeixnerM is DeformedZ
+    at eta = 0.0, bit for bit, up to N = 800 (all finite on these draws)."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        lam = rng.uniform(0.05, 4)
+        th, x = rng.uniform(0.01, math.pi - 0.01), rng.uniform(-5, 5)
+        assert np.array_equal(_seq_bits(eval_poly_sequence(MeixnerPollaczekP(lam, th), 800, x)),
+                              _seq_bits(eval_poly_sequence(DeformedY(lam, th, 0.0), 800, x)))
+        th, m = rng.uniform(0.01, 0.8), float(rng.integers(0, 20))
+        assert np.array_equal(_seq_bits(eval_poly_sequence(MeixnerM(lam, th), 800, m)),
+                              _seq_bits(eval_poly_sequence(DeformedZ(lam, th, 0.0), 800, m)))
+
+
+@pytest.mark.parametrize("fam,arg,stall,message", [
+    (DualHahnR(p=-3.0, q=0.5, N=5.5), 2.0, 2,
+     "DualHahnR recursion stalls at n=2 (N-n or n+p+1 vanishes)"),
+    (ContDualHahnS(p=0.5, c=-2.5, d=1.0), 1.0, 2,
+     "ContDualHahnS recursion stalls at n=2 ((n+p+c)(n+p+d)=0)"),
+    (HahnQ(p=-3.0, q=0.5, N=7.5), 2.0, 2, "HahnQ recursion stalls at n=2"),
+    (ContHahnH(p=0.5, q=0.6, c=-2.5, d=0.7), 0.3, 2, "ContHahnH recursion stalls at n=2"),
+])
+def test_recursion_stalls_at_the_first_vanishing_up_coefficient(fam, arg, stall, message):
+    assert cmath.isfinite(eval_poly(fam, stall, arg))
+    with pytest.raises(DomainError) as exc:
+        eval_poly(fam, stall + 1, arg)
+    assert str(exc.value) == message

@@ -338,6 +338,34 @@ def test_u_decomposition_c_constant():
         assert diffs[0] == approx(-z * c, rel=1e-10)
 
 
+def _degree_entry_points():
+    """Entry points that take a degree, on L39A, each returning plain data."""
+    from trabessel import LaguerreL, eval_poly, tridiagonality_sweep
+    from trabessel.basis import basis_block
+    p, free = DOCUMENTED[ClassId.L39A]
+    sol = resolve_class(p, ClassId.L39A, free)
+    x = np.linspace(0.5, 4.0, 8)
+    return {
+        "eval_poly": lambda n: eval_poly(LaguerreL(1), n, 0.5),
+        "basis_block": lambda n: [rows.tolist() for rows in basis_block(sol.basis, n, x)],
+        "expansion_coefficients": lambda n: expansion_coefficients(sol, n).tolist(),
+        "tridiagonality_sweep": lambda n: list(tridiagonality_sweep(sol, [n]).per_n.values()),
+        "recursion_coeffs": lambda n: recursion_coeffs(sol, n),
+    }
+
+
+@pytest.mark.parametrize("entry", ["eval_poly", "basis_block", "expansion_coefficients",
+                                   "tridiagonality_sweep", "recursion_coeffs"])
+def test_a_degree_must_be_an_integer(entry):
+    """True, 2.0, 2.5 and np.float64(2.0) are DomainErrors; np.int64(3)
+    gives what 3 gives."""
+    call = _degree_entry_points()[entry]
+    for n in (True, 2.0, 2.5, np.float64(2.0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(n)
+    assert call(np.int64(3)) == call(3)
+
+
 # ---------------------------------------------------------------------------
 # expansion coefficients
 # ---------------------------------------------------------------------------
