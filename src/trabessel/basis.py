@@ -16,10 +16,10 @@ makes 4 ufunc calls per degree for values (3 where d_m = 1, as for bessel), 6 wi
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, SeriesOverflow, _check_integer
 
 __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
@@ -27,8 +27,7 @@ __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "seri
 _LOG_OVERFLOW = 700.0  # exp argument ceiling for double precision
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class BasisSpec(Record):
     """Prefactor exponents plus polynomial parameters for one basis kind.
 
     bessel kind uses (alpha, beta, mu) and is finite: mu < -n_max - 1/2.

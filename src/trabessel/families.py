@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, QuadratureFailure, UnsupportedOracle, _check_integer
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 
 def pochhammer(a, n: int):
     """Shifted factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
+    _check_integer(n)
     if n < 0:
         raise DomainError("pochhammer needs n >= 0")
     result = 1.0 if not isinstance(a, complex) else complex(1.0)
@@ -47,8 +48,7 @@ def pochhammer(a, n: int):
 # family specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BesselJ:
+class BesselJ(Record):
     """Bessel polynomial on the real line; finite family, mu < -n_max - 1/2."""
     mu: float
     n_max: int = 10
@@ -59,8 +59,7 @@ class BesselJ:
                 f"BesselJ needs mu < -n_max - 1/2 (mu={self.mu}, n_max={self.n_max})")
 
 
-@dataclass(frozen=True)
-class BesselJbar:
+class BesselJbar(Record):
     """Bessel variant with degree-dependent order, J-bar_n = n!(-x)^n L_n^{2nu}(1/x)."""
     nu: float
 
@@ -68,8 +67,7 @@ class BesselJbar:
         pass
 
 
-@dataclass(frozen=True)
-class LaguerreL:
+class LaguerreL(Record):
     """Generalized Laguerre L_n^alpha."""
     alpha: float
 
@@ -77,8 +75,7 @@ class LaguerreL:
         pass
 
 
-@dataclass(frozen=True)
-class DeformedB:
+class DeformedB(Record):
     """Deformed Bessel polynomial B_n^mu(z; gamma); recursion-only family."""
     mu: float
     gamma: float
@@ -90,8 +87,7 @@ class DeformedB:
                 f"DeformedB needs mu < -n_max - 1/2 (mu={self.mu}, n_max={self.n_max})")
 
 
-@dataclass(frozen=True)
-class DualHahnR:
+class DualHahnR(Record):
     """Dual Hahn R_n^N(z_m^2; p, q), argument given as m."""
     p: float
     q: float
@@ -104,8 +100,7 @@ class DualHahnR:
                     raise DomainError(f"DualHahnR {name}={v} outside (> -1 or < -N)")
 
 
-@dataclass(frozen=True)
-class ContDualHahnS:
+class ContDualHahnS(Record):
     """Continuous dual Hahn S_n^p(z^2; c, d), argument given as z^2."""
     p: float
     c: float
@@ -115,8 +110,7 @@ class ContDualHahnS:
         pass
 
 
-@dataclass(frozen=True)
-class HahnQ:
+class HahnQ(Record):
     """Hahn polynomial Q_n^N(m; p, q)."""
     p: float
     q: float
@@ -129,8 +123,7 @@ class HahnQ:
                     raise DomainError(f"HahnQ {name}={v} outside (> -1 or < -N)")
 
 
-@dataclass(frozen=True)
-class ContHahnH:
+class ContHahnH(Record):
     """Continuous Hahn H_n^p(x; q, c, d); complex-valued for real x."""
     p: complex
     q: complex
@@ -141,8 +134,7 @@ class ContHahnH:
         pass
 
 
-@dataclass(frozen=True)
-class MeixnerPollaczekP:
+class MeixnerPollaczekP(Record):
     """Meixner-Pollaczek P_n^lam(x; theta), lam > 0, 0 < theta < pi."""
     lam: float
     theta: float
@@ -154,8 +146,7 @@ class MeixnerPollaczekP:
                 f"(lam={self.lam}, theta={self.theta})")
 
 
-@dataclass(frozen=True)
-class MeixnerM:
+class MeixnerM(Record):
     """Meixner M_n^lam(m; theta), lam > 0, theta > 0."""
     lam: float
     theta: float
@@ -166,8 +157,7 @@ class MeixnerM:
                 f"MeixnerM needs lam > 0, theta > 0 (lam={self.lam}, theta={self.theta})")
 
 
-@dataclass(frozen=True)
-class DeformedY:
+class DeformedY(Record):
     """Deformed Meixner-Pollaczek Y_n^lam(x; theta, eta); recursion-only."""
     lam: float
     theta: float
@@ -182,8 +172,7 @@ class DeformedY:
             raise DomainError("DeformedY recursion degenerate: 1 + eta sin(theta) = 0")
 
 
-@dataclass(frozen=True)
-class DeformedZ:
+class DeformedZ(Record):
     """Discrete deformed Meixner-Pollaczek Z_n^lam(m; theta, eta); recursion-only."""
     lam: float
     theta: float
@@ -355,7 +344,8 @@ def eval_poly_sequence(family, n: int, z):
     family.validate()
     _check_degree(family, n)
     one = complex(1.0) if isinstance(family, ContHahnH) else 1.0
-    seq = _three_term(_STEPS[type(family)](family, n, z), one)
+    with np.errstate(over="ignore", invalid="ignore"):  # NumPy scalars warn, floats do not
+        seq = _three_term(_STEPS[type(family)](family, n, z), one)
     if not all(map(cmath.isfinite, seq)):  # real values too
         raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
     return seq

@@ -1,17 +1,15 @@
 """The six-parameter differential operator and its numeric application."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DerivativeUnavailable
 
 __all__ = ["OdeParams", "apply_D", "apply_D_values", "stencil_derivatives"]
 
 
-@dataclass(frozen=True)
-class OdeParams:
+class OdeParams(Record):
     """Coefficients of  x^2 y'' + (a x + b) y' + (A+ x + A-/x + A1/x^2 - A0) y = 0."""
     a: float
     b: float

@@ -11,10 +11,10 @@ solver serves as the oracle for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      UnsupportedRow)
 from .ode import OdeParams
@@ -27,8 +27,7 @@ __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
            "oscillator_potential"]
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Record):
     a_choice: float
     lam: float
     eta: float
@@ -42,11 +41,10 @@ class SystemSpec:
     potential_formula: str
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(Record):
     energies: np.ndarray
     method: str                # closed_form_eq64 | jacobi_matrix | fd_oracle | morse_closed_form
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import families
+from ._record import Record
 from .basis import BasisSpec, basis_block, series_sum
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
                      DomainError, RealityViolation, SeriesOverflow, _check_integer)
@@ -52,16 +52,14 @@ class ClassId(enum.Enum):
         return self.name.endswith("_REDIRECT")
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Record):
     class_id: ClassId
     admissible: bool
     residuals: dict
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class DerivedSymbols:
+class DerivedSymbols(Record):
     nu_sq: float
     nu: float | None          # None when nu_sq < 0
     nu_imaginary: bool
@@ -92,8 +90,7 @@ def derived_symbols(p: OdeParams, alpha=None, beta=None, mu=None) -> DerivedSymb
                           sigma_plus=sp, sigma_minus=sm)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Record):
     """Polynomial family plus the argument at which coefficients are evaluated.
 
     P_n = per_n_scale**n * eval_poly(family, n, argument).  `informational`
@@ -115,8 +112,7 @@ class Binding:
         return self.per_n_scale ** n * families.eval_poly(self.family, n, self.argument)
 
 
-@dataclass(frozen=True)
-class Omega:
+class Omega(Record):
     """omega(x) = coeff * x**power."""
     coeff: float
     power: int
@@ -130,15 +126,14 @@ class Omega:
         return f"{self.coeff:g} * x^{self.power}"
 
 
-@dataclass(frozen=True)
-class ClassSolution:
+class ClassSolution(Record):
     class_id: ClassId
     ode: OdeParams
     basis: BasisSpec
     symbols: DerivedSymbols
     binding: Binding
     omega: Omega
-    free: dict = field(default_factory=dict)
+    free: dict = {}
     alt_binding: Binding | None = None
     notes: tuple = ()
 
@@ -150,8 +145,7 @@ class ClassSolution:
         return self.omega.describe()
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
+class SeriesSolution(Record):
     """Truncated expansion y_N(x) = sum_{n<=N} f_n phi_n(x), f_0 = 1."""
     solution: ClassSolution | None
     basis: BasisSpec
@@ -758,8 +752,7 @@ def evaluate_series(series: SeriesSolution, x):
 # definiteness and the Jacobi matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FavardReport:
+class FavardReport(Record):
     products: np.ndarray   # s_n * t_n for the couplings n = 0..N-1
     definite: bool
 
@@ -769,6 +762,7 @@ class FavardReport:
 
 def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     """Signs of the coupling products s_n t_n used by an (N+1)-level truncation."""
+    _check_integer(N, "N")
     if sol.n_max is not None and N > sol.n_max:
         raise DomainError(
             f"N={N} violates mu < -N - 1/2 (mu={sol.basis.mu})")
@@ -847,6 +841,7 @@ def alt_binding_deviation(sol: ClassSolution, n_max: int = 8) -> float:
     the class recursion.  Informational: the printed identification fails by
     a diagonal sign, so this deviation is large.
     """
+    _check_integer(n_max, "n_max")
     if sol.alt_binding is None:
         raise DomainError(f"{sol.class_id.value} has no alternative binding")
 

@@ -7,10 +7,10 @@ against omega(x) [u_n phi_n + s_{n-1} phi_{n-1} + t_n phi_{n+1}].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .basis import BasisSpec, basis_block, basis_derivatives, basis_value, series_sum
 from .errors import DomainError, SeriesOverflow
 from .ode import apply_D_values, stencil_derivatives
@@ -22,8 +22,7 @@ __all__ = ["GridSpec", "CheckReport", "default_grid", "tridiagonality_check",
 _SCALE_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     x_min: float
     x_max: float
     count: int = 64
@@ -49,15 +48,14 @@ def default_grid() -> GridSpec:
     return GridSpec(0.05, 20.0, 64, "logarithmic")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     max_abs_deviation: float
     max_rel_deviation: float
     argmax_x: float
     scale: float
     tolerance: float
     passed: bool
-    per_n: dict = field(default_factory=dict)
+    per_n: dict = {}
     notes: tuple = ()
 
     def __bool__(self):

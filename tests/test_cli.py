@@ -331,6 +331,16 @@ def test_numpy_only_commands_load_no_scipy(argv):
     assert _scipy_modules_loaded(argv) == []
 
 
+def test_cli_import_loads_no_dataclasses():
+    """The records are plain classes, so a cold start generates no dataclass code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, trabessel.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum"] + WELL_FLAGS,
     ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",

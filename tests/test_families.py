@@ -182,6 +182,14 @@ def test_degree_bound_enforced():
         eval_poly(HahnQ(p=0.5, q=0.5, N=6), 7, 2)
 
 
+def test_numpy_scalar_overflow_is_a_domain_error():
+    """A NumPy scalar argument overflows as quietly as a float does and fails
+    the finiteness check; no RuntimeWarning comes first."""
+    for z in (-1e6, np.float64(-1e6)):
+        with pytest.raises(DomainError, match="non-finite"):
+            eval_poly_sequence(LaguerreL(1.0), 800, z)
+
+
 def test_family_invariant_validation():
     with pytest.raises(DomainError):
         BesselJ(mu=-3.0, n_max=4).validate()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -175,7 +174,7 @@ def _resolve_error(cid, free=None, tol=1e-12, exc=ConstraintViolation, message="
                    **changes):
     """One resolve_class failure: the documented set of `cid` with `changes`."""
     doc_ode, doc_free = DOCUMENTED.get(cid, DOCUMENTED[ClassId.L39A])
-    ode = dataclasses.replace(doc_ode, **changes)
+    ode = OdeParams(**{**vars(doc_ode), **changes})
     label = [cid.value] + [f"{k}={v:g}" for k, v in changes.items()]
     if free is not None:
         label += [f"{k}={v:g}" for k, v in free.items()] or ["no-free"]
@@ -339,11 +338,14 @@ def test_u_decomposition_c_constant():
 
 
 def _degree_entry_points():
-    """Entry points that take a degree, on L39A, each returning plain data."""
-    from trabessel import LaguerreL, eval_poly, tridiagonality_sweep
+    """Entry points that take a degree, on L39A (the alternative binding on K1),
+    each returning plain data."""
+    from trabessel import LaguerreL, eval_poly, pochhammer, tridiagonality_sweep
     from trabessel.basis import basis_block
     p, free = DOCUMENTED[ClassId.L39A]
     sol = resolve_class(p, ClassId.L39A, free)
+    k1_ode, k1_free = DOCUMENTED[ClassId.K1]
+    k1 = resolve_class(k1_ode, ClassId.K1, k1_free)
     x = np.linspace(0.5, 4.0, 8)
     return {
         "eval_poly": lambda n: eval_poly(LaguerreL(1), n, 0.5),
@@ -351,11 +353,17 @@ def _degree_entry_points():
         "expansion_coefficients": lambda n: expansion_coefficients(sol, n).tolist(),
         "tridiagonality_sweep": lambda n: list(tridiagonality_sweep(sol, [n]).per_n.values()),
         "recursion_coeffs": lambda n: recursion_coeffs(sol, n),
+        "favard_report": lambda n: favard_report(sol, n).products.tolist(),
+        "jacobi_matrix": lambda n: [part.tolist() for part in jacobi_matrix(sol, n)],
+        "alt_binding_deviation": lambda n: alt_binding_deviation(k1, n),
+        "pochhammer": lambda n: pochhammer(0.5, n),
     }
 
 
 @pytest.mark.parametrize("entry", ["eval_poly", "basis_block", "expansion_coefficients",
-                                   "tridiagonality_sweep", "recursion_coeffs"])
+                                   "tridiagonality_sweep", "recursion_coeffs",
+                                   "favard_report", "jacobi_matrix",
+                                   "alt_binding_deviation", "pochhammer"])
 def test_a_degree_must_be_an_integer(entry):
     """True, 2.0, 2.5 and np.float64(2.0) are DomainErrors; np.int64(3)
     gives what 3 gives."""
