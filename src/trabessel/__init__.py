@@ -15,8 +15,8 @@ from .ode import OdeParams, apply_D, apply_D_values
 from .quantum import (SpectrumResult, SystemSpec, confining_well, fd_oracle,
                       morse_levels, singular_oscillator, spectrum_eq64,
                       table1_map)
-from .solver import (Binding, ClassId, ClassSolution, DerivedSymbols,
-                     SeriesSolution, alt_binding_deviation, build_series,
+from .solver import (Binding, ClassId, ClassReport, ClassSolution, DerivedSymbols,
+                     FavardReport, Omega, SeriesSolution, alt_binding_deviation, build_series,
                      classify, closed_form_cn, default_truncation,
                      dual_hahn_rejection, evaluate_series,
                      expansion_coefficients, favard_report, jacobi_matrix,

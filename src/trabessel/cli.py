@@ -25,7 +25,7 @@ from .verify import GridSpec, default_grid, residual, tridiagonality_sweep
 _VALIDATION_ERRORS = (ConstraintViolation, DomainError, RealityViolation,
                       UnsupportedRow, ValueError, KeyError)
 _NUMERICAL_ERRORS = (QuadratureFailure, ConvergenceFailure, DefinitenessError,
-                     BoundaryError, SeriesOverflow, ZeroDivisionError)
+                     BoundaryError, SeriesOverflow, ZeroDivisionError, OverflowError)
 
 _F = jsonio.format_float
 

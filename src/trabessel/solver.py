@@ -8,12 +8,13 @@ a symmetric tridiagonal (Jacobi) matrix whose eigenvalues approximate the
 discrete support of the coefficient-polynomial measure.
 
 Everything class-specific is one row of the table `_CLASSES`: the class's
-resolver, its coefficients u_n, s_n, t_n, a_n, c and its closed-form C_n.
+admissible region, resolver, coefficients u_n, s_n, t_n, a_n, c and closed-form C_n.
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
 from .ode import OdeParams, apply_D_values
 
 __all__ = [
-    "ClassId", "ClassReport", "DerivedSymbols", "Binding", "ClassSolution",
+    "ClassId", "ClassReport", "DerivedSymbols", "Binding", "Omega", "ClassSolution",
     "SeriesSolution", "classify", "resolve_class", "recursion_coeffs",
     "u_decomposition", "expansion_coefficients", "closed_form_cn",
     "evaluate_series", "favard_report", "FavardReport", "jacobi_matrix",
@@ -158,81 +159,80 @@ class SeriesSolution(Record):
 
 
 # ---------------------------------------------------------------------------
-# classification
+# classification: the admissible region of each class, as data
 # ---------------------------------------------------------------------------
+# A constraint is (relation, key, residual, holds, reads_free): resolve_class refuses
+# `relation` unless holds(residual(params, free), tol); classify skips those that read
+# a free parameter and reports the others' residuals under `key`, unless it is None.
+
+def _k0_mu(p):
+    return p.b * (p.a / 2 - 1) - p.A_minus
+
+
+_NU_REAL = "4*A0 >= -(a-1)^2"   # the one relation whose failure is a RealityViolation
+_REAL_NU = (_NU_REAL, None, lambda p, free: p.A_zero + 0.25 * (p.a - 1.0) ** 2,
+            lambda r, tol: r >= 0, False)
+_REAL_NU_SHOWN = (_NU_REAL, "nu^2 (must be >= 0)") + _REAL_NU[2:]
+_SQUARE = ("b^2 = 1 + 4*A1", "b^2 - 1 - 4*A1",
+           lambda p, free: abs(p.b ** 2 - 1.0 - 4.0 * p.A_one), operator.le, False)
+_REAL_B = ("A1 >= -1/4 (reality of b)", None, lambda p, free: p.A_one,
+           lambda r, tol: r >= -0.25, False)
+_A_PLUS_ZERO = ("A+ = 0", "A+", lambda p, free: abs(p.A_plus), operator.le, False)
+_A_PLUS_NONZERO = ("A+ must be nonzero for K0", "|A+| (must be nonzero)",
+                   lambda p, free: abs(p.A_plus), operator.gt, False)
+_K0_MU = ("mu < -1/2 (at least one basis degree)", None, lambda p, free: _k0_mu(p),
+          lambda r, tol: r < -0.5, False)
+_FREE_MU = ("mu < -1/2", None, lambda p, free: free["mu"], lambda r, tol: r < -0.5, True)
+_W_POSITIVE = ("4*A1 > b^2", "4*A1 - b^2 (must be > 0)",
+               lambda p, free: 4.0 * p.A_one - p.b ** 2, operator.gt, False)
+_TAU_NONZERO = ("tau != 0 (tau = 0 is the undeformed class)", None,
+                lambda p, free: free["tau"], lambda r, tol: abs(r) > tol, True)
+_S_POSITIVE = ("4*A1 - b^2 + tau^2 > 0", None,
+               lambda p, free: 4 * p.A_one - p.b ** 2 + free["tau"] ** 2, operator.gt, True)
+
+
+def _admit(class_id, params: OdeParams, free, tol):
+    """Check the region of `class_id` in order, raising on the first constraint
+    that fails, and return (classify's residuals, the parsed free parameters);
+    free=None skips the constraints that read a free parameter."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    row, region, _ = _CLASSES[class_id]
+    residuals, values = {}, None
+    for relation, key, residual, holds, reads_free in region:
+        if reads_free and free is None:
+            continue
+        if reads_free and values is None:
+            values = row.read_free(params, free)
+        value = residual(params, values)
+        if not holds(value, tol):
+            if relation == _NU_REAL:
+                raise RealityViolation(f"{class_id.value} needs {relation}; nu^2 = {value} < 0")
+            raise ConstraintViolation(relation, value)
+        if key is not None:
+            residuals[key] = value
+    return residuals, values
+
 
 def classify(params: OdeParams, tol: float = DEFAULT_TOL):
-    """All solution classes whose hard constraints hold within tol.
-
-    Redirect pseudo-classes are reported with the reason they carry no
-    solution of their own.  Multiple admissible classes are all returned.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    b2_res = abs(params.b ** 2 - 1.0 - 4.0 * params.A_one)
-    ap_res = abs(params.A_plus)
-    nu_sq = params.A_zero + 0.25 * (params.a - 1.0) ** 2
-    w = 4.0 * params.A_one - params.b ** 2
+    """All solution classes whose region, less its constraints on free
+    parameters, holds within tol.  Redirect pseudo-classes are reported with
+    the reason they carry no solution of their own."""
     reports = []
-
-    reports.append(ClassReport(
-        ClassId.K0, admissible=(b2_res <= tol and ap_res > tol),
-        residuals={"b^2 - 1 - 4*A1": b2_res, "|A+| (must be nonzero)": ap_res}))
-    k1_note = ("forced constraint pair is b^2 = 1 + 4*A1 and A+ = 0; "
-               "the printed variant with A+ in the square relation is not used")
-    reports.append(ClassReport(
-        ClassId.K1, admissible=(b2_res <= tol and ap_res <= tol),
-        residuals={"b^2 - 1 - 4*A1": b2_res, "A+": ap_res}, reason=k1_note))
-    reports.append(ClassReport(
-        ClassId.C8B, admissible=(b2_res <= tol and ap_res <= tol),
-        residuals={"b^2 - 1 - 4*A1": b2_res, "A+": ap_res}))
-    reports.append(ClassReport(
-        ClassId.L39A, admissible=(ap_res <= tol and w > tol and nu_sq >= 0),
-        residuals={"A+": ap_res, "4*A1 - b^2 (must be > 0)": w,
-                   "nu^2 (must be >= 0)": nu_sq}))
-    reports.append(ClassReport(
-        ClassId.L39B, admissible=(ap_res <= tol and b2_res <= tol),
-        residuals={"A+": ap_res, "b^2 - 1 - 4*A1": b2_res}))
-    reports.append(ClassReport(
-        ClassId.L39C, admissible=(ap_res <= tol and nu_sq >= 0),
-        residuals={"A+": ap_res, "nu^2 (must be >= 0)": nu_sq},
-        reason="admissible for any deformation tau with 4*A1 - b^2 + tau^2 > 0"))
-    if ap_res <= tol:
-        reports.append(ClassReport(
-            ClassId.K2_REDIRECT, admissible=True, residuals={"A+": ap_res},
-            reason="treated in the singular Laguerre basis"))
-        reports.append(ClassReport(
-            ClassId.K3_REDIRECT, admissible=True, residuals={"A+": ap_res},
-            reason="reverts to Bessel-polynomial equation"))
-        reports.append(ClassReport(
-            ClassId.C8C_REDIRECT, admissible=True, residuals={"A+": ap_res},
-            reason="treated in the singular Laguerre basis"))
-    return [r for r in reports if r.admissible]
+    for class_id, (_, _, reason) in _CLASSES.items():
+        try:
+            residuals, _ = _admit(class_id, params, None, tol)
+        except (ConstraintViolation, RealityViolation):
+            continue
+        except OverflowError:  # float ** past double range
+            raise SeriesOverflow(f"{class_id.value} relations overflow double precision") from None
+        reports.append(ClassReport(class_id, True, residuals, reason))
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # the class table: resolution, recursion coefficients and C_n per class
 # ---------------------------------------------------------------------------
-
-def _require(cond, relation, residual=None):
-    if not cond:
-        raise ConstraintViolation(relation, residual)
-
-
-def _require_square(p: OdeParams, tol):
-    """The relation b^2 = 1 + 4*A1 of K0, K1, C8B and L39B."""
-    residual = abs(p.b ** 2 - 1 - 4 * p.A_one)
-    _require(residual <= tol, "b^2 = 1 + 4*A1", residual)
-
-
-def _real_symbols(p: OdeParams, class_id, **basis_params) -> DerivedSymbols:
-    """derived_symbols for a class whose formulas need real nu."""
-    sym = derived_symbols(p, **basis_params)
-    if sym.nu_imaginary:
-        raise RealityViolation(
-            f"{class_id.value} needs 4*A0 >= -(a-1)^2; nu^2 = {sym.nu_sq} < 0")
-    return sym
-
 
 def _gated_laguerre_basis(p: OdeParams, sym, beta, row, omega):
     """(basis, notes) of L39A, L39B and L39C: the Laguerre basis for nu > -1/2.
@@ -241,15 +241,17 @@ def _gated_laguerre_basis(p: OdeParams, sym, beta, row, omega):
     the printed -nu-(a+1)/2 is tried first; when it fails while
     -nu+(1-a)/2 passes, the passing exponent is adopted and the switch noted.
     """
-    _require(sym.nu > -0.5, "nu > -1/2 (weight integrability)", sym.nu)
     xs = np.array([0.4, 1.1, 3.0])
     printed = -sym.nu - (p.a + 1.0) / 2.0
     for exponent in (printed, -sym.nu + (1.0 - p.a) / 2.0):
         basis = BasisSpec(kind="laguerre", beta=beta, exponent=exponent, nu=sym.nu)
         vals, der1, der2 = basis_block(basis, 1, xs)
-        lhs = apply_D_values(p, vals[0], der1[0], der2[0], xs)
-        rhs = omega(xs) * row.u(0) * vals[0] + omega(xs) * row.t(0) * vals[1]
-        if np.max(np.abs(lhs - rhs)) / (np.max(np.abs(lhs)) + 1e-300) <= 1e-8:
+        with np.errstate(over="raise", invalid="raise"):  # FloatingPointError: see resolve_class
+            lhs = apply_D_values(p, vals[0], der1[0], der2[0], xs)
+            rhs = omega(xs) * row.u(0) * vals[0] + omega(xs) * row.t(0) * vals[1]
+            # scaled by the term x^2 phi_0'' too: where u_0 = t_0 = 0, D phi_0 is roundoff
+            scale = np.max(np.abs(lhs)) + np.max(np.abs(xs ** 2 * der2[0])) + 1e-300
+        if np.max(np.abs(lhs - rhs)) / scale <= 1e-8:
             notes = [] if exponent == printed else [
                 "laguerre exponent -nu-(a+1)/2 failed the operator check; "
                 "adopted -nu+(1-a)/2"]
@@ -310,8 +312,8 @@ def _bessel_cn(mu, n):
 
 
 class _Row:
-    """One solution class: `resolve(params, free, tol)` builds its
-    ClassSolution; an instance, made from (ode, symbols, basis mu, free
+    """One solution class: `resolve(params, free)` builds its ClassSolution
+    inside its region; an instance, made from (ode, symbols, basis mu, free
     tau), gives u_n, s_n, t_n, a_n and c (u_n = a_n - z*c) and C_n.
 
     Each coefficient is its own method on one degree in Python floats:
@@ -328,15 +330,11 @@ class _K0(_Row):
     c = 1.0
 
     @staticmethod
-    def resolve(p, free, tol):
-        _require_square(p, tol)
-        _require(p.A_one >= -0.25, "A1 >= -1/4 (reality of b)", p.A_one)
-        _require(abs(p.A_plus) > tol, "A+ must be nonzero for K0", p.A_plus)
+    def resolve(p, free):
         alpha = (p.b - 1) * (p.a / 2 - 1) - p.A_minus
         beta = (1 - p.b) / 2
-        mu = p.b * (p.a / 2 - 1) - p.A_minus
-        sym = _real_symbols(p, ClassId.K0, alpha=alpha, beta=beta, mu=mu)
-        _require(mu < -0.5, "mu < -1/2 (at least one basis degree)", mu)
+        mu = _k0_mu(p)
+        sym = derived_symbols(p, alpha=alpha, beta=beta, mu=mu)
         basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
         fam = families.DeformedB(mu=mu, gamma=4.0 / p.A_plus, n_max=basis.n_max)
         return ClassSolution(ClassId.K0, p, basis, sym,
@@ -370,21 +368,21 @@ class _C8B(_Row):
     c = 4.0
 
     @staticmethod
-    def resolve(p, free, tol):
-        _require_square(p, tol)
-        _require(p.A_one >= -0.25, "A1 >= -1/4 (reality of b)", p.A_one)
-        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+    def read_free(p, free):
         missing = {"alpha", "mu"} - free.keys()
         if missing:
             raise ConstraintViolation(f"C8B needs free parameters {sorted(missing)}")
-        alpha, mu = float(free["alpha"]), float(free["mu"])
-        _require(mu < -0.5, "mu < -1/2", mu)
+        return {"alpha": float(free["alpha"]), "mu": float(free["mu"]),
+                "branch": int(free.get("branch", +1))}
+
+    @staticmethod
+    def resolve(p, free):
+        alpha, mu, branch = free["alpha"], free["mu"], free["branch"]
         beta = (1 - p.b) / 2
-        sym = _real_symbols(p, ClassId.C8B, alpha=alpha, beta=beta, mu=mu)
+        sym = derived_symbols(p, alpha=alpha, beta=beta, mu=mu)
         basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
         nu, kappa = sym.nu, sym.kappa
         half = alpha + (p.a - 1) / 2
-        branch = int(free.get("branch", +1))
         sgn = 1.0 if branch >= 0 else -1.0
         fam = families.HahnQ(p=half - 1 + sgn * nu, q=2 * mu + 1 - half - sgn * nu,
                              N=-half + sgn * nu)
@@ -392,9 +390,7 @@ class _C8B(_Row):
             p=-kappa, q=-kappa + 2 * (mu + 1) - (2 * alpha + p.a - 1),
             c=kappa + half + nu, d=kappa + half - nu))
         return ClassSolution(ClassId.C8B, p, basis, sym, Binding(fam, -kappa),
-                             Omega(0.25, -1),
-                             free={"alpha": alpha, "mu": mu, "branch": branch},
-                             alt_binding=alt)
+                             Omega(0.25, -1), free=free, alt_binding=alt)
 
     def __init__(self, p, sym, mu, tau):
         self.mu, self.chi_sq, self.sp = mu, sym.chi_sq, sym.sigma_plus
@@ -429,16 +425,17 @@ class _K1(_C8B):
     shares s_n and t_n to the bit; a_n and C_n keep their printed forms."""
 
     @staticmethod
-    def resolve(p, free, tol):
-        _require_square(p, tol)
-        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+    def read_free(p, free):
         if "mu" not in free:
             raise ConstraintViolation("K1 needs the free basis parameter mu")
-        mu = float(free["mu"])
-        _require(mu < -0.5, "mu < -1/2", mu)
+        return {"mu": float(free["mu"])}
+
+    @staticmethod
+    def resolve(p, free):
+        mu = free["mu"]
         alpha = mu + 1 - p.a / 2
         beta = (1 - p.b) / 2
-        sym = _real_symbols(p, ClassId.K1, alpha=alpha, beta=beta, mu=mu)
+        sym = derived_symbols(p, alpha=alpha, beta=beta, mu=mu)
         basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
         nu, xi = sym.nu, sym.xi
         fam = families.HahnQ(p=mu - nu - 0.5, q=mu + nu + 0.5, N=-(mu + nu + 0.5))
@@ -446,7 +443,7 @@ class _K1(_C8B):
                                               c=2 * mu + xi + 0.5 + nu,
                                               d=2 * mu + xi + 0.5 - nu))
         return ClassSolution(ClassId.K1, p, basis, sym, Binding(fam, -(mu + xi)),
-                             Omega(0.25, -1), free={"mu": mu}, alt_binding=alt)
+                             Omega(0.25, -1), free=free, alt_binding=alt)
 
     def __init__(self, p, sym, mu, tau):
         self.mu, self.chi_sq, self.sp = mu, sym.nu_sq, 0.0
@@ -465,21 +462,21 @@ class _K1(_C8B):
 
 class _L39C(_Row):
     @staticmethod
-    def resolve(p, free, tol):
-        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+    def read_free(p, free):
         if "tau" in free:
             tau = float(free["tau"])
-            beta = (tau + 1 - p.b) / 2
-        elif "beta" in free:
+            return {"tau": tau, "beta": (tau + 1 - p.b) / 2}
+        if "beta" in free:
             beta = float(free["beta"])
-            tau = 2 * beta + p.b - 1
-        else:
-            raise ConstraintViolation("L39C needs the free deformation tau (or beta)")
-        _require(abs(tau) > tol, "tau != 0 (tau = 0 is the undeformed class)", tau)
+            return {"tau": 2 * beta + p.b - 1, "beta": beta}
+        raise ConstraintViolation("L39C needs the free deformation tau (or beta)")
+
+    @staticmethod
+    def resolve(p, free):
+        tau, beta = free["tau"], free["beta"]
         w = 4 * p.A_one - p.b ** 2
         big_s = w + tau ** 2
-        _require(big_s > tol, "4*A1 - b^2 + tau^2 > 0", big_s)
-        sym = _real_symbols(p, ClassId.L39C, beta=beta)
+        sym = derived_symbols(p, beta=beta)
         omega = Omega(-0.25, -1)
         basis, notes = _gated_laguerre_basis(p, sym, beta, _L39C(p, sym, None, tau), omega)
         lam = sym.nu + 0.5
@@ -521,12 +518,10 @@ class _L39A(_L39C):
     """L39C's recursion at tau = 0, divided through by 4*A1 - b^2 + 1."""
 
     @staticmethod
-    def resolve(p, free, tol):
-        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
+    def resolve(p, free):
         w = 4 * p.A_one - p.b ** 2
-        _require(w > tol, "4*A1 > b^2", w)
         beta = (1 - p.b) / 2
-        sym = _real_symbols(p, ClassId.L39A, beta=beta)
+        sym = derived_symbols(p, beta=beta)
         omega = Omega(-(w + 1) / 4.0, -1)
         basis, notes = _gated_laguerre_basis(p, sym, beta, _L39A(p, sym, None, None), omega)
         fam = families.MeixnerPollaczekP(lam=sym.nu + 0.5, theta=math.acos((w - 1) / (w + 1)))
@@ -535,9 +530,7 @@ class _L39A(_L39C):
                              notes=tuple(notes))
 
     def __init__(self, p, sym, mu, tau):
-        w = 4 * p.A_one - p.b ** 2
-        if abs(w + 1) < 1e-300:
-            raise DomainError("L39A coefficients undefined: 4*A1 - b^2 + 1 = 0")
+        w = 4 * p.A_one - p.b ** 2   # > 0 in the region, so w + 1 > 1
         self.nu, self.slope = sym.nu, (w - 1) / (w + 1)
         self.s_scale = self.t_scale = 1.0
         self.u_const = 2 * (-2 * p.A_minus + p.b * (p.a - 2)) / (w + 1)
@@ -548,9 +541,7 @@ class _L39B(_Row):
     c = -1.0   # the eigenvalue variable is z^2 = -nu^2
 
     @staticmethod
-    def resolve(p, free, tol):
-        _require(abs(p.A_plus) <= tol, "A+ = 0", p.A_plus)
-        _require_square(p, tol)
+    def resolve(p, free):
         beta = (1 - p.b) / 2
         sym = derived_symbols(p, beta=beta)
         z_sq = -sym.nu_sq  # stays real for either sign of nu^2
@@ -590,8 +581,21 @@ class _L39B(_Row):
         return 1.0  # f_n = Q_n carries no prefactor
 
 
-_CLASSES = {ClassId.K0: _K0, ClassId.K1: _K1, ClassId.C8B: _C8B,
-            ClassId.L39A: _L39A, ClassId.L39B: _L39B, ClassId.L39C: _L39C}
+# class id: (row, admissible region, classify's reason); a redirect has no row
+_CLASSES = {
+    ClassId.K0: (_K0, (_SQUARE, _REAL_B, _A_PLUS_NONZERO, _REAL_NU, _K0_MU), ""),
+    ClassId.K1: (_K1, (_SQUARE, _A_PLUS_ZERO, _FREE_MU, _REAL_NU),
+                 "forced constraint pair is b^2 = 1 + 4*A1 and A+ = 0; "
+                 "the printed variant with A+ in the square relation is not used"),
+    ClassId.C8B: (_C8B, (_SQUARE, _REAL_B, _A_PLUS_ZERO, _FREE_MU, _REAL_NU), ""),
+    ClassId.L39A: (_L39A, (_A_PLUS_ZERO, _W_POSITIVE, _REAL_NU_SHOWN), ""),
+    ClassId.L39B: (_L39B, (_A_PLUS_ZERO, _SQUARE), ""),
+    ClassId.L39C: (_L39C, (_A_PLUS_ZERO, _TAU_NONZERO, _S_POSITIVE, _REAL_NU_SHOWN),
+                   "admissible for any deformation tau with 4*A1 - b^2 + tau^2 > 0"),
+    ClassId.K2_REDIRECT: (None, (_A_PLUS_ZERO,), "treated in the singular Laguerre basis"),
+    ClassId.K3_REDIRECT: (None, (_A_PLUS_ZERO,), "reverts to Bessel-polynomial equation"),
+    ClassId.C8C_REDIRECT: (None, (_A_PLUS_ZERO,), "treated in the singular Laguerre basis"),
+}
 
 
 def resolve_class(params: OdeParams, class_id: ClassId, free: dict | None = None,
@@ -599,13 +603,17 @@ def resolve_class(params: OdeParams, class_id: ClassId, free: dict | None = None
     """Resolve one admissible class into a full ClassSolution.
 
     `free` supplies class-specific free parameters: mu (K1), alpha and mu
-    (C8B), tau or beta (L39C).
+    (C8B), tau or beta (L39C), parsed by the row's `read_free`.
     """
-    free = dict(free or {})
-    if class_id.is_redirect:
-        raise ConstraintViolation(
-            f"{class_id.value} is a documented non-case and has no solution")
-    return _CLASSES[class_id].resolve(params, free, tol)
+    row = _CLASSES[class_id][0]
+    try:
+        _, free = _admit(class_id, params, free or {}, tol)
+        if row is None:
+            raise ConstraintViolation(
+                f"{class_id.value} is a documented non-case and has no solution")
+        return row.resolve(params, free)
+    except (OverflowError, FloatingPointError):  # float ** or numpy past double range
+        raise SeriesOverflow(f"{class_id.value}: resolving overflows double precision") from None
 
 
 def _row(sol: ClassSolution, what="recursion coefficients"):
@@ -614,7 +622,7 @@ def _row(sol: ClassSolution, what="recursion coefficients"):
     Also the one guard on the imaginary-nu branch of L39B, which resolves
     with a placeholder basis but has no coefficients.
     """
-    row_class = _CLASSES.get(sol.class_id)
+    row_class = _CLASSES[sol.class_id][0]
     if row_class is None:
         raise DomainError(f"no {what} for {sol.class_id}")
     if sol.class_id is ClassId.L39B and sol.symbols.nu_imaginary:

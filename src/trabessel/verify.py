@@ -96,11 +96,12 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
         if rows:
             vals, der1, der2 = basis_block(sol.basis, max(r[0] for r in rows) + 1, x)
     ns, u, t, s_prev = (np.array(c) for c in zip(*rows))
-    lhs = apply_D_values(sol.ode, vals[ns], der1[ns], der2[ns], x)
-    rhs = u[:, None] * vals[ns] + t[:, None] * vals[ns + 1]
-    lower = ns > 0  # no s_{-1} term at n = 0: + 0 * phi_0 would turn -0.0 into +0.0
-    rhs[lower] += s_prev[lower, None] * vals[ns[lower] - 1]
-    dev = np.abs(lhs - sol.omega(x) * rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as a non-finite check
+        lhs = apply_D_values(sol.ode, vals[ns], der1[ns], der2[ns], x)
+        rhs = u[:, None] * vals[ns] + t[:, None] * vals[ns + 1]
+        lower = ns > 0  # no s_{-1} term at n = 0: + 0 * phi_0 would turn -0.0 into +0.0
+        rhs[lower] += s_prev[lower, None] * vals[ns[lower] - 1]
+        dev = np.abs(lhs - sol.omega(x) * rhs)
     i = np.argmax(dev, axis=1)
     checks = {}
     for (n, *_), d, x_i, peak in zip(rows, dev[np.arange(len(ns)), i].tolist(), x[i].tolist(),

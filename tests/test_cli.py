@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import pytest
@@ -224,6 +226,42 @@ def test_missing_params_exit2():
     code, _, err = run_cli(["classify", "--a", "1"])
     assert code == 2
     assert "missing" in err
+
+
+_CLI_VALUES = st.one_of(st.sampled_from((0.0, 1.0, -1.0, -0.25, 0.5, 2.0)),
+                        st.floats(-10.0, 10.0), st.floats(-1e200, 1e200))
+
+
+@st.composite
+def _cli_argv(draw):
+    """classify, solve, eval or verify at magnitudes up to 1e200, half of
+    them on b^2 = 1 + 4*A1 or A+ = 0, where the classes live; each value is
+    passed as --flag=value, since argparse reads a spaced -1e+200 as a flag."""
+    cmd = draw(st.sampled_from(("classify", "solve", "eval", "verify")))
+    p = {k: draw(_CLI_VALUES) for k in ("a", "b", "Ap", "Am", "A1", "A0")}
+    if draw(st.booleans()):
+        p["A1"] = (p["b"] * p["b"] - 1) / 4   # inf past 1e154: refused as not finite
+    if draw(st.booleans()):
+        p["Ap"] = 0.0
+    argv = [cmd] + [f"--{k}={v!r}" for k, v in p.items()]
+    if cmd != "classify":
+        argv += [f"--class={draw(st.sampled_from(('K0', 'K1', 'C8B', 'L39A', 'L39B', 'L39C')))}"]
+        argv += [f"--{k}={draw(_CLI_VALUES)!r}" for k in ("mu", "alpha", "tau")]
+    if cmd in ("solve", "eval"):
+        # a bounded N: the default truncation of K0 at |A-| ~ 1e9 runs out of memory
+        argv.append(f"--N={draw(st.integers(0, 8))}")
+    return argv
+
+
+@given(argv=_cli_argv())
+@example(argv=["classify", "--a=1e+200", "--b=0", "--Ap=-1", "--Am=20.5", "--A1=-0.25",
+               "--A0=2"])
+@example(argv=["solve", "--class=L39B", "--a=1e+200", "--b=0", "--Ap=0", "--Am=0.5",
+               "--A1=-0.25", "--A0=2", "--N=3"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_cli_exits_0_2_or_3_with_at_most_one_line(argv):
+    code, _, err = run_cli(argv)
+    assert code in (0, 2, 3) and err.count("\n") <= 1, (code, err)
 
 
 def test_console_entry_point():

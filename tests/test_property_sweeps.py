@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from trabessel import (ClassId, OdeParams, closed_form_cn,
+from trabessel import (ClassId, OdeParams, classify, closed_form_cn,
                        expansion_coefficients, recursion_coeffs, resolve_class,
                        tridiagonality_sweep)
 
@@ -62,7 +62,9 @@ def draw_class_instance(rng, cid):
                     if big_s > 0.05 and abs(big_s - 1.0) > 0.05:
                         break
                 free["tau"] = float(tau)
-    return OdeParams(a=a, b=b, A_plus=Ap, A_minus=Am, A_one=A1, A_zero=A0), free
+    params = OdeParams(a=a, b=b, A_plus=Ap, A_minus=Am, A_one=A1, A_zero=A0)
+    assert cid in {r.class_id for r in classify(params)}, (cid, params)
+    return params, free
 
 
 @pytest.mark.parametrize("cid", [ClassId.K0, ClassId.K1, ClassId.C8B,

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from trabessel import (BesselJ, BesselJbar, ClassId, ContDualHahnS, ContHahnH, DeformedB,
-                       DeformedY, DeformedZ, DualHahnR, GridSpec, HahnQ, LaguerreL, MeixnerM,
-                       MeixnerPollaczekP, SpectrumResult, build_series, classify,
+from trabessel import (BasisSpec, BesselJ, BesselJbar, Binding, CheckReport, ClassId,
+                       ClassReport, ClassSolution, ContDualHahnS, ContHahnH, DeformedB,
+                       DeformedY, DeformedZ, DerivedSymbols, DualHahnR, FavardReport, GridSpec,
+                       HahnQ, LaguerreL, MeixnerM, MeixnerPollaczekP, OdeParams, Omega,
+                       SeriesSolution, SpectrumResult, SystemSpec, build_series, classify,
                        favard_report, resolve_class, table1_map, tridiagonality_check)
 from trabessel._record import Record
 from trabessel.errors import ConvergenceFailure, DomainError
@@ -50,6 +52,14 @@ POST_INIT_ERRORS = {
 def test_every_record_type_is_sampled():
     assert sorted(cls.__name__ for cls in Record.__subclasses__()) == sorted(SAMPLES)
     assert len(SAMPLES) == 25
+
+
+def test_every_record_type_is_exported():
+    exported = (BasisSpec, BesselJ, BesselJbar, Binding, CheckReport, ClassReport, ClassSolution,
+                ContDualHahnS, ContHahnH, DeformedB, DeformedY, DeformedZ, DerivedSymbols,
+                DualHahnR, FavardReport, GridSpec, HahnQ, LaguerreL, MeixnerM,
+                MeixnerPollaczekP, OdeParams, Omega, SeriesSolution, SpectrumResult, SystemSpec)
+    assert {cls.__name__: cls for cls in exported} == {n: type(r) for n, r in SAMPLES.items()}
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from trabessel import (ClassId, OdeParams, alt_binding_deviation, build_series,
@@ -57,6 +59,68 @@ def test_classify_redirect_reasons():
 def test_classify_empty_result_is_valid():
     p = OdeParams(a=1, b=0, A_plus=-1, A_minus=5, A_one=3.0, A_zero=2)
     assert classify(p) == []
+
+
+# on a boundary, 1e-13 off it (inside the default tol), and on either side of it
+_OFFSETS = st.sampled_from((0.0, 1e-13, -1e-13, 0.3, -0.3, 2.0, -2.0))
+
+
+@st.composite
+def _boundary_draws(draw):
+    """OdeParams placed by one offset from each relation of the six regions:
+    b^2 = 1 + 4*A1 (or 4*A1 = b^2, or A1 = -1/4 at b = 0), A+ = 0, nu^2 = 0
+    and K0's mu = -1/2."""
+    a, b = draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 2.0))
+    anchor = draw(st.sampled_from(("square", "4*A1 = b^2", "A1 = -1/4")))
+    if anchor == "square":
+        A1 = (b ** 2 - 1) / 4 + draw(_OFFSETS)
+    elif anchor == "4*A1 = b^2":
+        A1 = b ** 2 / 4 + draw(_OFFSETS)
+    else:
+        b, A1 = 0.0, -0.25 + draw(_OFFSETS)
+    return OdeParams(a=a, b=b, A_plus=draw(_OFFSETS),
+                     A_minus=b * (a / 2 - 1) + 0.5 - draw(_OFFSETS),
+                     A_one=A1, A_zero=-0.25 * (a - 1) ** 2 + draw(_OFFSETS))
+
+
+@given(p=_boundary_draws())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_classify_admits_exactly_what_resolve_accepts(p):
+    """A class is reported by classify exactly when resolve_class, given free
+    parameters inside its region, raises no Constraint- or RealityViolation."""
+    admitted = {r.class_id for r in classify(p)}
+    tau = math.sqrt(abs(4 * p.A_one - p.b ** 2) + 2.5)   # 4*A1 - b^2 + tau^2 >= 2.5
+    in_region = {ClassId.K0: {}, ClassId.K1: {"mu": -2.5},
+                 ClassId.C8B: {"alpha": -2.0, "mu": -2.5}, ClassId.L39A: {},
+                 ClassId.L39B: {}, ClassId.L39C: {"tau": tau}}
+    for cid, free in in_region.items():
+        try:
+            resolve_class(p, cid, free)
+            accepted = True
+        except (ConstraintViolation, RealityViolation):
+            accepted = False
+        except TraError:   # past the region: the build itself failed
+            accepted = True
+        assert (cid in admitted) == accepted, (cid, p)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_classify_and_resolve_refuse_a_tol_that_is_not_positive(tol):
+    p, _ = DOCUMENTED[ClassId.K0]
+    for call in (lambda: classify(p, tol), lambda: resolve_class(p, ClassId.K0, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()
+
+
+def test_parameters_past_double_range_raise_series_overflow():
+    """A square of a parameter past 1e154 overflows: in a constraint of the
+    region (classify, resolve K0) or in the build of a class (L39B's nu^2)."""
+    k0 = OdeParams(a=1e200, b=0, A_plus=-1, A_minus=20.5, A_one=-0.25, A_zero=2)
+    l39b = OdeParams(a=1e200, b=0, A_plus=0, A_minus=0.5, A_one=-0.25, A_zero=2)
+    for call in (lambda: classify(k0), lambda: resolve_class(k0, ClassId.K0),
+                 lambda: resolve_class(l39b, ClassId.L39B)):
+        with pytest.raises(SeriesOverflow, match="overflow"):
+            call()
 
 
 def test_redirects_never_resolve():
@@ -172,14 +236,15 @@ def test_constraint_violation_reports_relation():
 
 def _resolve_error(cid, free=None, tol=1e-12, exc=ConstraintViolation, message="",
                    **changes):
-    """One resolve_class failure: the documented set of `cid` with `changes`."""
+    """One resolve_class failure: the documented set of `cid` with `changes`.
+    A case that sets `free` is refused for its free parameters."""
     doc_ode, doc_free = DOCUMENTED.get(cid, DOCUMENTED[ClassId.L39A])
     ode = OdeParams(**{**vars(doc_ode), **changes})
     label = [cid.value] + [f"{k}={v:g}" for k, v in changes.items()]
     if free is not None:
         label += [f"{k}={v:g}" for k, v in free.items()] or ["no-free"]
-    free = doc_free if free is None else free
-    return pytest.param(cid, ode, free, tol, exc, message, id="-".join(label))
+    reads_free, free = free is not None, doc_free if free is None else free
+    return pytest.param(cid, ode, free, tol, exc, message, reads_free, id="-".join(label))
 
 
 _RESOLVE_ERRORS = [
@@ -239,13 +304,16 @@ _RESOLVE_ERRORS = [
      for cid in ClassId if cid.is_redirect]
 
 
-@pytest.mark.parametrize("cid,ode,free,tol,exc,message", _RESOLVE_ERRORS)
-def test_resolve_class_errors_pinned(cid, ode, free, tol, exc, message):
+@pytest.mark.parametrize("cid,ode,free,tol,exc,message,reads_free", _RESOLVE_ERRORS)
+def test_resolve_class_errors_pinned(cid, ode, free, tol, exc, message, reads_free):
     """Every refusal of resolve_class, with its exact type and text; the
-    precedence cases show which check each class makes first."""
+    precedence cases show which check each class makes first.  A refusal
+    that no free parameter decides keeps the class out of classify."""
     with pytest.raises(TraError) as err:
         resolve_class(ode, cid, free, tol)
     assert type(err.value) is exc and str(err.value) == message
+    if not (reads_free or cid.is_redirect):
+        assert cid not in {r.class_id for r in classify(ode, tol)}
 
 
 def test_laguerre_exponent_gate_recorded():
