@@ -9,13 +9,15 @@ Polynomial derivatives come from the term-by-term differentiated upward
 recursions (seeds P_0' = P_0'' = 0), the prefactor from the product rule.
 Coefficient rows for all degrees come first, by the scalar recursion's float operations
 in its order (no denominator vanishes for m < n <= n_max); the loop over degrees then
-makes 4 ufunc calls per degree for values (3 where d_m = 1, as for bessel), 6 with derivatives.
+makes 3 same-shape ufunc calls per degree for values (2 where d_m = 1, as for bessel),
+5 with derivatives (4): one multiply forms all of a degree's products.
 `basis_block` gives (n+1,) + x.shape arrays, row k for degree k, in one pass
 (phi alone with derivs=False), bit for bit as the loops in tests/test_basis.py.
 """
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -25,6 +27,13 @@ from .errors import DomainError, SeriesOverflow, _check_integer
 __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
 
 _LOG_OVERFLOW = 700.0  # exp argument ceiling for double precision
+_BLOCK = 64  # degrees of operand rows built at once: 64 x 2k x grid of scratch
+
+
+def _bessel_top(mu):
+    """-mu - 1/2 - 1e-9: a bessel basis has degrees 0..floor of it, so at least one
+    exactly where it is >= 0."""
+    return -mu - 0.5 - 1e-9
 
 
 class BasisSpec(Record):
@@ -51,32 +60,55 @@ class BasisSpec(Record):
     @property
     def n_max(self):
         if self.kind == "bessel":
-            return int(math.floor(-self.mu - 0.5 - 1e-9))
+            return int(math.floor(_bessel_top(self.mu)))
         return None
 
     def power(self):
         return self.alpha if self.kind == "bessel" else self.exponent
 
 
-def _differentiated_rows(A, beta, C, d, derivs):
+def _differentiated_rows(alpha, beta, t, C, d, derivs):
     """(P, P', P'') or (P,) for k = 0..n: P_{m+1} = (A_m P_m + C_m P_{m-1}) / d_m, P_0 = 1,
-    from rows over m < n: A_m = alpha_m + beta_m t, (n,) + shape; beta, C and d broadcast
-    against it.  P' and P'' add beta_m P_m and 2 beta_m P'_m.  Each degree's rows lie
-    together; row 0 is degree -1, all zeros."""
-    rows = np.zeros((len(A) + 2, 3 if derivs else 1) + A.shape[1:])
+    A_m = alpha_m + beta_m t, from rows over m < n of alpha, beta, C and d, each
+    (n,) + (1,) * t.ndim.  P' and P'' add beta_m P_m and 2 beta_m P'_m.  Each degree's
+    rows lie together; row 0 is degree -1, all zeros.
+
+    Degree m's k rows follow degree m-1's, so the pair block rows[m:m+2] times the
+    operand rows [C_m]*k + [A_m]*k forms C_m P_{m-1} and A_m P_m in one multiply; the
+    lift [beta_m P_m, 2 beta_m P'_m] is added to A_m (P', P''), then C_m P_{m-1}, as
+    (A_m P + lift) + C_m P_{m-1}.  Operand rows are built _BLOCK degrees at a time, so
+    no (n,) + t.shape array is held besides the rows."""
+    n, k, shape = len(alpha), 3 if derivs else 1, np.shape(t)
+    rows = np.zeros((n + 2, k) + shape)
     rows[1, 0] = 1.0
-    tmp = np.empty(rows.shape[1:])
-    lift = beta[:, None] * np.array([1.0, 2.0]).reshape((2,) + (1,) * (A.ndim - 1))
-    # C_m and d_m as Python floats: numpy takes them faster than 1-element arrays
-    for older, prev, new, A_m, lift_m, C_m, d_m in zip(rows, rows[1:], rows[2:], A, lift,
-                                                       C.ravel().tolist(), d.ravel().tolist()):
-        np.multiply(A_m, prev, out=new)
-        if derivs:  # not new[1:] += ..., which writes back through __setitem__
-            np.add(new[1:], np.multiply(lift_m, prev[:2], out=tmp[:2]), out=new[1:])
-        np.multiply(C_m, older, out=tmp)
-        np.add(new, tmp, out=new)
-        if d_m != 1.0:  # x / 1 is exact
-            np.divide(new, d_m, out=new)
+    # pairs[m] is rows[m:m+2]: one contiguous (2, k) + shape block per degree
+    pairs = np.ndarray((n + 1, 2, k) + shape, float, rows, 0, (rows.strides[0],) + rows.strides)
+    ops = np.empty((min(n, _BLOCK), 2, k) + shape)
+    prod = np.empty((2, k) + shape)
+    lower, upper = prod
+    derived = upper[1:]  # A_m (P', P'')
+    if derivs:
+        lifts = np.empty((len(ops), 2) + shape)
+        lifted = np.empty((2,) + shape)
+        one_two = np.array([1.0, 2.0]).reshape((2,) + (1,) * len(shape))
+    divisors = d.ravel().tolist()  # Python floats: numpy takes them faster than arrays
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        A = ops[:hi - lo, 1, 0]
+        np.add(alpha[lo:hi], np.multiply(beta[lo:hi], t, out=A), out=A)
+        ops[:hi - lo, 1, 1:] = A[:, None]
+        ops[:hi - lo, 0] = C[lo:hi, None]
+        if derivs:
+            np.multiply(beta[lo:hi, None], one_two, out=lifts[:hi - lo])
+        lift_rows = zip(lifts, rows[lo + 1:hi + 1, :2]) if derivs else repeat(None)
+        for op, pair, new, d_m, lift in zip(ops, pairs[lo:hi], rows[lo + 2:hi + 2],
+                                            divisors[lo:hi], lift_rows):
+            np.multiply(op, pair, out=prod)
+            if derivs:
+                np.add(derived, np.multiply(*lift, out=lifted), out=derived)
+            np.add(upper, lower, out=new)
+            if d_m != 1.0:  # x / 1 is exact
+                np.divide(new, d_m, out=new)
     return rows[1:].swapaxes(0, 1)
 
 
@@ -103,10 +135,11 @@ def _poly_rows(basis: BasisSpec, n: int, x, derivs):
         b = 2.0 * k
         c = k * (m / ((m + mu) * (2 * m + 2 * mu + 1)))
         c[:1] = 0.0
-        return _differentiated_rows(a + b * x, b, c, np.ones_like(m), derivs)
+        return _differentiated_rows(a, b, x, c, np.ones_like(m), derivs)
     u, alpha = 1.0 / x, 2 * basis.nu
+    # 2m + alpha + 1 - u, as (2m + alpha + 1) + (-1) u: the same bits
     rows = _differentiated_rows(
-        2 * m + alpha + 1 - u, np.full_like(m, -1.0), -(m + alpha), m + 1, derivs)
+        2 * m + alpha + 1, np.full_like(m, -1.0), u, -(m + alpha), m + 1, derivs)
     if derivs:
         # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u
         _, du, duu = rows
@@ -140,12 +173,19 @@ def basis_block(basis: BasisSpec, n: int, x, derivs=True):
     return (rows[0], rows[1], rows[2]) if derivs else (rows[0], None, None)
 
 
+def _prefix_sums(coeffs, rows, out=None):
+    """Row N is sum_{k<=N} coeffs[k] rows[k], added strictly in order by cumsum
+    (.sum(axis=0) may pair terms); + 0.0 then gives Python's sum() bit for bit.
+    out=rows sums in place, when rows holds exactly len(coeffs) degrees."""
+    terms = np.multiply(np.reshape(coeffs, (-1,) + (1,) * (rows.ndim - 1)),
+                        rows[:len(coeffs)], out=out)
+    return np.cumsum(terms, axis=0, out=terms)
+
+
 def series_sum(coeffs, rows):
-    """sum_k coeffs[k] rows[k], bit for bit as Python's sum(): cumsum adds
-    strictly in order (.sum(axis=0) may pair terms), and the final + 0.0
+    """sum_k coeffs[k] rows[k], bit for bit as Python's sum(): the final + 0.0
     turns an all -0.0 sum into sum()'s +0.0, as its int 0 start does."""
-    terms = np.reshape(coeffs, (-1,) + (1,) * (rows.ndim - 1)) * rows[:len(coeffs)]
-    return np.cumsum(terms, axis=0, out=terms)[-1] + 0.0
+    return _prefix_sums(coeffs, rows)[-1] + 0.0
 
 
 def basis_derivatives(basis: BasisSpec, n: int, x):

@@ -196,13 +196,14 @@ def _is_integral(x, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def _three_term(steps, one=1.0):
-    """[P_0, ..., P_n] from P_0 = one, P_{-1} = 0 and the (a_m, b_m, d_m), m < n, of
-    `steps`.  The first next() runs a family's set-up, so its errors come at n = 0 too."""
-    seq, prev, cur = [one], 0.0 * one, one
+    """P_0, ..., P_n, one per next(), from P_0 = one, P_{-1} = 0 and the (a_m, b_m, d_m),
+    m < n, of `steps`.  Its first next() after P_0 runs a family's set-up, so a list of
+    it raises the set-up's errors at n = 0 too."""
+    prev, cur = 0.0 * one, one
+    yield cur
     for a, b, d in steps:
         prev, cur = cur, (a * cur + b * prev) / d
-        seq.append(cur)
-    return seq
+        yield cur
 
 
 def _besselj(fam: BesselJ, n, x):
@@ -339,16 +340,24 @@ def degree_bound(family):
     return min((b for b in bounds if b is not None), default=None)
 
 
-def eval_poly_sequence(family, n: int, z):
-    """Values of degrees 0..n by upward recursion from P_0 = 1, P_{-1} = 0."""
+def _poly_values(family, n: int, z):
+    """P_0..P_n of `family` at z by upward recursion, one per next(), after the family
+    and the degree are checked.  The lowest failing degree raises: a non-finite value
+    stops the recursion there.  NumPy-scalar steps warn on overflow, so step it under
+    np.errstate."""
     family.validate()
     _check_degree(family, n)
     one = complex(1.0) if isinstance(family, ContHahnH) else 1.0
+    for value in _three_term(_STEPS[type(family)](family, n, z), one):
+        if not cmath.isfinite(value):  # real values too
+            raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
+        yield value
+
+
+def eval_poly_sequence(family, n: int, z):
+    """Values of degrees 0..n by upward recursion from P_0 = 1, P_{-1} = 0."""
     with np.errstate(over="ignore", invalid="ignore"):  # NumPy scalars warn, floats do not
-        seq = _three_term(_STEPS[type(family)](family, n, z), one)
-    if not all(map(cmath.isfinite, seq)):  # real values too
-        raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
-    return seq
+        return list(_poly_values(family, n, z))
 
 
 def eval_poly(family, n: int, z):

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ._record import Record
+from .basis import _bessel_top
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      UnsupportedRow)
 from .ode import OdeParams
@@ -230,7 +231,7 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
         return v, SpectrumResult(energies, "morse_closed_form",
                                  {"A_minus": A_minus, "lam": lam})
     mu = -A_minus
-    n_cap = int(math.floor(-mu - 0.5 - 1e-9))
+    n_cap = int(math.floor(_bessel_top(mu)))  # the K0 basis's n_max
     if N is None:
         N = n_cap
     if not A_minus >= N + 0.5 or N > n_cap:

@@ -15,14 +15,16 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from itertools import islice
 
 import numpy as np
 
 from . import families
 from ._record import Record
-from .basis import BasisSpec, basis_block, series_sum
+from .basis import BasisSpec, _bessel_top, basis_block, series_sum
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
-                     DomainError, RealityViolation, SeriesOverflow, _check_integer)
+                     DomainError, RealityViolation, SeriesOverflow, TraError,
+                     _check_integer)
 from .ode import OdeParams, apply_D_values
 
 __all__ = [
@@ -180,9 +182,11 @@ _REAL_B = ("A1 >= -1/4 (reality of b)", None, lambda p, free: p.A_one,
 _A_PLUS_ZERO = ("A+ = 0", "A+", lambda p, free: abs(p.A_plus), operator.le, False)
 _A_PLUS_NONZERO = ("A+ must be nonzero for K0", "|A+| (must be nonzero)",
                    lambda p, free: abs(p.A_plus), operator.gt, False)
+# mu < -1/2 as the basis bound reads it: n_max >= 0, at least one degree
 _K0_MU = ("mu < -1/2 (at least one basis degree)", None, lambda p, free: _k0_mu(p),
-          lambda r, tol: r < -0.5, False)
-_FREE_MU = ("mu < -1/2", None, lambda p, free: free["mu"], lambda r, tol: r < -0.5, True)
+          lambda r, tol: _bessel_top(r) >= 0, False)
+_FREE_MU = ("mu < -1/2", None, lambda p, free: free["mu"],
+            lambda r, tol: _bessel_top(r) >= 0, True)
 _W_POSITIVE = ("4*A1 > b^2", "4*A1 - b^2 (must be > 0)",
                lambda p, free: 4.0 * p.A_one - p.b ** 2, operator.gt, False)
 _TAU_NONZERO = ("tau != 0 (tau = 0 is the undeformed class)", None,
@@ -701,44 +705,40 @@ def closed_form_cn(sol: ClassSolution, n: int) -> float:
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
     """f_0..f_N with f_0 = 1: f_n = (prod_{m<n} t_m/s_m) * P_n(binding argument).
 
-    One upward recursion pass gives P_0..P_N, so the cost is O(N).  The values
-    are bit-identical to `sol.binding.eval(n)` degree by degree, and so are
-    the errors: the lowest degree that fails decides, and s_{n-1} = 0 wins a
-    tie with the family at degree n.  For L39B the coefficients are the bound
-    polynomials directly.
+    One upward recursion pass gives P_0..P_N, and the first failing degree
+    stops it, so the cost is O(N) and at most O(degree) when it fails.  The
+    values are bit-identical to `sol.binding.eval(n)` degree by degree, and
+    so are the errors: the lowest degree that fails decides, and s_{n-1} = 0
+    wins a tie with the family at degree n.  For L39B the coefficients are
+    the bound polynomials directly.
     """
     _require_degree(sol, N, "N")
     row = _row(sol)
-    cns = [1.0]
-    cn = 1.0
-    zero_s = None
-    for n in range(1, N + 1):
-        sm = row.s(n - 1)
-        if sm == 0.0:
-            zero_s = n - 1
-            break
-        if sol.class_id is not ClassId.L39B:
-            cn *= row.t(n - 1) / sm
-        cns.append(cn)
     b = sol.binding
-    M = len(cns) - 1
     # eval(n) fails at the first degree past the family's bound (HahnQ with an
     # integral N): recurse up to the bound, then raise that degree's error
     top = families.degree_bound(b.family)
-    past_top = top is not None and M > max(top, 0)
-    if past_top:
-        M = max(top, 0)
-    seq = families.eval_poly_sequence(b.family, M, b.argument) if M else [1.0]
-    if past_top:
-        families.eval_poly(b.family, M + 1, b.argument)
-    if zero_s is not None:
-        raise ZeroDivisionError(
-            f"s_{zero_s} = 0: the t/s coefficient product is undefined here")
-    f = np.empty(N + 1)
-    f[0] = 1.0
-    for n in range(1, N + 1):
-        f[n] = cns[n] * (b.per_n_scale ** n * seq[n])
-    return f
+    reach = N if top is None else min(N, max(top, 0))
+    try:
+        values = iter(families.eval_poly_sequence(b.family, reach, b.argument)[1:]
+                      if reach else ())
+    except (TraError, ArithmeticError):
+        # it fails at some degree <= reach: step it again beside C_n, where s_{n-1} = 0
+        # at or below that degree comes first
+        values = islice(families._poly_values(b.family, reach, b.argument), 1, None)
+    f, cn = [1.0], 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # stepped here, NumPy scalars warn
+        for n in range(1, N + 1):
+            sm = row.s(n - 1)
+            if sm == 0.0:
+                raise ZeroDivisionError(
+                    f"s_{n - 1} = 0: the t/s coefficient product is undefined here")
+            if sol.class_id is not ClassId.L39B:
+                cn *= row.t(n - 1) / sm
+            if n > reach:
+                families.eval_poly(b.family, n, b.argument)
+            f.append(cn * (b.per_n_scale ** n * next(values)))
+    return np.array(f, dtype=float)
 
 
 def build_series(sol: ClassSolution, N: int) -> SeriesSolution:
@@ -859,7 +859,7 @@ def alt_binding_deviation(sol: ClassSolution, n_max: int = 8) -> float:
             yield -u_n, -s_prev, t_n
             s_prev = s_n
 
-    p_direct = families._three_term(steps())
+    p_direct = list(families._three_term(steps()))
     worst = 0.0
     for n in range(n_max + 1):
         h = families.eval_poly(sol.alt_binding.family, n, sol.alt_binding.argument)

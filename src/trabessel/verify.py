@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .basis import BasisSpec, basis_block, basis_derivatives, basis_value, series_sum
+from .basis import BasisSpec, _prefix_sums, basis_block, basis_derivatives, basis_value
 from .errors import DomainError, SeriesOverflow
 from .ode import apply_D_values, stencil_derivatives
 from .solver import ClassSolution, SeriesSolution, _recursion_rows
@@ -115,15 +115,15 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
                        per_n={n: c[1] for n, c in checks.items()}, notes=tuple(sol.notes))
 
 
-def _residual_core(ode, coeffs, block, x):
-    """Residual of sum_n coeffs[n] phi_n; `block` may hold more degrees than used."""
+def _residual_core(ode, sums, N, x):
+    """Residual of y_N = sum_{n<=N} coeffs[n] phi_n, from the prefix sums of the
+    phi, phi' and phi'' terms: row N + 0.0 is series_sum of the first N + 1."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y, y1, y2 = (series_sum(coeffs, rows) for rows in block)
+        y, y1, y2 = (rows[N] + 0.0 for rows in sums)
         dvals = np.abs(apply_D_values(ode, y, y1, y2, x))
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dvals))):
         raise SeriesOverflow(
-            f"the series truncated at N={len(coeffs) - 1} overflows double "
-            "precision on this grid")
+            f"the series truncated at N={N} overflows double precision on this grid")
     scale = max(float(np.max(np.abs(y))), _SCALE_FLOOR)
     i = int(np.argmax(dvals))
     return float(dvals[i]), float(dvals[i]) / scale, float(x[i]), scale
@@ -133,10 +133,10 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
              tol: float | None = None) -> CheckReport:
     """max |D y_N| over the grid, scaled by max |y_N|.
 
-    One basis block for degrees 0..N serves both sums: for a series attached
-    to an infinite class the report also carries the half-truncation
-    residual (per_n keys N and N//2), summed over the block's first N//2 + 1
-    degrees, so decay with N is visible.  The cost is O(N) in the degree.
+    One basis block for degrees 0..N and one prefix sum of its terms serve
+    both truncations: for a series attached to an infinite class the report
+    also carries the half-truncation residual (per_n keys N and N//2), read
+    at row N//2, so decay with N is visible.  The cost is O(N) in the degree.
     A series with all-zero coefficients is flagged degenerate; one that
     overflows double precision on the grid raises SeriesOverflow.
     """
@@ -146,13 +146,15 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
         return CheckReport(0.0, 0.0, float(x[0]), 0.0, tol or 0.0, True,
                            per_n={}, notes=("degenerate: all coefficients zero",))
     block = basis_block(series.basis, series.order, x)
-    dev, rel, argmax, scale = _residual_core(series.ode, coeffs, block, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # in place: the block is used only here
+        sums = [_prefix_sums(coeffs, rows, out=rows) for rows in block]
+    dev, rel, argmax, scale = _residual_core(series.ode, sums, series.order, x)
     per_n = {series.order: rel}
     notes = []
     infinite = series.solution is not None and series.solution.n_max is None
     if infinite and series.order >= 2:
         half = series.order // 2
-        _, rel_half, _, _ = _residual_core(series.ode, coeffs[:half + 1], block, x)
+        _, rel_half, _, _ = _residual_core(series.ode, sums, half, x)
         per_n[half] = rel_half
         notes.append("decaying with N" if rel < rel_half else "not decaying with N")
     passed = True if tol is None else rel <= tol

@@ -5,6 +5,8 @@ product rule and generator sums that the array code replaced.  Every block,
 series value, sum and residual must match them bit for bit (tobytes level),
 errors by type and message.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ def ref_residual_core(ode, coeffs, block, x):
     return float(dvals[i]), float(dvals[i]) / scale, float(x[i]), scale
 
 
+def ref_residual(series, x, block):
+    """residual() with tol=None, each truncation summed afresh (f_0 = 1, so
+    never the all-zero case)."""
+    coeffs = np.asarray(series.coeffs, dtype=float)
+    dev, rel, argmax, scale = ref_residual_core(series.ode, coeffs, block, x)
+    per_n, notes = {series.order: rel}, ()
+    if series.solution.n_max is None and series.order >= 2:
+        half = series.order // 2
+        rel_half = ref_residual_core(series.ode, coeffs[:half + 1], block, x)[1]
+        per_n[half] = rel_half
+        notes = ("decaying with N" if rel < rel_half else "not decaying with N",)
+    return verify.CheckReport(dev, rel, argmax, scale, math.nan, True, per_n=per_n, notes=notes)
+
+
 # ---------------------------------------------------------------------------
 # bit identity
 # ---------------------------------------------------------------------------
@@ -150,10 +166,22 @@ def _stacked(block):
 # the -0.0 case: beyond x = 1e60 the Bessel prefactor x^alpha underflows to
 # 0, and at N = 1 every term of the phi' sum is -0.0
 UNDERFLOW = GridSpec(1e60, 1e62, 8)
+class _Points:
+    """A grid of given points: residual reads only grid.points()."""
+
+    def __init__(self, *x):
+        self.x = np.array(x)
+
+    def points(self):
+        return self.x
+
+
 GRIDS = {"default": default_grid(), "linear97": GridSpec(0.05, 20.0, 97, "linear"),
-         "underflow": UNDERFLOW}
+         "underflow": UNDERFLOW, "one_point": _Points(0.7)}
 POINTS = dict({name: g.points() for name, g in GRIDS.items()},
-              one_point=np.array([0.7]), scalar=0.7)
+              grid4x5=np.geomspace(0.05, 20.0, 20).reshape(4, 5), scalar=0.7)
+# the basis recursion builds its operand rows in blocks of degrees: both sides of an edge
+EDGES = (basis_mod._BLOCK - 1, basis_mod._BLOCK, basis_mod._BLOCK + 1)
 LADDER = (0, 1, 50, 200, 800)
 
 
@@ -182,13 +210,13 @@ def _cases():
         for cid, (p, free) in sets.items():
             sol = resolve_class(p, cid, free)
             top = sol.n_max if sol.n_max is not None else max(LADDER)
-            ladder = LADDER if label != "draw" else LADDER[1:4]
+            ladder = (LADDER if label != "draw" else LADDER[1:4]) + EDGES
             for N in sorted({min(N, top) for N in ladder}):
                 yield pytest.param(label, cid, N, id=f"{cid.value}-{label}-N{N}")
 
 
 @pytest.mark.parametrize("label,cid,N", _cases())
-def test_block_series_and_residual_match_loop_reference(monkeypatch, label, cid, N):
+def test_block_series_and_residual_match_loop_reference(label, cid, N):
     p, free = SETS[label][cid]
     series = build_series(resolve_class(p, cid, free), N)
     refs = {}
@@ -205,15 +233,9 @@ def test_block_series_and_residual_match_loop_reference(monkeypatch, label, cid,
                 assert _bits(series_sum(series.coeffs, rows)) == _bits(want), name
         assert (_outcome(evaluate_series, series, x)
                 == _outcome(ref_evaluate_series, series, x, ref)), name
-    x = POINTS["one_point"]
-    assert (_outcome(verify._residual_core, series.ode, series.coeffs,
-                     basis_block(series.basis, N, x), x)
-            == _outcome(ref_residual_core, series.ode, series.coeffs, refs["one_point"], x))
-    new = {name: _outcome(residual, series, grid) for name, grid in GRIDS.items()}
-    monkeypatch.setattr(verify, "_residual_core", ref_residual_core)
     for name, grid in GRIDS.items():
-        monkeypatch.setattr(verify, "basis_block", lambda *args, _ref=refs[name]: _ref)
-        assert new[name] == _outcome(residual, series, grid), name
+        assert (_outcome(residual, series, grid)
+                == _outcome(ref_residual, series, POINTS[name], refs[name])), name
 
 
 def test_underflow_grid_has_all_negative_zero_sums():

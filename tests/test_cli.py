@@ -174,6 +174,26 @@ def test_verify_overflowing_basis_exit3_without_warnings():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_solve_at_a_huge_a_minus_fails_fast_in_bounded_memory():
+    """K0 at A- = 1e9 has n_max near 1e9, but its DeformedB recursion overflows
+    within a few degrees: solve stops there with the family's error (exit 2),
+    under a 400 MB address-space limit set in the child only."""
+    resource = pytest.importorskip("resource")
+    limit = 400 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trabessel.cli", "solve", "--class", "K0", "--a", "1", "--b", "0",
+         "--Ap", "-1", "--Am", "1e9", "--A1", "-0.25", "--A0", "2"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: DeformedB recursion produced a non-finite value\n"
+
+
 def test_eval_on_a_huge_grid_prints_no_warnings():
     """eval takes phi_n alone, so the prefactor's log-derivatives, which pass
     through x^2 = inf beyond x = 1e154, are never formed."""

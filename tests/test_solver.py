@@ -61,8 +61,9 @@ def test_classify_empty_result_is_valid():
     assert classify(p) == []
 
 
-# on a boundary, 1e-13 off it (inside the default tol), and on either side of it
-_OFFSETS = st.sampled_from((0.0, 1e-13, -1e-13, 0.3, -0.3, 2.0, -2.0))
+# on a boundary, 1e-13 off it (inside the default tol), and on either side of it;
+# -1e-10 puts K0's mu in (-1/2 - 1e-9, -1/2), where the basis has no degree
+_OFFSETS = st.sampled_from((0.0, 1e-13, -1e-13, -1e-10, 0.3, -0.3, 2.0, -2.0))
 
 
 @st.composite
@@ -87,7 +88,8 @@ def _boundary_draws(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 def test_classify_admits_exactly_what_resolve_accepts(p):
     """A class is reported by classify exactly when resolve_class, given free
-    parameters inside its region, raises no Constraint- or RealityViolation."""
+    parameters inside its region, raises no Constraint- or RealityViolation;
+    a bessel basis it accepts has at least one degree."""
     admitted = {r.class_id for r in classify(p)}
     tau = math.sqrt(abs(4 * p.A_one - p.b ** 2) + 2.5)   # 4*A1 - b^2 + tau^2 >= 2.5
     in_region = {ClassId.K0: {}, ClassId.K1: {"mu": -2.5},
@@ -95,8 +97,9 @@ def test_classify_admits_exactly_what_resolve_accepts(p):
                  ClassId.L39B: {}, ClassId.L39C: {"tau": tau}}
     for cid, free in in_region.items():
         try:
-            resolve_class(p, cid, free)
+            sol = resolve_class(p, cid, free)
             accepted = True
+            assert sol.n_max is None or sol.n_max >= 0, (cid, p)
         except (ConstraintViolation, RealityViolation):
             accepted = False
         except TraError:   # past the region: the build itself failed
@@ -257,6 +260,9 @@ _RESOLVE_ERRORS = [
                    message="K0 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
     _resolve_error(ClassId.K0, A_minus=0.0,
                    message="mu < -1/2 (at least one basis degree) (residual -0.000e+00)"),
+    # mu in (-1/2 - 1e-9, -1/2): below -1/2, but n_max = -1
+    _resolve_error(ClassId.K0, A_minus=0.5 + 1e-10,
+                   message="mu < -1/2 (at least one basis degree) (residual -5.000e-01)"),
     # K0 checks nu before mu ...
     _resolve_error(ClassId.K0, A_minus=0.0, A_zero=-3.0, exc=RealityViolation,
                    message="K0 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
@@ -264,6 +270,8 @@ _RESOLVE_ERRORS = [
     _resolve_error(ClassId.K1, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
     _resolve_error(ClassId.K1, free={}, message="K1 needs the free basis parameter mu"),
     _resolve_error(ClassId.K1, free={"mu": -0.25}, message="mu < -1/2 (residual -2.500e-01)"),
+    _resolve_error(ClassId.K1, free={"mu": -0.5 - 1e-10},
+                   message="mu < -1/2 (residual -5.000e-01)"),
     _resolve_error(ClassId.K1, A_zero=-3.0, exc=RealityViolation,
                    message="K1 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
     # ... while K1 checks mu before nu
@@ -278,6 +286,8 @@ _RESOLVE_ERRORS = [
                    message="C8B needs free parameters ['alpha']"),
     _resolve_error(ClassId.C8B, free={"alpha": -12.05, "mu": -0.25},
                    message="mu < -1/2 (residual -2.500e-01)"),
+    _resolve_error(ClassId.C8B, free={"alpha": -12.05, "mu": -0.5 - 1e-10},
+                   message="mu < -1/2 (residual -5.000e-01)"),
     _resolve_error(ClassId.C8B, A_zero=-3.0, exc=RealityViolation,
                    message="C8B needs 4*A0 >= -(a-1)^2; nu^2 = -2.9375 < 0"),
     _resolve_error(ClassId.L39A, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
@@ -605,6 +615,10 @@ _EXPANSION_CASES = (
         # HahnQ with N = 0: degree 1 already fails
         _case("K1-HahnN0", (OdeParams(a=1, b=0, A_plus=0, A_minus=3, A_one=-0.25,
                                       A_zero=6.25), {"mu": -3.0}), ClassId.K1),
+        # s_0 = 0, and HahnQ's q = -1 is outside its range: both fail at degree 1,
+        # and the tie goes to s
+        _case("K1-s0-HahnQq", (OdeParams(a=1, b=0, A_plus=0, A_minus=-10, A_one=-0.25,
+                                         A_zero=0.25), {"mu": -2.0}), ClassId.K1),
     ])
 
 
