@@ -27,7 +27,7 @@ from .errors import DomainError, SeriesOverflow, _check_integer
 __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
 
 _LOG_OVERFLOW = 700.0  # exp argument ceiling for double precision
-_BLOCK = 64  # degrees of operand rows built at once: 64 x 2k x grid of scratch
+_BLOCK = 64  # degrees per pass through scratch: 64 x 2k x grid operand rows, 2 x 64 x grid terms
 
 
 def _bessel_top(mu):
@@ -165,10 +165,16 @@ def basis_block(basis: BasisSpec, n: int, x, derivs=True):
         if derivs:
             lw1 = power / x + beta / x ** 2              # w'/w
             lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3  # w''/w
-            # product rule, in place: phi' = w (lw1 P + P'), phi'' = w (lw2 P + 2 lw1 P' + P'')
-            p, d1, d2 = rows
-            d2 += lw2 * p + 2 * lw1 * d1
-            d1 += lw1 * p
+            two_lw1 = 2 * lw1
+            # product rule, in place: phi' = w (lw1 P + P'), phi'' = w (lw2 P + 2 lw1 P' + P''),
+            # _BLOCK degrees at a time through one scratch pair, not (n+1) x grid temporaries
+            scratch = np.empty((2, min(n + 1, _BLOCK)) + x.shape)
+            for lo in range(0, n + 1, _BLOCK):
+                p, d1, d2 = rows[:, lo:lo + _BLOCK]
+                term, lift = scratch[:, :len(p)]
+                d2 += np.add(np.multiply(lw2, p, out=term), np.multiply(two_lw1, d1, out=lift),
+                             out=term)
+                d1 += np.multiply(lw1, p, out=term)
         rows *= w
     return (rows[0], rows[1], rows[2]) if derivs else (rows[0], None, None)
 

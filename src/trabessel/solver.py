@@ -25,7 +25,7 @@ from .basis import BasisSpec, _bessel_top, basis_block, series_sum
 from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
                      DomainError, RealityViolation, SeriesOverflow, TraError,
                      _check_integer)
-from .ode import OdeParams, apply_D_values
+from .ode import OdeParams
 
 __all__ = [
     "ClassId", "ClassReport", "DerivedSymbols", "Binding", "Omega", "ClassSolution",
@@ -238,29 +238,18 @@ def classify(params: OdeParams, tol: float = DEFAULT_TOL):
 # the class table: resolution, recursion coefficients and C_n per class
 # ---------------------------------------------------------------------------
 
-def _gated_laguerre_basis(p: OdeParams, sym, beta, row, omega):
+def _gated_laguerre_basis(p: OdeParams, sym, beta):
     """(basis, notes) of L39A, L39B and L39C: the Laguerre basis for nu > -1/2.
 
-    The prefactor exponent is picked by a small operator probe at n = 0:
-    the printed -nu-(a+1)/2 is tried first; when it fails while
-    -nu+(1-a)/2 passes, the passing exponent is adopted and the switch noted.
+    The prefactor exponent e is the root of the indicial equation, the x^0 term
+    of D phi_0 / phi_0: e^2 + (a-1) e - A0 = 0 at e = -nu + (1-a)/2, so D phi_0
+    has no x^0 term, as omega [u_0 phi_0 + t_0 phi_1] has none.  The printed
+    -nu-(a+1)/2 leaves that term at 2nu+1 != 0; the note records the switch.
     """
-    xs = np.array([0.4, 1.1, 3.0])
-    printed = -sym.nu - (p.a + 1.0) / 2.0
-    for exponent in (printed, -sym.nu + (1.0 - p.a) / 2.0):
-        basis = BasisSpec(kind="laguerre", beta=beta, exponent=exponent, nu=sym.nu)
-        vals, der1, der2 = basis_block(basis, 1, xs)
-        with np.errstate(over="raise", invalid="raise"):  # FloatingPointError: see resolve_class
-            lhs = apply_D_values(p, vals[0], der1[0], der2[0], xs)
-            rhs = omega(xs) * row.u(0) * vals[0] + omega(xs) * row.t(0) * vals[1]
-            # scaled by the term x^2 phi_0'' too: where u_0 = t_0 = 0, D phi_0 is roundoff
-            scale = np.max(np.abs(lhs)) + np.max(np.abs(xs ** 2 * der2[0])) + 1e-300
-        if np.max(np.abs(lhs - rhs)) / scale <= 1e-8:
-            notes = [] if exponent == printed else [
-                "laguerre exponent -nu-(a+1)/2 failed the operator check; "
-                "adopted -nu+(1-a)/2"]
-            return basis, notes
-    raise ConstraintViolation("no laguerre basis exponent passes the operator check")
+    basis = BasisSpec(kind="laguerre", beta=beta, exponent=-sym.nu + (1.0 - p.a) / 2.0,
+                      nu=sym.nu)
+    return basis, ["laguerre exponent -nu-(a+1)/2 failed the operator check; "
+                   "adopted -nu+(1-a)/2"]
 
 
 def _printed_alt(family) -> Binding:
@@ -481,8 +470,7 @@ class _L39C(_Row):
         w = 4 * p.A_one - p.b ** 2
         big_s = w + tau ** 2
         sym = derived_symbols(p, beta=beta)
-        omega = Omega(-0.25, -1)
-        basis, notes = _gated_laguerre_basis(p, sym, beta, _L39C(p, sym, None, tau), omega)
+        basis, notes = _gated_laguerre_basis(p, sym, beta)
         lam = sym.nu + 0.5
         eta = tau / math.sqrt(big_s)
         if abs(eta) > 1:
@@ -494,7 +482,7 @@ class _L39C(_Row):
             binding = Binding(families.DeformedY(lam=lam, theta=theta, eta=eta), z)
             if abs(eta) == 1:
                 notes.append("|eta| = 1 boundary: Y-form retained")
-        return ClassSolution(ClassId.L39C, p, basis, sym, binding, omega,
+        return ClassSolution(ClassId.L39C, p, basis, sym, binding, Omega(-0.25, -1),
                              free={"tau": tau}, notes=tuple(notes))
 
     def __init__(self, p, sym, mu, tau):
@@ -526,12 +514,11 @@ class _L39A(_L39C):
         w = 4 * p.A_one - p.b ** 2
         beta = (1 - p.b) / 2
         sym = derived_symbols(p, beta=beta)
-        omega = Omega(-(w + 1) / 4.0, -1)
-        basis, notes = _gated_laguerre_basis(p, sym, beta, _L39A(p, sym, None, None), omega)
+        basis, notes = _gated_laguerre_basis(p, sym, beta)
         fam = families.MeixnerPollaczekP(lam=sym.nu + 0.5, theta=math.acos((w - 1) / (w + 1)))
         z = (2 * p.A_minus + p.b * (2 - p.a)) / (2 * math.sqrt(w))
-        return ClassSolution(ClassId.L39A, p, basis, sym, Binding(fam, z), omega,
-                             notes=tuple(notes))
+        return ClassSolution(ClassId.L39A, p, basis, sym, Binding(fam, z),
+                             Omega(-(w + 1) / 4.0, -1), notes=tuple(notes))
 
     def __init__(self, p, sym, mu, tau):
         w = 4 * p.A_one - p.b ** 2   # > 0 in the region, so w + 1 > 1
@@ -558,10 +545,9 @@ class _L39B(_Row):
             return ClassSolution(ClassId.L39B, p, basis, sym, binding, Omega(1.0, 0), notes=(
                 "nu^2 < 0: imaginary-nu continuous branch; binding recorded via "
                 "z^2 = -nu^2, coefficients unavailable",))
-        omega = Omega(1.0, 0)
-        basis, notes = _gated_laguerre_basis(p, sym, beta, _L39B(p, sym, None, None), omega)
+        basis, notes = _gated_laguerre_basis(p, sym, beta)
         fam = families.ContDualHahnS(p=sym.nu + 1, c=sym.nu, d=sym.zeta - sym.nu + 0.5)
-        return ClassSolution(ClassId.L39B, p, basis, sym, Binding(fam, z_sq), omega,
+        return ClassSolution(ClassId.L39B, p, basis, sym, Binding(fam, z_sq), Omega(1.0, 0),
                              notes=tuple(notes))
 
     def __init__(self, p, sym, mu, tau):
@@ -616,7 +602,7 @@ def resolve_class(params: OdeParams, class_id: ClassId, free: dict | None = None
             raise ConstraintViolation(
                 f"{class_id.value} is a documented non-case and has no solution")
         return row.resolve(params, free)
-    except (OverflowError, FloatingPointError):  # float ** or numpy past double range
+    except OverflowError:  # float ** past double range
         raise SeriesOverflow(f"{class_id.value}: resolving overflows double precision") from None
 
 

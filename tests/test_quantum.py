@@ -140,6 +140,17 @@ def test_confining_well_dual_method():
     assert np.all(rel <= 0.02)
 
 
+@pytest.mark.parametrize("A_minus", [20.5, 100.5, 400.5])
+def test_confining_well_levels_match_fd_oracle(A_minus):
+    """All five Jacobi levels against the Richardson FD oracle, to the
+    benchmark's FD tolerance: gaps read 3e-10 at most at grid 4000."""
+    V, res = confining_well(A_minus, -1.0, 1.0)
+    lo, hi = well_domain(A_minus, -1.0, 1.0, e_max=float(res.energies[-1]))
+    oracle = fd_oracle(V, (lo, hi), 4000, n_levels=5)
+    assert len(res.energies) == len(oracle.energies) == 5
+    np.testing.assert_allclose(res.energies, oracle.energies, rtol=1e-7, atol=0)
+
+
 def test_confining_well_scalar_case():
     # A- slightly above 1/2: a single level, 1x1 matrix
     V, res = confining_well(0.6, -1.0, 1.0, n_levels=3)

@@ -11,7 +11,7 @@ from trabessel import (ClassId, OdeParams, alt_binding_deviation, build_series,
                        dual_hahn_rejection, evaluate_series,
                        expansion_coefficients, favard_report, jacobi_matrix,
                        recursion_coeffs, resolve_class, tridiag_eigenvalues,
-                       u_decomposition)
+                       tridiagonality_sweep, u_decomposition)
 from trabessel.errors import (ConstraintViolation, DefinitenessError,
                               DomainError, RealityViolation, SeriesOverflow,
                               TraError)
@@ -326,12 +326,57 @@ def test_resolve_class_errors_pinned(cid, ode, free, tol, exc, message, reads_fr
         assert cid not in {r.class_id for r in classify(ode, tol)}
 
 
+_EXPONENT_NOTE = ("laguerre exponent -nu-(a+1)/2 failed the operator check; "
+                  "adopted -nu+(1-a)/2")
+
+
 def test_laguerre_exponent_gate_recorded():
     p, free = DOCUMENTED[ClassId.L39A]
     sol = resolve_class(p, ClassId.L39A, free)
-    nu = sol.symbols.nu
-    assert sol.basis.exponent == approx(-nu + (1 - p.a) / 2)
-    assert any("exponent" in note for note in sol.notes)
+    assert sol.basis.exponent == -sol.symbols.nu + (1 - p.a) / 2
+    assert sol.notes == (_EXPONENT_NOTE,)
+
+
+# b = 0, a = 3/2, A0 = 15/16: nu = 1, so the root of the indicial equation is -5/4
+_LARGE_A_MINUS = [
+    pytest.param(cid, OdeParams(a=1.5, b=0.0, A_plus=0.0, A_minus=a_minus, A_one=a_one,
+                                A_zero=15 / 16), free, id=f"{cid.value}-Am{a_minus:g}")
+    for cid, a_one, free in ((ClassId.L39A, 1.0, {}), (ClassId.L39B, -0.25, {}),
+                             (ClassId.L39C, 1.0, {"tau": -0.5}))
+    for a_minus in (1e8, 1e10, 1e12)]
+
+
+@pytest.mark.parametrize("cid,p,free", _LARGE_A_MINUS)
+def test_laguerre_exponent_is_the_indicial_root_at_large_a_minus(cid, p, free):
+    """Only the root keeps the sweep at roundoff: the printed exponent
+    -nu-(a+1)/2 leaves 2nu+1 in D phi_0 / phi_0, small beside A-/x but not
+    zero, and reads 1.3e-8 at A- = 1e8."""
+    sol = resolve_class(p, cid, free)
+    assert sol.basis.exponent == -sol.symbols.nu + (1 - p.a) / 2
+    assert sol.notes[0] == _EXPONENT_NOTE
+    assert tridiagonality_sweep(sol, range(9)).max_rel_deviation <= 1e-13
+
+
+def test_resolve_builds_no_basis_block(monkeypatch):
+    """Resolving is algebra on the parameters: no basis function is evaluated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis_block called while resolving")
+
+    for module in ("trabessel.basis", "trabessel.solver"):
+        monkeypatch.setattr(f"{module}.basis_block", refuse)
+    for cid, (p, free) in list(DOCUMENTED.items()) + list(DECAY_SETS.items()):
+        assert resolve_class(p, cid, free).class_id is cid
+
+
+def test_overflowing_laguerre_prefactor_fails_at_evaluation():
+    """nu = 1000: x^exponent overflows below x ~ 0.5, which is a property of
+    the grid, so resolving succeeds and the evaluation raises SeriesOverflow."""
+    p = OdeParams(a=1.5, b=0.0, A_plus=0.0, A_minus=2.0, A_one=1.0, A_zero=1e6)
+    sol = resolve_class(p, ClassId.L39A)
+    series = build_series(sol, 5)
+    assert np.all(np.isfinite(evaluate_series(series, np.array([1.0, 2.0]))))
+    with pytest.raises(SeriesOverflow, match="overflows double precision on this grid"):
+        evaluate_series(series, np.array([0.05, 1.0]))
 
 
 def test_derived_symbols_recomputation():
