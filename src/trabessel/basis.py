@@ -84,25 +84,25 @@ def _differentiated_rows(alpha, beta, t, C, d, derivs):
     # pairs[m] is rows[m:m+2]: one contiguous (2, k) + shape block per degree
     pairs = np.ndarray((n + 1, 2, k) + shape, float, rows, 0, (rows.strides[0],) + rows.strides)
     ops = np.empty((min(n, _BLOCK), 2, k) + shape)
+    A = np.empty((len(ops),) + shape)
     prod = np.empty((2, k) + shape)
     lower, upper = prod
     derived = upper[1:]  # A_m (P', P'')
     if derivs:
         lifts = np.empty((len(ops), 2) + shape)
         lifted = np.empty((2,) + shape)
-        one_two = np.array([1.0, 2.0]).reshape((2,) + (1,) * len(shape))
-    divisors = d.ravel().tolist()  # Python floats: numpy takes them faster than arrays
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        A = ops[:hi - lo, 1, 0]
-        np.add(alpha[lo:hi], np.multiply(beta[lo:hi], t, out=A), out=A)
-        ops[:hi - lo, 1, 1:] = A[:, None]
+        np.add(alpha[lo:hi], np.multiply(beta[lo:hi], t, out=A[:hi - lo]), out=A[:hi - lo])
+        ops[:hi - lo, 1] = A[:hi - lo, None]
         ops[:hi - lo, 0] = C[lo:hi, None]
-        if derivs:
-            np.multiply(beta[lo:hi, None], one_two, out=lifts[:hi - lo])
+        if derivs:  # [beta_m, 2 beta_m] over the grid, by assignment: no ufunc buffers
+            lifts[:hi - lo, 0] = beta[lo:hi]
+            lifts[:hi - lo, 1] = 2.0 * beta[lo:hi]
         lift_rows = zip(lifts, rows[lo + 1:hi + 1, :2]) if derivs else repeat(None)
+        divisors = d[lo:hi].ravel().tolist()  # Python floats: numpy takes them faster
         for op, pair, new, d_m, lift in zip(ops, pairs[lo:hi], rows[lo + 2:hi + 2],
-                                            divisors[lo:hi], lift_rows):
+                                            divisors, lift_rows):
             np.multiply(op, pair, out=prod)
             if derivs:
                 np.add(derived, np.multiply(*lift, out=lifted), out=derived)
@@ -114,7 +114,7 @@ def _differentiated_rows(alpha, beta, t, C, d, derivs):
 
 def _prefactor(power: float, beta: float, x):
     logw = power * np.log(x) - beta / x
-    if np.any(logw > _LOG_OVERFLOW):
+    if (logw > _LOG_OVERFLOW).any():
         raise SeriesOverflow(
             f"x^{power} e^(-{beta}/x) overflows double precision on this grid")
     return np.exp(logw)
@@ -141,11 +141,16 @@ def _poly_rows(basis: BasisSpec, n: int, x, derivs):
     rows = _differentiated_rows(
         2 * m + alpha + 1, np.full_like(m, -1.0), u, -(m + alpha), m + 1, derivs)
     if derivs:
-        # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u
+        # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u, in place and
+        # _BLOCK degrees at a time through scratch, as the product rule
         _, du, duu = rows
-        duu *= u ** 4
-        duu += 2 * u ** 3 * du
-        du *= -u ** 2
+        u4, two_u3, minus_u2 = u ** 4, 2 * u ** 3, -u ** 2
+        scratch = np.empty((min(n + 1, _BLOCK),) + x.shape)
+        for lo in range(0, n + 1, _BLOCK):
+            d1, d2 = du[lo:lo + _BLOCK], duu[lo:lo + _BLOCK]
+            d2 *= u4
+            d2 += np.multiply(two_u3, d1, out=scratch[:len(d1)])
+            d1 *= minus_u2
     return rows
 
 
@@ -154,7 +159,7 @@ def basis_block(basis: BasisSpec, n: int, x, derivs=True):
     `derivs` the last two are None.  An overflowing prefactor raises
     SeriesOverflow before any degree check."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise DomainError("basis functions are defined for x > 0")
     power, beta = basis.power(), basis.beta
     w = _prefactor(power, beta, x)

@@ -242,12 +242,13 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
                     A_one=-0.25, A_zero=0.0)
     sol = resolve_class(ode, ClassId.K0)
     diag, off = jacobi_matrix(sol, N)
-    z = tridiag_eigenvalues(diag, off)
-    energies = np.sort(-lam ** 2 * A_plus * z / 8.0)[:n_levels]
+    z = tridiag_eigenvalues(diag, off)  # ascending
+    # ascending too: -lam^2 A+ > 0, and rounding keeps the order
+    energies = (-lam ** 2 * A_plus * z / 8.0)[:n_levels]
     return v, SpectrumResult(
         energies, "jacobi_matrix",
         {"matrix_size": N + 1, "mu": mu, "gamma": 4.0 / A_plus,
-         "z_eigenvalues": np.sort(z).tolist()[:n_levels],
+         "z_eigenvalues": z[:n_levels].tolist(),
          "energy_map": "E = -lam^2 A+ z / 8"})
 
 

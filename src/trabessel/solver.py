@@ -626,33 +626,45 @@ def _row(sol: ClassSolution, what="recursion coefficients"):
 # recursion coefficients
 # ---------------------------------------------------------------------------
 
-def _check_bessel_degree(sol: ClassSolution, n: int):
-    if sol.basis.kind == "bessel":
-        mu = sol.basis.mu
-        for expr, label in (((n + mu) * (n + mu + 1), "(n+mu)(n+mu+1)"),
-                            ((n + mu + 0.5), "n+mu+1/2"),
-                            ((n + mu + 1.5), "n+mu+3/2")):
-            if expr == 0.0:
-                raise DomainError(f"coefficient denominator {label} vanishes at n={n}")
+def _check_bessel_degree(mu, n: int):
+    for expr, label in (((n + mu) * (n + mu + 1), "(n+mu)(n+mu+1)"),
+                        ((n + mu + 0.5), "n+mu+1/2"),
+                        ((n + mu + 1.5), "n+mu+3/2")):
+        if expr == 0.0:
+            raise DomainError(f"coefficient denominator {label} vanishes at n={n}")
 
 
-def _recursion_rows(sol: ClassSolution, degrees):
-    """recursion_coeffs(sol, n) for each n in turn, binding the class row once."""
-    row = None
-    for n in degrees:
-        _check_integer(n, "n")
-        if n < 0:
-            raise DomainError("n must be nonnegative")
-        if sol.n_max is not None and n > sol.n_max:
-            raise DomainError(f"n={n} exceeds the basis bound n_max={sol.n_max}")
-        _check_bessel_degree(sol, n)
-        row = row or _row(sol)
-        yield row.u(n), row.s(n), row.t(n)
+def _coefficients(sol: ClassSolution):
+    """n -> recursion_coeffs(sol, n).  The class row is bound once, after the first
+    degree's checks, and each distinct degree is checked and evaluated once, where
+    it is first asked for: asking again gives the same triple."""
+    mu = sol.basis.mu if sol.basis.kind == "bessel" else None
+    row, n_max, done = None, None, {}
+
+    def coeffs(n):
+        nonlocal row, n_max
+        if type(n) is not int:  # the cheap test first: 2.0 and True must not reach done
+            _check_integer(n, "n")
+        triple = done.get(n)
+        if triple is None:
+            if n < 0:
+                raise DomainError("n must be nonnegative")
+            if row is None:  # after the sign check, as before: sol.n_max can raise
+                n_max = sol.n_max
+            if n_max is not None and n > n_max:
+                raise DomainError(f"n={n} exceeds the basis bound n_max={n_max}")
+            if mu is not None:
+                _check_bessel_degree(mu, n)
+            row = row or _row(sol)
+            triple = done[n] = row.u(n), row.s(n), row.t(n)
+        return triple
+
+    return coeffs
 
 
 def recursion_coeffs(sol: ClassSolution, n: int):
     """(u_n, s_n, t_n) of the class's three-term relation."""
-    return next(_recursion_rows(sol, (n,)))
+    return _coefficients(sol)(n)
 
 
 def u_decomposition(sol: ClassSolution):
@@ -841,7 +853,7 @@ def alt_binding_deviation(sol: ClassSolution, n_max: int = 8) -> float:
 
     def steps():  # P_{n+1} = (-u_n P_n - s_{n-1} P_{n-1}) / t_n, s_{-1} = 0
         s_prev = 0.0
-        for u_n, s_n, t_n in _recursion_rows(sol, range(n_max)):
+        for u_n, s_n, t_n in map(_coefficients(sol), range(n_max)):
             yield -u_n, -s_prev, t_n
             s_prev = s_n
 

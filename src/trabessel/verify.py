@@ -6,15 +6,16 @@ against omega(x) [u_n phi_n + s_{n-1} phi_{n-1} + t_n phi_{n+1}].
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from ._record import Record
 from .basis import BasisSpec, _prefix_sums, basis_block, basis_derivatives, basis_value
-from .errors import DomainError, SeriesOverflow
+from .errors import DomainError, SeriesOverflow, _check_integer
 from .ode import apply_D_values, stencil_derivatives
-from .solver import ClassSolution, SeriesSolution, _recursion_rows
+from .solver import ClassSolution, SeriesSolution, _coefficients
 
 __all__ = ["GridSpec", "CheckReport", "default_grid", "tridiagonality_check",
            "tridiagonality_sweep", "residual", "derivative_crosscheck"]
@@ -31,21 +32,33 @@ class GridSpec(Record):
     def __post_init__(self):
         if not (0 < self.x_min < self.x_max):
             raise DomainError("grid needs 0 < x_min < x_max")
+        _check_integer(self.count, "grid count")
         if self.count < 2:
             raise DomainError("grid needs count >= 2")
         if self.spacing not in ("linear", "logarithmic"):
             raise DomainError(f"unknown spacing {self.spacing!r}")
 
     def points(self):
-        if self.spacing == "linear":
-            return np.linspace(self.x_min, self.x_max, self.count)
-        return np.geomspace(self.x_min, self.x_max, self.count)
+        """The grid points, a new writable array on each call."""
+        return _points(self.x_min, self.x_max, self.count, self.spacing).copy()
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _points(x_min, x_max, count, spacing):
+    """Each spec value's points, computed once; typed, so each key has one result."""
+    space = np.linspace if spacing == "linear" else np.geomspace
+    points = space(x_min, x_max, count)
+    points.flags.writeable = False  # handed out only as copies
+    return points
+
+
+_DEFAULT_GRID = GridSpec(0.05, 20.0, 64, "logarithmic")
 
 
 def default_grid() -> GridSpec:
     """Logarithmic, 64 points on [0.05, 20]: spans the e^{-beta/x} boundary
     layer and the polynomial-growth region."""
-    return GridSpec(0.05, 20.0, 64, "logarithmic")
+    return _DEFAULT_GRID
 
 
 class CheckReport(Record):
@@ -76,20 +89,21 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
                          tol: float = 1e-8) -> CheckReport:
     """tridiagonality_check over several degrees, worst case reported.
 
-    Every degree is checked from one basis block for degrees 0..max + 1, so
-    the cost is linear in the top degree.  Errors are those of checking the
-    degrees one at a time in the order given.
+    Every degree is checked from one basis block for degrees 0..max + 1, and
+    each degree's coefficients are evaluated once, however often the sweep
+    needs them, so the cost is linear in the top degree.  Errors are those of
+    checking the degrees one at a time in the order given.
     """
     degrees = list(n_values)
     if not degrees:
         raise DomainError("a tridiagonality sweep needs at least one degree")
     x = (grid or default_grid()).points()
     rows = []
-    coeffs = _recursion_rows(sol, (m for n in degrees for m in ((n, n - 1) if n > 0 else (n,))))
+    coeffs = _coefficients(sol)
     try:
         for n in degrees:
-            u_n, _, t_n = next(coeffs)
-            rows.append((n, u_n, t_n, next(coeffs)[1] if n > 0 else 0.0))
+            u_n, _, t_n = coeffs(n)
+            rows.append((n, u_n, t_n, coeffs(n - 1)[1] if n > 0 else 0.0))
     finally:
         # a basis failure of an earlier degree (no phi_{n_max+1}, an
         # overflowing prefactor) precedes a later degree's coefficient error
@@ -102,10 +116,10 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
         lower = ns > 0  # no s_{-1} term at n = 0: + 0 * phi_0 would turn -0.0 into +0.0
         rhs[lower] += s_prev[lower, None] * vals[ns[lower] - 1]
         dev = np.abs(lhs - sol.omega(x) * rhs)
-    i = np.argmax(dev, axis=1)
+    i = dev.argmax(axis=1)
     checks = {}
     for (n, *_), d, x_i, peak in zip(rows, dev[np.arange(len(ns)), i].tolist(), x[i].tolist(),
-                                     np.max(np.abs(lhs), axis=1).tolist()):
+                                     np.abs(lhs).max(axis=1).tolist()):
         scale = max(peak, _SCALE_FLOOR)
         checks[n] = (d, d / scale, x_i, scale)
     dev, rel, argmax, scale = max(checks.values(), key=lambda c: c[1])
@@ -121,11 +135,11 @@ def _residual_core(ode, sums, N, x):
     with np.errstate(over="ignore", invalid="ignore"):
         y, y1, y2 = (rows[N] + 0.0 for rows in sums)
         dvals = np.abs(apply_D_values(ode, y, y1, y2, x))
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dvals))):
+    if not (np.isfinite(y).all() and np.isfinite(dvals).all()):
         raise SeriesOverflow(
             f"the series truncated at N={N} overflows double precision on this grid")
-    scale = max(float(np.max(np.abs(y))), _SCALE_FLOOR)
-    i = int(np.argmax(dvals))
+    scale = max(float(np.abs(y).max()), _SCALE_FLOOR)
+    i = int(dvals.argmax())
     return float(dvals[i]), float(dvals[i]) / scale, float(x[i]), scale
 
 
@@ -142,7 +156,7 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
     """
     x = (grid or default_grid()).points()
     coeffs = np.asarray(series.coeffs, dtype=float)
-    if np.all(coeffs == 0.0):
+    if (coeffs == 0.0).all():
         return CheckReport(0.0, 0.0, float(x[0]), 0.0, tol or 0.0, True,
                            per_n={}, notes=("degenerate: all coefficients zero",))
     block = basis_block(series.basis, series.order, x)

@@ -6,6 +6,7 @@ series value, sum and residual must match them bit for bit (tobytes level),
 errors by type and message.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trabessel import (ClassId, GridSpec, OdeParams, build_series,
                        resolve_class, residual)
 from trabessel import basis as basis_mod
 from trabessel import verify
-from trabessel.basis import basis_block, series_sum
+from trabessel.basis import BasisSpec, basis_block, series_sum
 from trabessel.errors import DomainError, SeriesOverflow, TraError
 from trabessel.ode import apply_D_values
 
@@ -298,6 +299,27 @@ def test_block_rejects_a_negative_degree():
 # ---------------------------------------------------------------------------
 # work guards: counters, not timings
 # ---------------------------------------------------------------------------
+
+def test_block_holds_no_temporary_that_grows_with_it():
+    """Above the block it returns, basis_block's traced peak is its fixed scratch
+    of _BLOCK degrees (operand rows, lifts, chain- and product-rule terms): it
+    stays the same from N = 800 to N = 1600, where an (N+1) x grid temporary
+    would grow with the block."""
+    basis = BasisSpec(kind="laguerre", beta=0.25, exponent=-1.0, nu=1.0)
+    x = default_grid().points()
+    held, excess = {}, {}
+    for n in (800, 1600):
+        tracemalloc.start()
+        try:
+            block = basis_block(basis, n, x)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held[n] = sum(rows.nbytes for rows in block)
+        excess[n] = peak - current
+        del block
+    assert excess[1600] - excess[800] < 0.05 * (held[1600] - held[800])
+
 
 def test_evaluate_series_builds_no_derivative_rows(monkeypatch):
     """evaluate_series takes phi_n alone: every recursion it runs carries one

@@ -255,6 +255,31 @@ def test_sweep_builds_one_basis_block(monkeypatch):
     assert calls == {"basis_block": 1, "basis_derivatives": 0, "apply_D_values": 1, "_row": 1}
 
 
+def test_sweep_evaluates_each_degree_once(monkeypatch):
+    """The sweep asks for (u_n, t_n) and s_{n-1} at each degree n, but calls the
+    bound row's u, s and t once per distinct degree, in first-needed order."""
+    calls = []
+    bind = solver._row
+
+    def counted(*args):
+        row = bind(*args)
+        for name in ("u", "s", "t"):
+            def method(n, _name=name, _fn=getattr(row, name)):
+                calls.append((_name, n))
+                return _fn(n)
+            setattr(row, name, method)
+        return row
+    monkeypatch.setattr(solver, "_row", counted)
+    for cid in (ClassId.L39A, ClassId.K1):
+        p, free = DOCUMENTED[cid]
+        sol = resolve_class(p, cid, free)
+        top = 41 if sol.n_max is None else sol.n_max
+        for degrees, order in ((range(top), range(top)), ([5, 0, 3], [5, 4, 0, 3, 2])):
+            calls.clear()
+            tridiagonality_sweep(sol, degrees)
+            assert calls == [(name, n) for n in order for name in "ust"], cid
+
+
 def ref_tridiagonality_sweep(sol, n_values, grid=None, tol=1e-8):
     """The per-degree loop version of tridiagonality_sweep: the coefficients
     from recursion_coeffs and the identity checked one degree at a time."""
@@ -376,6 +401,28 @@ def test_gridspec_points():
     assert lin == approx(np.linspace(1, 2, 5))
     log = GridSpec(0.1, 10.0, 3, "logarithmic").points()
     assert log == approx([0.1, 1.0, 10.0])
+
+
+def test_gridspec_refuses_a_noninteger_count():
+    for count in (64.5, 64.0, True, "64"):
+        with pytest.raises(DomainError, match="grid count must be an integer"):
+            GridSpec(0.05, 20.0, count)
+    assert GridSpec(0.05, 20.0, np.int64(64)).points().shape == (64,)
+
+
+@pytest.mark.parametrize("spacing,space", [("linear", np.linspace),
+                                           ("logarithmic", np.geomspace)])
+def test_gridspec_points_are_fresh_copies(spacing, space):
+    """Each call hands out a new writable array with the bits of numpy's own
+    spacing; writing to one leaves the next call unchanged."""
+    grid = GridSpec(0.05, 20.0, 64, spacing)
+    want = _bits(space(0.05, 20.0, 64))
+    first = grid.points()
+    assert _bits(first) == want and first.flags.writeable
+    first[:] = -1.0
+    second = grid.points()
+    assert second is not first and _bits(second) == want
+    assert _bits(GridSpec(0.05, 20, 64, spacing).points()) == want
 
 
 def test_residual_report_includes_half_truncation():
