@@ -14,10 +14,11 @@ import math
 
 import numpy as np
 
+from . import _lapack
 from ._record import Record
 from .basis import _bessel_top
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
-                     UnsupportedRow)
+                     SeriesOverflow, UnsupportedRow)
 from .ode import OdeParams
 from .solver import (ClassId, expansion_coefficients, jacobi_matrix,
                      resolve_class, tridiag_eigenvalues)
@@ -109,8 +110,6 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     The centrifugal term ell(ell+1)/2r^2 is added when requested and the
     domain excludes r <= 0.
     """
-    import scipy.linalg   # imported here, so that only eigensolves load it
-
     r_min, r_max = domain
     _check_levels(n_levels)
     if grid_size < 100:
@@ -121,9 +120,12 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
         raise ConstraintViolation("centrifugal term needs r_min > 0")
 
     def veff(r):
-        v = np.asarray(potential(r), dtype=float)
-        if include_centrifugal and ell:
-            v = v + ell * (ell + 1) / (2.0 * r ** 2)
+        with np.errstate(all="ignore"):
+            v = np.asarray(potential(r), dtype=float)
+            if include_centrifugal and ell:
+                v = v + ell * (ell + 1) / (2.0 * r ** 2)
+        if not np.isfinite(v).all():
+            raise SeriesOverflow("potential overflows double precision on the FD grid")
         return v
 
     def solve(npts, want_vectors=False):
@@ -131,13 +133,7 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
         h = r[1] - r[0]
         diag = 1.0 / h ** 2 + veff(r)
         off = -0.5 / h ** 2 * np.ones(npts - 1)
-        if want_vectors:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, n_levels - 1))
-            return vals, vecs
-        return scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, n_levels - 1),
-            eigvals_only=True), None
+        return _lapack.lowest_eigenvalues(diag, off, n_levels, want_vectors)
 
     coarse, _ = solve(grid_size)
     fine, vecs = solve(2 * grid_size, want_vectors=True)

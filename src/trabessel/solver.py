@@ -19,12 +19,11 @@ from itertools import islice
 
 import numpy as np
 
-from . import families
+from . import _lapack, families
 from ._record import Record
 from .basis import BasisSpec, _bessel_top, basis_block, series_sum
-from .errors import (ConstraintViolation, ConvergenceFailure, DefinitenessError,
-                     DomainError, RealityViolation, SeriesOverflow, TraError,
-                     _check_integer)
+from .errors import (ConstraintViolation, DefinitenessError, DomainError,
+                     RealityViolation, SeriesOverflow, TraError, _check_integer)
 from .ode import OdeParams
 
 __all__ = [
@@ -803,12 +802,7 @@ def tridiag_eigenvalues(diag, off):
         raise DomainError("matrix entries must be finite")
     if diag.size == 0:
         return np.array([])
-    import scipy.linalg   # imported here, so that only eigensolves load it
-    try:
-        vals = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    return np.sort(vals)
+    return np.sort(_lapack.all_eigenvalues(diag, off))
 
 
 # ---------------------------------------------------------------------------

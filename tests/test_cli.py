@@ -13,10 +13,14 @@ from pytest import approx
 import pytest
 
 import trabessel
+from trabessel import _lapack
 from trabessel.cli import main
 
 K0_FLAGS = ["--a", "1", "--b", "0", "--Ap", "-1", "--Am", "5",
             "--A1", "-0.25", "--A0", "2"]
+L39A_FLAGS = ["--class", "L39A", "--a", "1.5", "--b", "0", "--Ap", "0", "--Am", "2",
+              "--A1", "1", "--A0", "0.9375"]
+WELL_FLAGS = ["--system", "well", "--Am", "20.5", "--Ap", "-1"]
 
 
 def run_cli(args, env=None):
@@ -232,6 +236,52 @@ def test_oracle_numerical_failure_exit3():
     assert "edge" in err
 
 
+def test_oracle_overflowing_potential_exit3_without_warnings():
+    """At r = -800 the well's e^{-lam r} overflows: a numerical failure
+    (exit 3) on one stderr line, without numpy warnings."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "trabessel.cli", "oracle"] + WELL_FLAGS
+        + ["--r-min", "-800", "--r-max", "3", "--grid-size", "500"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: potential overflows double precision "
+                           "on the FD grid\n")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+class _FailingLapack:
+    """scipy's LAPACK wrappers, except that `routine` reports info = 1."""
+
+    def __init__(self, routine):
+        self._lapack = _lapack.flapack()
+        self._routine = routine
+
+    def __getattr__(self, name):
+        wrapper = getattr(self._lapack, name)
+        if name != self._routine:
+            return wrapper
+
+        def failing(*args, **kwargs):
+            return wrapper(*args, **kwargs)[:-1] + (1,)
+        return failing
+
+
+@pytest.mark.parametrize("routine, argv", [
+    ("dstevd", ["spectrum"] + WELL_FLAGS),
+    ("dstebz", ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2"]),
+    ("dstein", ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2"]),
+], ids=["spectrum-dstevd", "oracle-dstebz", "oracle-dstein"])
+def test_lapack_failure_exit3(monkeypatch, routine, argv):
+    monkeypatch.setattr(_lapack, "flapack", lambda stub=_FailingLapack(routine): stub)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: tridiagonal eigensolver failed: "
+                   f"{routine} returned LAPACK info=1\n")
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\nb = 0\nAp = -1\nAm = 5\nA1 = -0.25\nA0 = 2  # eq-57 style\n")
@@ -344,8 +394,8 @@ def test_constraint_violation_labels_its_number(argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-# Runs one CLI command in a fresh interpreter and reports which scipy modules
-# it loaded; the command's own output is swallowed.
+# Runs one CLI command in a fresh interpreter and reports which scipy and
+# numpy.f2py modules it loaded; the command's own output is swallowed.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -356,11 +406,12 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         import trabessel
         code = 0
 print(json.dumps({"code": code,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))}))
 """
 
 
-def _scipy_modules_loaded(argv):
+def _modules_loaded(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + argv,
@@ -369,12 +420,7 @@ def _scipy_modules_loaded(argv):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["code"] == 0
-    return report["scipy"]
-
-
-L39A_FLAGS = ["--class", "L39A", "--a", "1.5", "--b", "0", "--Ap", "0", "--Am", "2",
-              "--A1", "1", "--A0", "0.9375"]
-WELL_FLAGS = ["--system", "well", "--Am", "20.5", "--Ap", "-1"]
+    return report["loaded"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,7 +432,7 @@ WELL_FLAGS = ["--system", "well", "--Am", "20.5", "--Ap", "-1"]
     ["spectrum", "--system", "oscillator", "--A1", "-0.25"],
 ], ids=["import", "classify", "solve", "eval", "verify", "spectrum-oscillator"])
 def test_numpy_only_commands_load_no_scipy(argv):
-    assert _scipy_modules_loaded(argv) == []
+    assert _modules_loaded(argv) == []
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -404,10 +450,11 @@ def test_cli_import_loads_no_dataclasses():
     ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",
                                "--grid-size", "500"],
 ], ids=["spectrum-well", "oracle-well"])
-def test_eigensolves_load_scipy_linalg_only(argv):
-    loaded = _scipy_modules_loaded(argv)
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.special")]
+def test_eigensolves_load_only_scipys_lapack_wrappers(argv):
+    """The eigensolves load scipy's compiled LAPACK module alone: not
+    scipy.linalg, its array-API shim (scipy._lib._array_api), scipy.special
+    or the numpy.f2py the shim would pull in."""
+    assert _modules_loaded(argv) == ["scipy.linalg._flapack"]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,0 +1,125 @@
+"""The eigensolves on scipy's LAPACK wrappers against scipy.linalg itself:
+the same module, and the same bits as `eigh_tridiagonal`.
+
+scipy.linalg is imported inside the tests only, so that importing this
+module does not load it.
+"""
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import trabessel
+from trabessel import _lapack, confining_well, fd_oracle, tridiag_eigenvalues
+from trabessel.quantum import oscillator_potential, well_domain, well_potential
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1001])
+def test_tridiag_eigenvalues_match_scipy_bit_for_bit(n):
+    from scipy.linalg import eigh_tridiagonal
+    rng = np.random.default_rng(1000 + n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    want = np.sort(eigh_tridiagonal(d, e, eigvals_only=True))
+    assert _hex(tridiag_eigenvalues(d, e)) == _hex(want)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 3), (50, 5), (1001, 7)])
+def test_lowest_eigenpairs_match_scipy_bit_for_bit(n, k):
+    from scipy.linalg import eigh_tridiagonal
+    rng = np.random.default_rng(2000 + n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    w_only = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    assert _hex(_lapack.lowest_eigenvalues(d, e, k)[0]) == _hex(w_only)
+    got_w, got_v = _lapack.lowest_eigenvalues(d, e, k, vectors=True)
+    assert _hex(got_w) == _hex(w) and _hex(got_v) == _hex(v)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_lowest_eigenvalues_need_1_to_n_of_them(k):
+    with pytest.raises(ValueError, match="lowest"):
+        _lapack.lowest_eigenvalues(np.zeros(3), np.ones(2), k)
+
+
+def _fd_reference(potential, domain, grid_size, n_levels=5):
+    """fd_oracle's energies, Richardson deltas and edge magnitude, from
+    eigh_tridiagonal."""
+    from scipy.linalg import eigh_tridiagonal
+    r_min, r_max = domain
+
+    def solve(npts, vectors):
+        r = np.linspace(r_min, r_max, npts + 2)[1:-1]
+        h = r[1] - r[0]
+        diag = 1.0 / h ** 2 + np.asarray(potential(r), dtype=float)
+        off = -0.5 / h ** 2 * np.ones(npts - 1)
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1),
+                                eigvals_only=not vectors)
+
+    coarse = solve(grid_size, False)
+    fine, vecs = solve(2 * grid_size, True)
+    rows = [-1] if 0 <= r_min < 1e-3 * (r_max - r_min) else [-1, 0]
+    edge = np.max(np.abs(vecs[rows, :]), axis=0) / np.max(np.abs(vecs), axis=0)
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0, float(np.max(edge))
+
+
+def _assert_fd_matches_reference(potential, domain, grid_size):
+    got = fd_oracle(potential, domain, grid_size)
+    energies, deltas, edge = _fd_reference(potential, domain, grid_size)
+    assert _hex(got.energies) == _hex(energies)
+    assert _hex(got.metadata["richardson_delta"]) == _hex(deltas)
+    assert _hex([got.metadata["edge_magnitude"]]) == _hex([edge])
+
+
+@pytest.mark.parametrize("a_minus", [20.5, 100.5, 400.5, 1000.5])
+def test_fd_well_matches_scipy_bit_for_bit(a_minus):
+    """The benchmark's wells: A+ = -1, lam = 1, grid 4000."""
+    top = float(confining_well(a_minus, -1.0, 1.0)[1].energies[-1])
+    _assert_fd_matches_reference(well_potential(a_minus, -1.0, 1.0),
+                                 well_domain(a_minus, -1.0, 1.0, top), 4000)
+
+
+def test_fd_oscillator_matches_scipy_bit_for_bit():
+    """The benchmark's oscillator: A1 = -1/4, Lambda = 15/4, ell = 0."""
+    _assert_fd_matches_reference(oscillator_potential(-0.25, 3.75, 0, 1.0), (1e-6, 14.0), 4000)
+
+
+def test_wrappers_are_scipys_public_ones():
+    import scipy.linalg.lapack
+    module = _lapack.flapack()
+    assert sys.modules["scipy.linalg._flapack"] is module
+    for name in ("dstevd", "dstebz", "dstein"):
+        assert getattr(module, name) is getattr(scipy.linalg.lapack, name)
+
+
+# Loads the LAPACK module through _lapack and through scipy.linalg, in the
+# order given, in a fresh interpreter.
+_ORDER_PROBE = """
+import sys
+first = sys.argv[1]
+if first == "scipy":
+    import scipy.linalg
+from trabessel import _lapack
+module = _lapack.flapack()
+if first == "trabessel":
+    import scipy.linalg
+import scipy.linalg._flapack as flapack
+from scipy.linalg import lapack
+print(module is flapack is sys.modules["scipy.linalg._flapack"],
+      module.dstebz is lapack.dstebz)
+"""
+
+
+@pytest.mark.parametrize("first", ["scipy", "trabessel"])
+def test_one_lapack_module_whichever_loads_first(first):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ORDER_PROBE, first],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "True True\n"), proc.stderr

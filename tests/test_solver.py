@@ -783,6 +783,21 @@ def test_tridiag_eigenvalues_reject_nonfinite():
         tridiag_eigenvalues([math.inf], [])
 
 
+def test_tridiag_eigenvalues_reject_mismatched_lengths():
+    with pytest.raises(ValueError, match=r"^d \(3\) must have one more element than e \(1\)$"):
+        tridiag_eigenvalues([1.0, 2.0, 3.0], [0.5])
+
+
+def test_tridiag_eigenvalues_one_by_one_is_its_entry():
+    ev = tridiag_eigenvalues([-0.1], [])
+    assert ev.shape == (1,) and ev[0].hex() == (-0.1).hex()
+
+
+def test_tridiag_eigenvalues_of_empty_matrix_is_empty():
+    ev = tridiag_eigenvalues([], [])
+    assert ev.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
