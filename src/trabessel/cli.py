@@ -22,8 +22,9 @@ from .solver import (ClassId, build_series, classify, default_truncation,
                      evaluate_series, resolve_class)
 from .verify import GridSpec, default_grid, residual, tridiagonality_sweep
 
+# OSError: a config or --out path that cannot be opened
 _VALIDATION_ERRORS = (ConstraintViolation, DomainError, RealityViolation,
-                      UnsupportedRow, ValueError, KeyError)
+                      UnsupportedRow, ValueError, KeyError, OSError)
 _NUMERICAL_ERRORS = (QuadratureFailure, ConvergenceFailure, DefinitenessError,
                      BoundaryError, SeriesOverflow, ZeroDivisionError, OverflowError)
 
@@ -42,36 +43,6 @@ def _read_config(path):
             key, val = (part.strip() for part in line.split("=", 1))
             values[key.replace("-", "_")] = val
     return values
-
-
-def _apply_config(args, parser_defaults):
-    if not getattr(args, "config", None):
-        return args
-    file_values = _read_config(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        # flags win: only fill values still at their parser default
-        if getattr(args, key) == parser_defaults.get(key):
-            default = parser_defaults.get(key)
-            if isinstance(default, bool):
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            elif isinstance(default, int) and not isinstance(default, bool):
-                setattr(args, key, int(raw))
-            elif isinstance(default, float):
-                setattr(args, key, float(raw))
-            else:
-                setattr(args, key, _coerce(raw))
-    return args
-
-
-def _coerce(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
 
 
 def _ode_from_args(args) -> OdeParams:
@@ -247,15 +218,13 @@ def _cmd_spectrum(args):
         _, result = confining_well(args.Am, args.Ap, args.lam, N=args.N,
                                    n_levels=args.levels)
         echo_keys = ("system", "Am", "Ap", "lam", "N", "levels")
-    elif args.system == "oscillator":
+    else:
         if args.A1 is None:
             raise ValueError("oscillator spectrum needs --A1")
         energies = eq64_energies(args.lam, args.A1, args.Lambda, args.ell, args.levels)
         result = SpectrumResult(energies, "closed_form_eq64",
                                 {"Lambda": args.Lambda, "ell": args.ell})
         echo_keys = ("system", "A1", "Lambda", "ell", "lam", "levels")
-    else:
-        raise ValueError(f"unknown system {args.system!r}")
     return _write_spectrum(args, result, echo_keys)
 
 
@@ -263,21 +232,15 @@ def _cmd_oracle(args):
     if args.system == "well":
         if args.Am is None or args.Ap is None:
             raise ValueError("well oracle needs --Am and --Ap")
-        potential = well_potential(args.Am, args.Ap, args.lam)
-        ell = 0
-        include_centrifugal = False
-    elif args.system == "oscillator":
+        potential, ell = well_potential(args.Am, args.Ap, args.lam), 0
+    else:
         if args.A1 is None:
             raise ValueError("oscillator oracle needs --A1")
         # the effective oscillator potential already carries the ell term
         potential = oscillator_potential(args.A1, args.Lambda, args.ell, args.lam)
         ell = args.ell
-        include_centrifugal = False
-    else:
-        raise ValueError(f"unknown system {args.system!r}")
     result = fd_oracle(potential, (args.r_min, args.r_max), args.grid_size,
-                       ell=ell, n_levels=args.levels,
-                       include_centrifugal=include_centrifugal)
+                       ell=ell, n_levels=args.levels, include_centrifugal=False)
     return _write_spectrum(args, result, ("system", "Am", "Ap", "A1", "Lambda",
                                           "ell", "lam", "r_min", "r_max",
                                           "grid_size", "levels"))
@@ -295,7 +258,6 @@ def _add_ode_flags(p):
     p.add_argument("--A1", type=float, default=None)
     p.add_argument("--A0", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--config", default=None, help="key = value file; flags win")
 
 
 def _add_free_flags(p):
@@ -308,9 +270,22 @@ def _add_free_flags(p):
                    help="alternative to --tau for L39C")
 
 
-def _add_out_flags(p):
+def _add_io_flags(p):
+    p.add_argument("--config", default=None, help="key = value file; flags win")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output path (stdout when absent)")
+
+
+def _add_system_flags(p):
+    p.add_argument("--system", choices=("well", "oscillator"), required=True)
+    p.add_argument("--Am", type=float, default=None)
+    p.add_argument("--Ap", type=float, default=None)
+    p.add_argument("--A1", type=float, default=None)
+    p.add_argument("--Lambda", type=float, default=0.0)
+    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--levels", type=int, default=5)
+    _add_io_flags(p)
 
 
 def _add_grid_flags(p):
@@ -330,14 +305,14 @@ def build_parser():
 
     p = sub.add_parser("classify", help="admissible solution classes")
     _add_ode_flags(p)
-    _add_out_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve", help="expansion coefficients f_n")
     _add_ode_flags(p)
     _add_free_flags(p)
     p.add_argument("--N", type=int, default=None)
-    _add_out_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("eval", help="evaluate the truncated series on a grid")
@@ -345,7 +320,7 @@ def build_parser():
     _add_free_flags(p)
     p.add_argument("--N", type=int, default=None)
     _add_grid_flags(p)
-    _add_out_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="operator-action tridiagonality check")
@@ -357,37 +332,19 @@ def build_parser():
     p.add_argument("--check-tol", dest="check_tol", type=float, default=1e-8)
     p.add_argument("--with-residual", dest="with_residual", action="store_true")
     _add_grid_flags(p)
-    _add_out_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="bound-state energies")
-    p.add_argument("--system", choices=("well", "oscillator"), required=True)
-    p.add_argument("--Am", type=float, default=None)
-    p.add_argument("--Ap", type=float, default=None)
-    p.add_argument("--A1", type=float, default=None)
-    p.add_argument("--Lambda", type=float, default=0.0)
-    p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--lam", type=float, default=1.0)
+    _add_system_flags(p)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--config", default=None)
-    _add_out_flags(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("oracle", help="finite-difference Schrodinger oracle")
-    p.add_argument("--system", choices=("well", "oscillator"), required=True)
-    p.add_argument("--Am", type=float, default=None)
-    p.add_argument("--Ap", type=float, default=None)
-    p.add_argument("--A1", type=float, default=None)
-    p.add_argument("--Lambda", type=float, default=0.0)
-    p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--lam", type=float, default=1.0)
+    _add_system_flags(p)
     p.add_argument("--r-min", dest="r_min", type=float, required=True)
     p.add_argument("--r-max", dest="r_max", type=float, required=True)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=4000)
-    p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--config", default=None)
-    _add_out_flags(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("version", help="print the package version")
@@ -396,19 +353,33 @@ def build_parser():
     return parser
 
 
+def _parse(parser, argv):
+    """Parse argv; with --config, parse it again over the file's values set
+    as the subcommand's defaults, so a flag always wins and argparse types
+    each value by its flag (a store_true flag reads 1/true/yes)."""
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    sub = parser._subparsers._group_actions[0].choices[args.command]
+    flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    values = _read_config(args.config)
+    for key, raw in values.items():
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        if isinstance(flags[key].default, bool):
+            values[key] = raw.lower() in ("1", "true", "yes")
+    sub.set_defaults(**values)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    defaults = {a.dest: a.default for sp in parser._subparsers._group_actions
-                for a in sp.choices[args.command]._actions}
-    try:
-        if getattr(args, "config", None):
-            args = _apply_config(args, defaults)
-        return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

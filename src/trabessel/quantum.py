@@ -131,7 +131,12 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     def solve(npts, want_vectors=False):
         r = np.linspace(r_min, r_max, npts + 2)[1:-1]
         h = r[1] - r[0]
-        diag = 1.0 / h ** 2 + veff(r)
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_h2 = 1.0 / h ** 2
+        if not math.isfinite(inv_h2):
+            raise ConstraintViolation("fd oracle needs a domain width whose grid "
+                                      "spacing h has a finite 1/h^2", got=r_max - r_min)
+        diag = inv_h2 + veff(r)
         off = -0.5 / h ** 2 * np.ones(npts - 1)
         return _lapack.lowest_eigenvalues(diag, off, n_levels, want_vectors)
 

@@ -45,6 +45,15 @@ def run_cli(args, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_python(args, env=None, **kwargs):
+    """Run `python *args` in a fresh interpreter that imports this trabessel;
+    returns the CompletedProcess with text stdout and stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})}, **kwargs)
+
+
 def test_version():
     code, out, _ = run_cli(["version"])
     assert code == 0
@@ -166,12 +175,8 @@ def test_verify_residual_overflow_exit3():
 def test_verify_overflowing_basis_exit3_without_warnings():
     """Near x = 1e-60 the Laguerre factor overflows from degree 2 on: a
     numerical failure (exit 3), reported without numpy warnings."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "trabessel.cli", "verify"] + L39A_FLAGS
-        + ["--n", "40", "--x-min", "1e-60", "--x-max", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(["-W", "default", "-m", "trabessel.cli", "verify"] + L39A_FLAGS
+                      + ["--n", "40", "--x-min", "1e-60", "--x-max", "1"])
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "overflows double precision" in proc.stderr
@@ -187,13 +192,10 @@ def test_solve_at_a_huge_a_minus_fails_fast_in_bounded_memory():
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trabessel.cli", "solve", "--class", "K0", "--a", "1", "--b", "0",
+    proc = run_python(
+        ["-m", "trabessel.cli", "solve", "--class", "K0", "--a", "1", "--b", "0",
          "--Ap", "-1", "--Am", "1e9", "--A1", "-0.25", "--A0", "2"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        env={"OPENBLAS_NUM_THREADS": "1"}, timeout=60, preexec_fn=cap_memory)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: DeformedB recursion produced a non-finite value\n"
 
@@ -201,12 +203,8 @@ def test_solve_at_a_huge_a_minus_fails_fast_in_bounded_memory():
 def test_eval_on_a_huge_grid_prints_no_warnings():
     """eval takes phi_n alone, so the prefactor's log-derivatives, which pass
     through x^2 = inf beyond x = 1e154, are never formed."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "trabessel.cli", "eval"] + L39A_FLAGS
-        + ["--N", "5", "--x-min", "1e200", "--x-max", "1e300", "--x-count", "4"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(["-W", "default", "-m", "trabessel.cli", "eval"] + L39A_FLAGS
+                      + ["--N", "5", "--x-min", "1e200", "--x-max", "1e300", "--x-count", "4"])
     assert proc.returncode == 0
     assert proc.stderr == ""
     out = json.loads(proc.stdout)
@@ -239,17 +237,24 @@ def test_oracle_numerical_failure_exit3():
 def test_oracle_overflowing_potential_exit3_without_warnings():
     """At r = -800 the well's e^{-lam r} overflows: a numerical failure
     (exit 3) on one stderr line, without numpy warnings."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "trabessel.cli", "oracle"] + WELL_FLAGS
-        + ["--r-min", "-800", "--r-max", "3", "--grid-size", "500"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(["-W", "default", "-m", "trabessel.cli", "oracle"] + WELL_FLAGS
+                      + ["--r-min", "-800", "--r-max", "3", "--grid-size", "500"])
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == ("numerical failure: potential overflows double precision "
                            "on the FD grid\n")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_oracle_domain_too_narrow_for_its_grid_exit2_without_warnings():
+    """A domain one ulp wide leaves the grid spacing h with no finite 1/h^2:
+    invalid input (exit 2) naming the domain width, without numpy warnings."""
+    proc = run_python(["-W", "default", "-m", "trabessel.cli", "oracle"] + WELL_FLAGS
+                      + ["--r-min", "1", "--r-max", "1.0000000000000002",
+                         "--grid-size", "100"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: fd oracle needs a domain width whose grid spacing h "
+                           "has a finite 1/h^2 (got 2.220446049250313e-16)\n")
 
 
 class _FailingLapack:
@@ -292,6 +297,65 @@ def test_config_file_and_flag_override(tmp_path):
     assert code == 0 and "K0" not in out
 
 
+K0_CONFIG = "a = 1\nb = 0\nAp = -1\nAm = 5\nA1 = -0.25\nA0 = 2\n"
+
+
+def test_config_loses_to_a_flag_equal_to_its_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(K0_CONFIG + "tol = 0.5\n")
+    code, out, _ = run_cli(["classify", "--config", str(cfg), "--tol", "1e-12",
+                            "--format", "json"])
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["config_echo"]["tol"] == 1e-12
+
+
+def test_config_out_is_a_path_not_a_file_descriptor(tmp_path):
+    """`out = 1` names the file "1": the JSON goes there and stdout keeps
+    only the classify lines."""
+    (tmp_path / "run.cfg").write_text(K0_CONFIG + "out = 1\n")
+    proc = run_python(["-m", "trabessel.cli", "classify", "--config", "run.cfg",
+                       "--format", "json"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("K0: admissible") and "{" not in proc.stdout
+    assert json.loads((tmp_path / "1").read_text())["config_echo"]["Am"] == 5.0
+
+
+def test_config_value_is_typed_by_its_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(K0_CONFIG + "Am = abc\n")
+    code, out, err = run_cli(["classify", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --Am: invalid float value: 'abc'\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["func", "command", "lev", "config"])
+def test_config_key_must_name_a_flag_of_the_subcommand(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(K0_CONFIG + f"{key} = 3\n")
+    assert run_cli(["classify", "--config", str(cfg)]) == (
+        2, "", f"error: unknown config key {key!r}\n")
+
+
+@pytest.mark.parametrize("word, shown", [("false", False), ("0", False), ("yes", True),
+                                         ("True", True), ("1", True)])
+def test_config_store_true_flag_reads_its_words(tmp_path, word, shown):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"with-residual = {word}\n")
+    code, out, _ = run_cli(["verify"] + L39A_FLAGS + ["--config", str(cfg), "--N", "4"])
+    assert code == 0 and ("residual(N=4): " in out) == shown
+
+
+def test_unopenable_user_paths_exit2_with_one_line(tmp_path):
+    missing = tmp_path / "no" / "such"
+    for argv in (["classify", "--config", str(missing / "run.cfg")],
+                 ["classify"] + K0_FLAGS + ["--format", "json", "--out",
+                                            str(missing / "x.json")]):
+        code, _, err = run_cli(argv)
+        assert code == 2 and err.startswith("error: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1
+
+
 def test_missing_params_exit2():
     code, _, err = run_cli(["classify", "--a", "1"])
     assert code == 2
@@ -332,6 +396,18 @@ def _cli_argv(draw):
 def test_cli_exits_0_2_or_3_with_at_most_one_line(argv):
     code, _, err = run_cli(argv)
     assert code in (0, 2, 3) and err.count("\n") <= 1, (code, err)
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_config_route_matches_the_flag_route(argv, tmp_path_factory):
+    """Every drawn value moved into a config file (--class stays a flag)
+    gives the same exit code, stdout and stderr as passing it as a flag."""
+    cfg = tmp_path_factory.getbasetemp() / "property.cfg"
+    kept = [arg for arg in argv[1:] if arg.startswith("--class=")]
+    cfg.write_text("".join(arg[2:].replace("=", " = ", 1) + "\n"
+                           for arg in argv[1:] if arg not in kept))
+    assert run_cli(argv[:1] + kept + ["--config", str(cfg)]) == run_cli(argv)
 
 
 def test_console_entry_point():
@@ -412,11 +488,7 @@ print(json.dumps({"code": code,
 
 
 def _modules_loaded(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + argv,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(["-c", _IMPORT_PROBE] + argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["code"] == 0
@@ -437,11 +509,8 @@ def test_numpy_only_commands_load_no_scipy(argv):
 
 def test_cli_import_loads_no_dataclasses():
     """The records are plain classes, so a cold start generates no dataclass code."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, trabessel.cli; print('dataclasses' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(["-c", probe])
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
@@ -486,3 +555,22 @@ def test_cli_output_matches_the_benchmark_golden(key):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == want["exit"], proc.stderr
     assert WORKLOADS.stdout_digest(proc.stdout) == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("key", sorted(WORKLOADS.CLI_COMMANDS))
+def test_config_route_matches_the_benchmark_golden(key, tmp_path):
+    """Each benchmark CLI command with every flag that is not required moved
+    into a config file exits and prints as its golden records."""
+    want = json.loads(WORKLOADS.CLI_GOLDEN.read_text(encoding="utf-8"))[key]
+    command, *pairs = WORKLOADS.CLI_COMMANDS[key]
+    argv, lines = [command], []
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        if flag in ("--class", "--system", "--r-min", "--r-max"):
+            argv += [flag, value]
+        else:
+            lines.append(f"{flag[2:]} = {value}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(lines))
+    code, out, _ = run_cli(argv + ["--config", str(cfg)])
+    assert code == want["exit"]
+    assert WORKLOADS.stdout_digest(out.encode()) == want["stdout_sha256"]
