@@ -12,15 +12,14 @@ import math
 import sys
 
 from . import __version__, jsonio
+from ._classid import ClassId
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      DefinitenessError, DomainError, QuadratureFailure,
                      RealityViolation, SeriesOverflow, TraError, UnsupportedRow)
-from .ode import OdeParams
-from .quantum import (SpectrumResult, confining_well, eq64_energies, fd_oracle,
-                      oscillator_potential, well_potential)
-from .solver import (ClassId, build_series, classify, default_truncation,
-                     evaluate_series, resolve_class)
-from .verify import GridSpec, default_grid, residual, tridiagonality_sweep
+
+# Each subcommand imports the layers it runs inside its handler, so a call
+# compiles only those: the oscillator and FD commands never load the solver,
+# and only verify loads the verifier.
 
 # OSError: a config or --out path that cannot be opened
 _VALIDATION_ERRORS = (ConstraintViolation, DomainError, RealityViolation,
@@ -45,7 +44,9 @@ def _read_config(path):
     return values
 
 
-def _ode_from_args(args) -> OdeParams:
+def _ode_from_args(args):
+    from .ode import OdeParams
+
     missing = [k for k in ("a", "b", "Ap", "Am", "A1", "A0")
                if getattr(args, k) is None]
     if missing:
@@ -96,10 +97,13 @@ def _write_spectrum(args, result, echo_keys):
     return 0
 
 
-def _grid_from_args(args) -> GridSpec:
-    if args.x_min is None:
-        return default_grid()
-    return GridSpec(args.x_min, args.x_max, args.x_count, args.x_spacing)
+def _grid_from_args(args):
+    """The grid the flags name; a missing --x-min is the default grid's, so
+    the other grid flags apply with or without it."""
+    from .grid import GridSpec, default_grid
+
+    x_min = default_grid().x_min if args.x_min is None else args.x_min
+    return GridSpec(x_min, args.x_max, args.x_count, args.x_spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,8 @@ def _grid_from_args(args) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args):
+    from .solver import classify
+
     params = _ode_from_args(args)
     reports = classify(params, tol=args.tol)
     rows = []
@@ -129,12 +135,16 @@ def _cmd_classify(args):
 
 
 def _resolved_solution(args):
+    from .solver import resolve_class
+
     params = _ode_from_args(args)
     class_id = ClassId(args.klass)
     return resolve_class(params, class_id, free=_free_params(args), tol=args.tol)
 
 
 def _cmd_solve(args):
+    from .solver import build_series, default_truncation
+
     sol = _resolved_solution(args)
     n_trunc = args.N if args.N is not None else default_truncation(sol)
     series = build_series(sol, n_trunc)
@@ -160,6 +170,8 @@ def _cmd_solve(args):
 
 
 def _cmd_eval(args):
+    from .solver import build_series, default_truncation, evaluate_series
+
     sol = _resolved_solution(args)
     n_trunc = args.N if args.N is not None else default_truncation(sol)
     series = build_series(sol, n_trunc)
@@ -182,6 +194,9 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
+    from .solver import build_series, default_truncation
+    from .verify import residual, tridiagonality_sweep
+
     if args.n_min > args.n:
         raise ConstraintViolation(
             f"--n-min <= --n (got --n-min {args.n_min}, --n {args.n})")
@@ -212,6 +227,8 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
+    from .quantum import SpectrumResult, confining_well, eq64_energies
+
     if args.system == "well":
         if args.Am is None or args.Ap is None:
             raise ValueError("well spectrum needs --Am and --Ap")
@@ -229,6 +246,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_oracle(args):
+    from .quantum import fd_oracle, oscillator_potential, well_potential
+
     if args.system == "well":
         if args.Am is None or args.Ap is None:
             raise ValueError("well oracle needs --Am and --Ap")
@@ -366,6 +385,10 @@ def _parse(parser, argv):
     for key, raw in values.items():
         if key not in flags:
             raise ValueError(f"unknown config key {key!r}")
+        choices = flags[key].choices  # argparse checks choices in argv only
+        if choices is not None and raw not in choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(choices)} "
+                             f"(got {raw!r})")
         if isinstance(flags[key].default, bool):
             values[key] = raw.lower() in ("1", "true", "yes")
     sub.set_defaults(**values)

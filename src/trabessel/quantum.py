@@ -14,14 +14,10 @@ import math
 
 import numpy as np
 
-from . import _lapack
 from ._record import Record
-from .basis import _bessel_top
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      SeriesOverflow, UnsupportedRow)
 from .ode import OdeParams
-from .solver import (ClassId, expansion_coefficients, jacobi_matrix,
-                     resolve_class, tridiag_eigenvalues)
 
 __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
            "singular_oscillator", "spectrum_eq64", "eq64_energies", "fd_oracle",
@@ -58,6 +54,7 @@ class SpectrumResult(Record):
 
 def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> SystemSpec:
     """Populate the coordinate-map row for one of a = 1/2, 1, 3/2, 2 (b = 0)."""
+    _check_ell(ell)
     if params.b != 0.0:
         raise ConstraintViolation("coordinate maps need b = 0", got=params.b)
     if lam <= 0:
@@ -97,6 +94,11 @@ def _check_levels(n_levels: int):
         raise ConstraintViolation("n_levels >= 1", got=n_levels)
 
 
+def _check_ell(ell: int):
+    if ell < 0:
+        raise ConstraintViolation("angular momentum ell >= 0", got=ell)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -110,8 +112,11 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     The centrifugal term ell(ell+1)/2r^2 is added when requested and the
     domain excludes r <= 0.
     """
+    from . import _lapack  # only the commands that solve an eigenproblem load it
+
     r_min, r_max = domain
     _check_levels(n_levels)
+    _check_ell(ell)
     if grid_size < 100:
         raise ConstraintViolation("fd oracle needs grid_size >= 100", got=grid_size)
     if not r_min < r_max:
@@ -219,6 +224,10 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
     A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2.
     """
+    # imported here, not at the top: the oscillator and FD paths never load the solver
+    from .basis import _bessel_top
+    from .solver import ClassId, jacobi_matrix, resolve_class, tridiag_eigenvalues
+
     _check_levels(n_levels)
     if A_plus > 0:
         raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
@@ -261,6 +270,8 @@ def well_wavefunction_coeffs(A_minus: float, A_plus: float, lam: float,
     the deformed-Bessel values C_n B_n(z) with z = 4 A0 / A+.  Meaningful at
     (or near) the Jacobi eigenvalues returned by confining_well.
     """
+    from .solver import ClassId, expansion_coefficients, resolve_class
+
     if A_plus >= 0:
         raise ConstraintViolation("wavefunction coefficients need A+ < 0", got=A_plus)
     ode = OdeParams(a=1.0, b=0.0, A_plus=A_plus, A_minus=A_minus,
@@ -277,6 +288,7 @@ def well_wavefunction_coeffs(A_minus: float, A_plus: float, lam: float,
 
 def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
     """V_eff(r) = [ell(ell+1) + Lambda]/2r^2 - 2 lam^4 A1 r^2."""
+    _check_ell(ell)
     coef = (ell * (ell + 1) + Lambda) / 2.0
 
     def v(r):
@@ -287,6 +299,7 @@ def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
 
 def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> float:
     """E_k = 4 lam^2 sqrt(-A1) [k + 1/2 + sqrt(Lambda + (ell+1/2)^2)/2]."""
+    _check_ell(ell)
     if not A_one < 0:
         raise ConstraintViolation("A1 < 0", got=A_one)
     root_arg = Lambda + (ell + 0.5) ** 2
@@ -312,6 +325,7 @@ def singular_oscillator(A_one: float, A_minus: float, A_zero: float, ell: int,
 
     Requires A1 <= 0, 16 A0 >= -1 and 4 A1 + tau^2 > 0 (b = 0, a = 3/2 row).
     """
+    _check_ell(ell)
     if A_one > 0:
         raise ConstraintViolation("A1 <= 0 (otherwise the particle escapes)", got=A_one)
     if 16 * A_zero < -1:

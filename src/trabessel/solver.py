@@ -8,18 +8,20 @@ a symmetric tridiagonal (Jacobi) matrix whose eigenvalues approximate the
 discrete support of the coefficient-polynomial measure.
 
 Everything class-specific is one row of the table `_CLASSES`: the class's
-admissible region, resolver, coefficients u_n, s_n, t_n, a_n, c and closed-form C_n.
+admissible region, resolver and coefficients u_n, s_n, t_n, a_n and c.  The
+printed closed forms of C_n and the other cross-checks of the classes live in
+`trabessel.oracles`.
 """
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from itertools import islice
 
 import numpy as np
 
-from . import _lapack, families
+from . import families
+from ._classid import ClassId
 from ._record import Record
 from .basis import BasisSpec, _bessel_top, basis_block, series_sum
 from .errors import (ConstraintViolation, DefinitenessError, DomainError,
@@ -29,29 +31,11 @@ from .ode import OdeParams
 __all__ = [
     "ClassId", "ClassReport", "DerivedSymbols", "Binding", "Omega", "ClassSolution",
     "SeriesSolution", "classify", "resolve_class", "recursion_coeffs",
-    "u_decomposition", "expansion_coefficients", "closed_form_cn",
-    "evaluate_series", "favard_report", "FavardReport", "jacobi_matrix",
-    "tridiag_eigenvalues", "dual_hahn_rejection", "alt_binding_deviation",
-    "default_truncation",
+    "expansion_coefficients", "evaluate_series", "favard_report", "FavardReport",
+    "jacobi_matrix", "tridiag_eigenvalues", "default_truncation",
 ]
 
 DEFAULT_TOL = 1e-12
-
-
-class ClassId(enum.Enum):
-    K0 = "K0"
-    K1 = "K1"
-    C8B = "C8B"
-    L39A = "L39A"
-    L39B = "L39B"
-    L39C = "L39C"
-    K2_REDIRECT = "K2_REDIRECT"
-    K3_REDIRECT = "K3_REDIRECT"
-    C8C_REDIRECT = "C8C_REDIRECT"
-
-    @property
-    def is_redirect(self):
-        return self.name.endswith("_REDIRECT")
 
 
 class ClassReport(Record):
@@ -298,15 +282,10 @@ def _z_family_binding(lam, w, tau, c0):
                    note="derived discrete representation of the deformed coefficients")
 
 
-def _bessel_cn(mu, n):
-    return ((n + mu + 0.5) / (mu + 0.5)) * families.pochhammer(-n - 2 * mu, n) \
-        / math.factorial(n)
-
-
 class _Row:
     """One solution class: `resolve(params, free)` builds its ClassSolution
     inside its region; an instance, made from (ode, symbols, basis mu, free
-    tau), gives u_n, s_n, t_n, a_n and c (u_n = a_n - z*c) and C_n.
+    tau), gives u_n, s_n, t_n, a_n and c (u_n = a_n - z*c).
 
     Each coefficient is its own method on one degree in Python floats:
     numpy would square an array by x*x where ** calls pow, and computing
@@ -351,9 +330,6 @@ class _K0(_Row):
     def a_n(self, n):
         mu = self.mu
         return -2 * mu / ((n + mu) * (n + mu + 1)) + self.gamma * (n + mu + 0.5) ** 2
-
-    def cn(self, n):
-        return _bessel_cn(self.mu, n)
 
 
 class _C8B(_Row):
@@ -403,14 +379,6 @@ class _C8B(_Row):
         return 2 * (mu * self.chi_sq + 2 * sp * (mu + 0.5) ** 2
                     - (mu + 2 * sp) * (n + mu + 0.5) ** 2) / ((n + mu) * (n + mu + 1))
 
-    def cn(self, n):
-        mu, chi_sq, sp = self.mu, self.chi_sq, self.sp
-        prod = 1.0
-        for m in range(n):
-            prod *= ((m + mu + 0.5) ** 2 - chi_sq + 2 * sp * m) \
-                / ((m + mu + 1.5) ** 2 - chi_sq - 2 * sp * (m + 2 * mu + 2))
-        return _bessel_cn(mu, n) * prod
-
 
 class _K1(_C8B):
     """C8B at alpha = mu + 1 - a/2, where sigma_+ = 0 and chi^2 = nu^2: it
@@ -444,12 +412,6 @@ class _K1(_C8B):
     def a_n(self, n):
         mu = self.mu
         return -2 * mu * ((n + mu + 0.5) ** 2 - self.chi_sq) / ((n + mu) * (n + mu + 1))
-
-    def cn(self, n):
-        mu, nu_sq = self.mu, self.chi_sq
-        lead = ((mu + 0.5) ** 2 - nu_sq) / (mu + 0.5)
-        return lead * (n + mu + 0.5) / ((n + mu + 0.5) ** 2 - nu_sq) \
-            * families.pochhammer(-n - 2 * mu, n) / math.factorial(n)
 
 
 class _L39C(_Row):
@@ -499,10 +461,6 @@ class _L39C(_Row):
 
     def a_n(self, n):
         return -self.slope * (2 * n + 2 * self.nu + 1)
-
-    def cn(self, n):
-        ratio = self.t_scale / self.s_scale
-        return math.factorial(n) / families.pochhammer(2 * self.nu + 1, n) * ratio ** n
 
 
 class _L39A(_L39C):
@@ -565,9 +523,6 @@ class _L39B(_Row):
         nu, zeta = self.nu, self.zeta
         return -(n * (n + zeta - 0.5) + (n + 2 * nu + 1) * (n + zeta + 1.5)
                  - (nu + 1) ** 2)
-
-    def cn(self, n):
-        return 1.0  # f_n = Q_n carries no prefactor
 
 
 # class id: (row, admissible region, classify's reason); a redirect has no row
@@ -666,12 +621,6 @@ def recursion_coeffs(sol: ClassSolution, n: int):
     return _coefficients(sol)(n)
 
 
-def u_decomposition(sol: ClassSolution):
-    """(a_n callable, c) with u_n = a_n - z*c and z the binding argument."""
-    row = _row(sol)
-    return row.a_n, row.c
-
-
 # ---------------------------------------------------------------------------
 # expansion coefficients and series
 # ---------------------------------------------------------------------------
@@ -688,15 +637,6 @@ def _require_degree(sol: ClassSolution, N: int, name: str):
     if sol.n_max is not None and N > sol.n_max:
         raise DomainError(f"{name}={N} violates mu < -{name} - 1/2 "
                           f"(mu={sol.basis.mu}, n_max={sol.n_max})")
-
-
-def closed_form_cn(sol: ClassSolution, n: int) -> float:
-    """Printed closed form of C_n = prod_{m<n} t_m/s_m, where one exists."""
-    _require_degree(sol, n, "n")
-    try:
-        return _row(sol, "closed-form C_n").cn(n)
-    except OverflowError:  # n! or a power past double range, from n = 171 on
-        raise SeriesOverflow(f"closed-form C_n overflows double precision at n={n}") from None
 
 
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
@@ -796,6 +736,8 @@ def jacobi_matrix(sol: ClassSolution, N: int):
 
 def tridiag_eigenvalues(diag, off):
     """Ascending eigenvalues of a symmetric tridiagonal matrix."""
+    from . import _lapack  # only the commands that solve an eigenproblem load it
+
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
@@ -803,58 +745,3 @@ def tridiag_eigenvalues(diag, off):
     if diag.size == 0:
         return np.array([])
     return np.sort(_lapack.all_eigenvalues(diag, off))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-def dual_hahn_rejection(sol: ClassSolution) -> dict:
-    """The rejected dual-Hahn reading of the L39B coefficients.
-
-    Returns the would-be parameters and the positivity contradiction that
-    rules them out: the family requires a nonnegative integer N, while the
-    identification forces N = -(2 nu + 1) < 0.
-    """
-    if sol.class_id is not ClassId.L39B:
-        raise DomainError("the dual Hahn diagnostic applies to L39B only")
-    row = _row(sol)
-    nu, zeta = row.nu, row.zeta
-    n_val = -(2 * nu + 1)
-    return {
-        "p": zeta + 0.5,
-        "q": 2 * nu - zeta + 0.5,
-        "N": n_val,
-        "z_k_sq": sol.symbols.nu_sq,
-        "rejected": True,
-        "contradiction": (
-            f"dual Hahn needs N a nonnegative integer, but N = -(2*nu+1) = "
-            f"{n_val:.6g} < 0 for nu = {nu:.6g} > 0; rejected in favor of the "
-            "continuous dual Hahn form"),
-    }
-
-
-def alt_binding_deviation(sol: ClassSolution, n_max: int = 8) -> float:
-    """Max relative deviation of the printed continuous-Hahn alternative.
-
-    Compares (-1)^n H_n(0) against the coefficient polynomials generated by
-    the class recursion.  Informational: the printed identification fails by
-    a diagonal sign, so this deviation is large.
-    """
-    _check_integer(n_max, "n_max")
-    if sol.alt_binding is None:
-        raise DomainError(f"{sol.class_id.value} has no alternative binding")
-
-    def steps():  # P_{n+1} = (-u_n P_n - s_{n-1} P_{n-1}) / t_n, s_{-1} = 0
-        s_prev = 0.0
-        for u_n, s_n, t_n in map(_coefficients(sol), range(n_max)):
-            yield -u_n, -s_prev, t_n
-            s_prev = s_n
-
-    p_direct = list(families._three_term(steps()))
-    worst = 0.0
-    for n in range(n_max + 1):
-        h = families.eval_poly(sol.alt_binding.family, n, sol.alt_binding.argument)
-        alt = ((-1) ** n * h).real
-        worst = max(worst, abs(alt - p_direct[n]) / max(1.0, abs(p_direct[n])))
-    return worst

@@ -6,59 +6,21 @@ against omega(x) [u_n phi_n + s_{n-1} phi_{n-1} + t_n phi_{n+1}].
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from ._record import Record
-from .basis import BasisSpec, _prefix_sums, basis_block, basis_derivatives, basis_value
-from .errors import DomainError, SeriesOverflow, _check_integer
-from .ode import apply_D_values, stencil_derivatives
+from .basis import _prefix_sums, basis_block
+from .errors import DomainError, SeriesOverflow
+from .grid import GridSpec, default_grid
+from .ode import apply_D_values
 from .solver import ClassSolution, SeriesSolution, _coefficients
 
 __all__ = ["GridSpec", "CheckReport", "default_grid", "tridiagonality_check",
-           "tridiagonality_sweep", "residual", "derivative_crosscheck"]
+           "tridiagonality_sweep", "residual"]
 
 _SCALE_FLOOR = 1e-300
-
-
-class GridSpec(Record):
-    x_min: float
-    x_max: float
-    count: int = 64
-    spacing: str = "logarithmic"
-
-    def __post_init__(self):
-        if not (0 < self.x_min < self.x_max):
-            raise DomainError("grid needs 0 < x_min < x_max")
-        _check_integer(self.count, "grid count")
-        if self.count < 2:
-            raise DomainError("grid needs count >= 2")
-        if self.spacing not in ("linear", "logarithmic"):
-            raise DomainError(f"unknown spacing {self.spacing!r}")
-
-    def points(self):
-        """The grid points, a new writable array on each call."""
-        return _points(self.x_min, self.x_max, self.count, self.spacing).copy()
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _points(x_min, x_max, count, spacing):
-    """Each spec value's points, computed once; typed, so each key has one result."""
-    space = np.linspace if spacing == "linear" else np.geomspace
-    points = space(x_min, x_max, count)
-    points.flags.writeable = False  # handed out only as copies
-    return points
-
-
-_DEFAULT_GRID = GridSpec(0.05, 20.0, 64, "logarithmic")
-
-
-def default_grid() -> GridSpec:
-    """Logarithmic, 64 points on [0.05, 20]: spans the e^{-beta/x} boundary
-    layer and the polynomial-growth region."""
-    return _DEFAULT_GRID
 
 
 class CheckReport(Record):
@@ -176,12 +138,3 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
                        argmax_x=argmax, scale=scale, tolerance=tol or math.nan,
                        passed=passed, per_n=per_n, notes=tuple(notes))
 
-
-def derivative_crosscheck(basis: BasisSpec, n: int, x) -> float:
-    """Relative gap between analytic and stencil derivatives of phi_n at x."""
-    x = np.asarray(x, dtype=float)
-    _, d1, d2 = basis_derivatives(basis, n, x)
-    _, s1, s2 = stencil_derivatives(lambda xx: basis_value(basis, n, xx), x)
-    g1 = np.max(np.abs(d1 - s1) / np.maximum(1.0, np.abs(d1)))
-    g2 = np.max(np.abs(d2 - s2) / np.maximum(1.0, np.abs(d2)))
-    return float(max(g1, g2))

@@ -226,6 +226,32 @@ def test_eval_series_value(tmp_path):
     assert float(y0) == approx(math.exp(-0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_eval_grid_flags_apply_without_x_min(route, tmp_path):
+    """--x-count, --x-max and --x-spacing are kept when --x-min is left at
+    its default, the default grid's 0.05."""
+    def rows(flags):
+        argv = ["eval"] + L39A_FLAGS + ["--N", "5", "--format", "csv"]
+        if route == "config":
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+            flags = ["--config", str(cfg)]
+        code, out, err = run_cli(argv + flags)
+        assert (code, err) == (0, "")
+        return [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+
+    assert rows(["--x-count", "3"]) == [0.05, 1.0, 20.0]
+    xs = rows(["--x-max", "1", "--x-spacing", "linear"])
+    assert len(xs) == 64 and (xs[0], xs[-1]) == (0.05, 1.0)
+
+
+def test_verify_grid_flags_apply_without_x_min():
+    code, out, _ = run_cli(["verify"] + L39A_FLAGS + ["--x-max", "1", "--x-count", "5",
+                                                      "--x-spacing", "linear"])
+    assert code == 0
+    assert json.loads(out)["argmax_x"] in (0.05, 0.2875, 0.525, 0.7625, 1.0)
+
+
 def test_oracle_numerical_failure_exit3():
     code, _, err = run_cli(["oracle", "--system", "oscillator", "--A1", "-0.25",
                             "--r-min", "1e-6", "--r-max", "2.0",
@@ -346,6 +372,22 @@ def test_config_store_true_flag_reads_its_words(tmp_path, word, shown):
     assert code == 0 and ("residual(N=4): " in out) == shown
 
 
+_FORMAT_XML = "config key 'format' must be one of csv, json (got 'xml')"
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["classify"] + K0_FLAGS, "format = xml", _FORMAT_XML),
+    (["spectrum", "--system", "oscillator", "--A1", "-0.25"], "format = xml", _FORMAT_XML),
+    (["eval"] + L39A_FLAGS + ["--N", "5"], "x-spacing = cubic",
+     "config key 'x_spacing' must be one of linear, logarithmic (got 'cubic')"),
+], ids=["classify-format", "spectrum-format", "eval-x-spacing"])
+def test_config_value_must_be_one_of_its_flags_choices(tmp_path, argv, line, message):
+    """argparse checks choices in argv only; a config value is checked too."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == (2, "", f"error: {message}\n")
+
+
 def test_unopenable_user_paths_exit2_with_one_line(tmp_path):
     missing = tmp_path / "no" / "such"
     for argv in (["classify", "--config", str(missing / "run.cfg")],
@@ -462,68 +504,16 @@ def test_spectrum_levels_below_one_exit2(argv):
       "--A1", "-0.25", "--A0", "2"], "A+ must be nonzero for K0 (residual 0.000e+00)"),
     (["verify", "--class", "K0", "--a", "1", "--b", "0.5", "--Ap", "-1", "--Am", "20.5",
       "--A1", "-0.25", "--A0", "2"], "b^2 = 1 + 4*A1 (residual 2.500e-01)"),
+    (["spectrum", "--system", "oscillator", "--A1", "-0.25", "--ell", "-1"],
+     "angular momentum ell >= 0 (got -1)"),
+    (["oracle", "--system", "oscillator", "--A1", "-0.25", "--ell", "-1", "--r-min", "1e-6",
+      "--r-max", "14"], "angular momentum ell >= 0 (got -1)"),
 ], ids=["levels-count", "morse-value", "grid-size-count", "solver-residual",
-        "solver-relation-residual"])
+        "solver-relation-residual", "spectrum-negative-ell", "oracle-negative-ell"])
 def test_constraint_violation_labels_its_number(argv, message):
     """An offending count or value reads "got"; a relation's miss reads "residual"."""
     code, out, err = run_cli(argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-# Runs one CLI command in a fresh interpreter and reports which scipy and
-# numpy.f2py modules it loaded; the command's own output is swallowed.
-_IMPORT_PROBE = """
-import contextlib, io, json, sys
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    if sys.argv[1:]:
-        from trabessel.cli import main
-        code = main(sys.argv[1:])
-    else:
-        import trabessel
-        code = 0
-print(json.dumps({"code": code,
-                  "loaded": sorted(m for m in sys.modules
-                                   if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))}))
-"""
-
-
-def _modules_loaded(argv):
-    proc = run_python(["-c", _IMPORT_PROBE] + argv)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["code"] == 0
-    return report["loaded"]
-
-
-@pytest.mark.parametrize("argv", [
-    [],
-    ["classify"] + K0_FLAGS,
-    ["solve", "--class", "K0"] + K0_FLAGS,
-    ["eval"] + L39A_FLAGS + ["--N", "20"],
-    ["verify"] + L39A_FLAGS + ["--n", "3"],
-    ["spectrum", "--system", "oscillator", "--A1", "-0.25"],
-], ids=["import", "classify", "solve", "eval", "verify", "spectrum-oscillator"])
-def test_numpy_only_commands_load_no_scipy(argv):
-    assert _modules_loaded(argv) == []
-
-
-def test_cli_import_loads_no_dataclasses():
-    """The records are plain classes, so a cold start generates no dataclass code."""
-    probe = "import sys, trabessel.cli; print('dataclasses' in sys.modules)"
-    proc = run_python(["-c", probe])
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
-
-
-@pytest.mark.parametrize("argv", [
-    ["spectrum"] + WELL_FLAGS,
-    ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",
-                               "--grid-size", "500"],
-], ids=["spectrum-well", "oracle-well"])
-def test_eigensolves_load_only_scipys_lapack_wrappers(argv):
-    """The eigensolves load scipy's compiled LAPACK module alone: not
-    scipy.linalg, its array-API shim (scipy._lib._array_api), scipy.special
-    or the numpy.f2py the shim would pull in."""
-    assert _modules_loaded(argv) == ["scipy.linalg._flapack"]
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -543,6 +533,92 @@ def _perfbench_workloads():
 
 
 WORKLOADS = _perfbench_workloads()
+
+
+# Runs one CLI command in a fresh interpreter and reports its exit code and
+# the modules it loaded; the command's own output is swallowed.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if sys.argv[1:]:
+        from trabessel.cli import main
+        code = main(sys.argv[1:])
+    else:
+        import trabessel
+        code = 0
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}))
+"""
+
+
+def _modules_loaded(argv, packages=("scipy", "numpy.f2py"), code=0):
+    """The modules of `packages` that a fresh interpreter loads to run the
+    command argv, which exits with `code` (a bare `import trabessel` for [])."""
+    proc = run_python(["-c", _IMPORT_PROBE] + argv)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == code
+    return [m for m in report["loaded"]
+            if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["classify"] + K0_FLAGS,
+    ["solve", "--class", "K0"] + K0_FLAGS,
+    ["eval"] + L39A_FLAGS + ["--N", "20"],
+    ["verify"] + L39A_FLAGS + ["--n", "3"],
+    ["spectrum", "--system", "oscillator", "--A1", "-0.25"],
+], ids=["import", "classify", "solve", "eval", "verify", "spectrum-oscillator"])
+def test_numpy_only_commands_load_no_scipy(argv):
+    assert _modules_loaded(argv) == []
+
+
+# the trabessel modules each benchmark command runs, besides the package,
+# cli, _classid, errors and jsonio, which every command loads
+_SOLVER_LAYERS = ("solver", "families", "basis", "ode", "_record")
+_QUANTUM_LAYERS = ("quantum", "ode", "_record")
+_LAYERS_RUN = {"classify": _SOLVER_LAYERS, "solve": _SOLVER_LAYERS,
+               "eval": _SOLVER_LAYERS + ("grid",),
+               "verify": _SOLVER_LAYERS + ("grid", "verify"),
+               "spectrum-well": _SOLVER_LAYERS + ("quantum", "_lapack"),
+               "spectrum-oscillator": _QUANTUM_LAYERS,
+               "oracle": _QUANTUM_LAYERS + ("_lapack",)}
+
+
+@pytest.mark.parametrize("key", sorted(WORKLOADS.CLI_COMMANDS))
+def test_each_command_loads_only_the_layers_it_runs(key):
+    """The oscillator and FD commands load no solver, families, basis or
+    verify; classify, solve and eval no quantum or verify; only the
+    eigensolving commands load the LAPACK module; and no command loads the
+    test oracles (trabessel.oracles)."""
+    layers = next(v for k, v in _LAYERS_RUN.items() if key.startswith(k))
+    want = ["trabessel"] + [f"trabessel.{m}" for m in ("cli", "_classid", "errors", "jsonio")
+                            + layers]
+    code = json.loads(WORKLOADS.CLI_GOLDEN.read_text(encoding="utf-8"))[key]["exit"]
+    assert _modules_loaded(WORKLOADS.CLI_COMMANDS[key], ("trabessel",), code) == sorted(want)
+
+
+def test_package_import_loads_no_submodule():
+    assert _modules_loaded([], ("trabessel",)) == ["trabessel"]
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The records are plain classes, so a cold start generates no dataclass code."""
+    probe = "import sys, trabessel.cli; print('dataclasses' in sys.modules)"
+    proc = run_python(["-c", probe])
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"] + WELL_FLAGS,
+    ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",
+                               "--grid-size", "500"],
+], ids=["spectrum-well", "oracle-well"])
+def test_eigensolves_load_only_scipys_lapack_wrappers(argv):
+    """The eigensolves load scipy's compiled LAPACK module alone: not
+    scipy.linalg, its array-API shim (scipy._lib._array_api), scipy.special
+    or the numpy.f2py the shim would pull in."""
+    assert _modules_loaded(argv) == ["scipy.linalg._flapack"]
 
 
 @pytest.mark.parametrize("key", sorted(WORKLOADS.CLI_COMMANDS))

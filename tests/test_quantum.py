@@ -8,7 +8,7 @@ from trabessel import (OdeParams, confining_well, fd_oracle, morse_levels,
                        singular_oscillator, spectrum_eq64, table1_map)
 from trabessel.errors import (BoundaryError, ConstraintViolation,
                               UnsupportedRow)
-from trabessel.quantum import oscillator_potential, well_domain
+from trabessel.quantum import eq64_energies, oscillator_potential, well_domain
 
 
 def _ode(Ap=0.0, Am=0.0, A1=0.0, A0=0.0, a=1.0):
@@ -218,6 +218,20 @@ def test_spectra_need_at_least_one_level(n_levels):
                                          n_levels=n_levels)]
     for call in calls:
         with pytest.raises(ConstraintViolation, match="n_levels >= 1"):
+            call()
+
+
+def test_negative_angular_momentum_is_refused():
+    """ell = -1 gives ell(ell+1) = 0, ell = 0's levels, where it used to pass."""
+    pot = lambda r: 0.5 * r ** 2
+    calls = [lambda: table1_map(1.5, _ode(A1=-0.25, A0=0.5, a=1.5), 1.0, ell=-1),
+             lambda: spectrum_eq64(0, 1.0, -0.25, 0.0, -1),
+             lambda: eq64_energies(1.0, -0.25, 0.0, -1, 3),
+             lambda: oscillator_potential(-0.25, 0.0, -1, 1.0),
+             lambda: singular_oscillator(-0.25, 1.0, 0.5, -1, 1.0, 2.0),
+             lambda: fd_oracle(pot, (1e-6, 12.0), 1000, ell=-1)]
+    for call in calls:
+        with pytest.raises(ConstraintViolation, match=r"ell >= 0 \(got -1\)"):
             call()
 
 
