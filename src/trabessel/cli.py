@@ -226,12 +226,23 @@ def _cmd_verify(args):
     return 0 if rep.passed else 3
 
 
+def _check_well_args(args):
+    """The well system needs --Am and --Ap and has no ell, Lambda or A1."""
+    if args.Am is None or args.Ap is None:
+        raise ValueError(f"well {args.command} needs --Am and --Ap")
+    given = [f"--{key} {getattr(args, key)}"
+             for key, unset in (("ell", 0), ("Lambda", 0), ("A1", None))
+             if getattr(args, key) != unset]
+    if given:
+        raise ValueError(f"the well system takes no --ell, --Lambda or --A1 "
+                         f"(got {', '.join(given)})")
+
+
 def _cmd_spectrum(args):
     from .quantum import SpectrumResult, confining_well, eq64_energies
 
     if args.system == "well":
-        if args.Am is None or args.Ap is None:
-            raise ValueError("well spectrum needs --Am and --Ap")
+        _check_well_args(args)
         _, result = confining_well(args.Am, args.Ap, args.lam, N=args.N,
                                    n_levels=args.levels)
         echo_keys = ("system", "Am", "Ap", "lam", "N", "levels")
@@ -249,8 +260,7 @@ def _cmd_oracle(args):
     from .quantum import fd_oracle, oscillator_potential, well_potential
 
     if args.system == "well":
-        if args.Am is None or args.Ap is None:
-            raise ValueError("well oracle needs --Am and --Ap")
+        _check_well_args(args)
         potential, ell = well_potential(args.Am, args.Ap, args.lam), 0
     else:
         if args.A1 is None:

@@ -11,12 +11,13 @@ solver serves as the oracle for both.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from ._record import Record
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
-                     SeriesOverflow, UnsupportedRow)
+                     SeriesOverflow, UnsupportedRow, _check_integer)
 from .ode import OdeParams
 
 __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
@@ -90,6 +91,7 @@ def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> 
 
 
 def _check_levels(n_levels: int):
+    _check_integer(n_levels, "n_levels")
     if n_levels < 1:
         raise ConstraintViolation("n_levels >= 1", got=n_levels)
 
@@ -111,10 +113,17 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     extrapolated over a grid doubling; metadata records per-level deltas.
     The centrifugal term ell(ell+1)/2r^2 is added when requested and the
     domain excludes r <= 0.
+
+    The two grids are solved concurrently, and there is no option to solve
+    them one after the other: one worker thread bisects the coarse grid while
+    the calling thread bisects the fine one, and it is joined before the call
+    returns or raises.  Each grid gets the LAPACK calls it would get alone,
+    so the bits are those of a serial solve.
     """
     from . import _lapack  # only the commands that solve an eigenproblem load it
 
     r_min, r_max = domain
+    _check_integer(grid_size, "grid_size")
     _check_levels(n_levels)
     _check_ell(ell)
     if grid_size < 100:
@@ -133,7 +142,7 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
             raise SeriesOverflow("potential overflows double precision on the FD grid")
         return v
 
-    def solve(npts, want_vectors=False):
+    def grid(npts):
         r = np.linspace(r_min, r_max, npts + 2)[1:-1]
         h = r[1] - r[0]
         with np.errstate(divide="ignore", over="ignore"):
@@ -143,10 +152,19 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
                                       "spacing h has a finite 1/h^2", got=r_max - r_min)
         diag = inv_h2 + veff(r)
         off = -0.5 / h ** 2 * np.ones(npts - 1)
-        return _lapack.lowest_eigenvalues(diag, off, n_levels, want_vectors)
+        return diag, off
 
-    coarse, _ = solve(grid_size)
-    fine, vecs = solve(2 * grid_size, want_vectors=True)
+    # both grids are built, checked and allocated here; the worker only bisects
+    coarse_solve = _lapack.Bisection(*grid(grid_size), n_levels)
+    fine_solve = _lapack.Bisection(*grid(2 * grid_size), n_levels, vectors=True)
+    worker = threading.Thread(target=coarse_solve.run)
+    worker.start()
+    try:
+        fine_solve.run()
+    finally:
+        worker.join()
+    coarse, _ = coarse_solve.result()
+    fine, vecs = fine_solve.result()
     if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         raise ConvergenceFailure("finite-difference eigensolver returned non-finite values")
     extrap = (4.0 * fine - coarse) / 3.0

@@ -306,11 +306,49 @@ class _FailingLapack:
     ("dstein", ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2"]),
 ], ids=["spectrum-dstevd", "oracle-dstebz", "oracle-dstein"])
 def test_lapack_failure_exit3(monkeypatch, routine, argv):
-    monkeypatch.setattr(_lapack, "flapack", lambda stub=_FailingLapack(routine): stub)
+    if routine == "dstebz":   # called through ctypes, not through the wrappers
+        def run(self, real=_lapack.Bisection.run):
+            real(self)
+            self.info = 1
+        monkeypatch.setattr(_lapack.Bisection, "run", run)
+    else:
+        monkeypatch.setattr(_lapack, "flapack", lambda stub=_FailingLapack(routine): stub)
     code, out, err = run_cli(argv)
     assert (code, out) == (3, "")
     assert err == ("numerical failure: tridiagonal eigensolver failed: "
                    f"{routine} returned LAPACK info=1\n")
+
+
+_WELL_ORACLE = ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",
+                                         "--grid-size", "500"]
+
+
+@pytest.mark.parametrize("command", [["spectrum"] + WELL_FLAGS, _WELL_ORACLE],
+                         ids=["spectrum", "oracle"])
+@pytest.mark.parametrize("flags, got", [
+    (["--ell", "1"], "--ell 1"),
+    (["--Lambda", "0.5"], "--Lambda 0.5"),
+    (["--A1", "-0.25"], "--A1 -0.25"),
+    (["--A1", "0"], "--A1 0.0"),
+    (["--A1", "-0.25", "--ell", "2", "--Lambda", "3"], "--ell 2, --Lambda 3.0, --A1 -0.25"),
+], ids=["ell", "Lambda", "A1", "A1-zero", "all"])
+def test_well_system_refuses_the_oscillator_flags(command, flags, got, tmp_path):
+    """The well has no ell, Lambda or A1: given by flag or by config file,
+    they exit 2 on one line, where they used to be ignored."""
+    want = (2, "", f"error: the well system takes no --ell, --Lambda or --A1 (got {got})\n")
+    assert run_cli(command + flags) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                           for flag, value in zip(flags[::2], flags[1::2])))
+    assert run_cli(command + ["--config", str(cfg)]) == want
+
+
+@pytest.mark.parametrize("command", [["spectrum"] + WELL_FLAGS, _WELL_ORACLE],
+                         ids=["spectrum", "oracle"])
+def test_well_system_takes_the_oscillator_flags_at_their_defaults(command):
+    code, out, err = run_cli(command)
+    assert (code, err) == (0, "")
+    assert run_cli(command + ["--ell", "0", "--Lambda", "0"]) == (code, out, err)
 
 
 def test_config_file_and_flag_override(tmp_path):

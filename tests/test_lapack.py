@@ -1,5 +1,6 @@
-"""The eigensolves on scipy's LAPACK wrappers against scipy.linalg itself:
-the same module, and the same bits as `eigh_tridiagonal`.
+"""The eigensolves on scipy's LAPACK against scipy.linalg itself: the same
+module, the same bits as `eigh_tridiagonal`, and a ctypes `dstebz` with the
+wrapper's bits; and the FD oracle's worker thread, joined on every path.
 
 scipy.linalg is imported inside the tests only, so that importing this
 module does not load it.
@@ -7,6 +8,8 @@ module does not load it.
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -123,3 +126,103 @@ def test_one_lapack_module_whichever_loads_first(first):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout) == (0, "True True\n"), proc.stderr
+
+
+def _random_tridiagonal(n, seed, zero_at=()):
+    rng = np.random.default_rng(seed)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    e[list(zero_at)] = 0.0   # a zero off-diagonal splits the matrix into blocks
+    return d, e
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["order-E", "order-B"])
+@pytest.mark.parametrize("n, k, zero_at", [(2, 1, ()), (50, 5, ()), (1001, 7, ()),
+                                           (8000, 5, ()), (300, 9, (40, 41, 200))],
+                         ids=["n2", "n50", "n1001", "n8000", "n300-split"])
+def test_ctypes_dstebz_matches_scipys_wrapper_bit_for_bit(n, k, zero_at, vectors):
+    from scipy.linalg import lapack
+    d, e = _random_tridiagonal(n, 3000 + n, zero_at)
+    bisection = _lapack.Bisection(d, e, k, vectors)
+    bisection.run()
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0,
+                                               "B" if vectors else "E")
+    assert (bisection.m, bisection.info) == (m, info) == (k, 0)
+    assert _hex(bisection.w) == _hex(w)
+    assert bisection.iblock.tolist() == iblock.tolist()
+    assert bisection.isplit.tolist() == isplit.tolist()
+    if zero_at:
+        assert isplit[:len(zero_at) + 1].tolist() == [41, 42, 201, 300]
+
+
+def _oscillator_fd(grid_size=2000):
+    return fd_oracle(oscillator_potential(-0.25, 3.75, 0, 1.0), (1e-6, 14.0), grid_size)
+
+
+def test_fd_oracle_in_two_threads_at_once_gives_the_serial_bits():
+    want = [_oscillator_fd(2000), _oscillator_fd(3000)]
+    got = [None, None]
+    barrier = threading.Barrier(2)
+
+    def call(i, grid_size):
+        barrier.wait(timeout=60)
+        got[i] = _oscillator_fd(grid_size)
+
+    threads = [threading.Thread(target=call, args=(i, g)) for i, g in enumerate((2000, 3000))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for a, b in zip(got, want):
+        assert _hex(a.energies) == _hex(b.energies)
+        assert a.metadata == b.metadata
+
+
+def _threads_after(call):
+    """(threads alive before, threads alive after, the error's type name or
+    None) around call()."""
+    before = threading.active_count()
+    try:
+        call()
+    except Exception as exc:
+        return before, threading.active_count(), type(exc).__name__
+    return before, threading.active_count(), None
+
+
+def test_fd_oracle_joins_its_worker_on_return_and_on_error(monkeypatch):
+    pot = lambda r: 0.5 * r ** 2
+    before, after, error = _threads_after(lambda: fd_oracle(pot, (1e-6, 12.0), 1000))
+    assert (after, error) == (before, None)
+    # after both grids are solved: the eigenfunctions reach the edge
+    before, after, error = _threads_after(lambda: fd_oracle(pot, (1e-6, 2.2), 1000))
+    assert (after, error) == (before, "BoundaryError")
+
+    # while the worker runs: the fine grid's bisection raises at once, and
+    # the coarse grid's takes 50 ms longer
+    def run(self, real=_lapack.Bisection.run):
+        if self.d.size == 2000:
+            raise RuntimeError("fine grid")
+        time.sleep(0.05)
+        real(self)
+    monkeypatch.setattr(_lapack.Bisection, "run", run)
+    before, after, error = _threads_after(lambda: fd_oracle(pot, (1e-6, 12.0), 1000))
+    assert (after, error) == (before, "RuntimeError")
+
+
+def test_fd_oracle_reports_the_coarse_grids_failure_first(monkeypatch):
+    """With info != 0 on both grids, the coarse grid's (info = its size) is raised."""
+    from trabessel.errors import ConvergenceFailure
+
+    def run(self, real=_lapack.Bisection.run):
+        real(self)
+        self.info = self.d.size
+    monkeypatch.setattr(_lapack.Bisection, "run", run)
+    with pytest.raises(ConvergenceFailure, match=r"dstebz returned LAPACK info=1000$"):
+        fd_oracle(lambda r: 0.5 * r ** 2, (1e-6, 12.0), 1000)
+
+
+def test_a_lapack_without_dstebz_raises_an_import_error_naming_the_symbols(monkeypatch):
+    monkeypatch.setattr(_lapack, "_DSTEBZ_NAMES", ("no_such_dstebz_", "nor_this_"))
+    monkeypatch.setattr(_lapack, "_dstebz_symbol", None)
+    with pytest.raises(ImportError, match="tried no_such_dstebz_, nor_this_"):
+        _lapack.lowest_eigenvalues(np.zeros(3), np.ones(2), 1)

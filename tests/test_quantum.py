@@ -6,7 +6,7 @@ from pytest import approx
 
 from trabessel import (OdeParams, confining_well, fd_oracle, morse_levels,
                        singular_oscillator, spectrum_eq64, table1_map)
-from trabessel.errors import (BoundaryError, ConstraintViolation,
+from trabessel.errors import (BoundaryError, ConstraintViolation, DomainError,
                               UnsupportedRow)
 from trabessel.quantum import eq64_energies, oscillator_potential, well_domain
 
@@ -219,6 +219,36 @@ def test_spectra_need_at_least_one_level(n_levels):
     for call in calls:
         with pytest.raises(ConstraintViolation, match="n_levels >= 1"):
             call()
+
+
+@pytest.mark.parametrize("n_levels", [2.5, 2.0, True], ids=["half", "float", "bool"])
+def test_level_counts_must_be_integers(n_levels):
+    """2.5 used to give 2 levels from fd_oracle and a bare TypeError from
+    confining_well, and True counted as 1."""
+    pot = lambda r: 0.5 * r ** 2
+    calls = [lambda: confining_well(20.5, -1.0, 1.0, n_levels=n_levels),
+             lambda: confining_well(20.5, 0.0, 1.0, n_levels=n_levels),   # Morse
+             lambda: fd_oracle(pot, (1e-6, 12.0), 1000, n_levels=n_levels),
+             lambda: eq64_energies(1.0, -0.25, 0.0, 0, n_levels),
+             lambda: singular_oscillator(-0.25, 1.0, 0.5, 0, 1.0, 2.0,
+                                         n_levels=n_levels)]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"n_levels must be an integer, not {n_levels!r}"):
+            call()
+
+
+@pytest.mark.parametrize("grid_size", [4000.0, True, "4000"], ids=["float", "bool", "str"])
+def test_fd_grid_size_must_be_an_integer(grid_size):
+    with pytest.raises(DomainError, match="grid_size must be an integer"):
+        fd_oracle(lambda r: 0.5 * r ** 2, (1e-6, 12.0), grid_size)
+
+
+def test_numpy_integer_counts_are_integers():
+    pot = lambda r: 0.5 * r ** 2
+    got = fd_oracle(pot, (1e-6, 12.0), np.int64(1000), n_levels=np.int32(2))
+    want = fd_oracle(pot, (1e-6, 12.0), 1000, n_levels=2)
+    assert got.energies.tolist() == want.energies.tolist()
+    assert len(confining_well(20.5, -1.0, 1.0, n_levels=np.int64(3))[1].energies) == 3
 
 
 def test_negative_angular_momentum_is_refused():
