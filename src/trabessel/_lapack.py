@@ -10,20 +10,21 @@ its own name, so scipy.linalg, when imported later, takes it from there, and
 one that scipy.linalg loaded earlier is reused: a process holds one LAPACK
 module.
 
-`all_eigenvalues` and `lowest_eigenvalues` make the LAPACK calls, with the
-same arguments, that scipy.linalg's tridiagonal eigensolver makes by default
-for all eigenvalues and for an index range, so they give the same bits.
+`all_eigenvalues` and `Bisection` make the LAPACK calls, with the same
+arguments, that scipy.linalg's tridiagonal eigensolver makes by default for
+all eigenvalues and for an index range, so they give the same bits.
 
-One call goes through `ctypes` instead: `dstebz`, the Sturm-count bisection
-(Barth, Martin and Wilkinson, Numer. Math. 9, 1967) that `fd_oracle` runs on
-its coarse and fine grids at once.  The f2py wrappers hold the GIL while
-LAPACK runs, so two threads calling `_flapack.dstebz` take as long as one
-after the other; a `ctypes.CDLL` function releases it.  The symbol is
-resolved through `ctypes.CDLL(flapack().__file__)`: dlsym on that handle
-also searches the libraries `_flapack` links, where the routine is
-`scipy_dstebz_` (scipy's OpenBLAS wheels) or `dstebz_` (a system LAPACK).
-It is the routine the wrapper calls, with the same arguments, so the bits
-are the same.  `dstevd` and `dstein` stay on the wrappers.
+One call goes through `ctypes` instead: `Bisection`'s `dstebz`, the
+Sturm-count bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 1967),
+which `fd_oracle` runs on its coarse and fine grids at once.  The f2py
+wrappers hold the GIL while LAPACK runs, so two threads calling
+`_flapack.dstebz` take as long as one after the other; a `ctypes.CDLL`
+function releases it.  The symbol is resolved through
+`ctypes.CDLL(flapack().__file__)`: dlsym on that handle also searches the
+libraries `_flapack` links, where the routine is `scipy_dstebz_` (scipy's
+OpenBLAS wheels) or `dstebz_` (a system LAPACK).  It is the routine the
+wrapper calls, with the same arguments, so the bits are the same.  `dstevd`
+and `dstein` stay on the wrappers.
 """
 import ctypes
 import importlib.machinery
@@ -167,13 +168,3 @@ class Bisection:
         order = np.argsort(w)   # dstebz's "B" order is by block
         return w[order], v[:, order]
 
-
-def lowest_eigenvalues(d, e, k, vectors=False):
-    """The k lowest eigenvalues, ascending, by dstebz bisection, and with
-    `vectors` their eigenvectors by dstein as the columns of an (n, k) array
-    (else None)."""
-    bisection = Bisection(d, e, k, vectors)
-    if bisection.d.size == 1:
-        return bisection.d[:1].copy(), (np.ones((1, 1)) if vectors else None)
-    bisection.run()
-    return bisection.result()

@@ -81,20 +81,25 @@ def _free_params(args):
     return free
 
 
-def _write_spectrum(args, result, echo_keys):
-    """Emit a SpectrumResult as "k,E_k,method" CSV or a JSON document."""
+def _emit(args, header, rows, doc):
+    """Write CSV (the header, then each row of strings comma-joined) or the
+    JSON document doc, as --format says."""
     if args.format == "csv":
-        lines = ["k,E_k,method"]
-        lines += [f"{k},{_F(float(e))},{result.method}"
-                  for k, e in enumerate(result.energies)]
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, "".join(f"{line}\n" for line in [header, *map(",".join, rows)]))
     else:
-        doc = {"config_echo": _config_echo(args, echo_keys),
-               "method": result.method,
-               "energies": [float(e) for e in result.energies],
-               "metadata": result.metadata}
         _write(args.out, jsonio.dumps(doc))
     return 0
+
+
+def _write_spectrum(args, result, echo_keys):
+    """Emit a SpectrumResult as "k,E_k,method" CSV or a JSON document."""
+    return _emit(args, "k,E_k,method",
+                 ((str(k), _F(float(e)), result.method)
+                  for k, e in enumerate(result.energies)),
+                 {"config_echo": _config_echo(args, echo_keys),
+                  "method": result.method,
+                  "energies": [float(e) for e in result.energies],
+                  "metadata": result.metadata})
 
 
 def _grid_from_args(args):
@@ -142,61 +147,53 @@ def _resolved_solution(args):
     return resolve_class(params, class_id, free=_free_params(args), tol=args.tol)
 
 
-def _cmd_solve(args):
+def _series(args, sol):
+    """(N, the series truncated at N): N is --N, else the class's default."""
     from .solver import build_series, default_truncation
 
+    n_trunc = default_truncation(sol) if args.N is None else args.N
+    return n_trunc, build_series(sol, n_trunc)
+
+
+def _cmd_solve(args):
     sol = _resolved_solution(args)
-    n_trunc = args.N if args.N is not None else default_truncation(sol)
-    series = build_series(sol, n_trunc)
+    _, series = _series(args, sol)
     echo = _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1", "A0",
                                "mu", "alpha", "tau", "N", "tol"))
-    if args.format == "csv":
-        lines = ["n,f_n"]
-        lines += [f"{n},{_F(float(c))}" for n, c in enumerate(series.coeffs)]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        doc = {"config_echo": echo,
-               "class": sol.class_id.value,
-               "basis": {"kind": sol.basis.kind, "beta": sol.basis.beta,
-                         "alpha": sol.basis.alpha, "mu": sol.basis.mu,
-                         "exponent": sol.basis.exponent, "nu": sol.basis.nu},
-               "binding": {"family": type(sol.binding.family).__name__,
-                           "argument": sol.binding.argument},
-               "omega": sol.omega_description(),
-               "notes": list(sol.notes),
-               "coefficients": [float(c) for c in series.coeffs]}
-        _write(args.out, jsonio.dumps(doc))
-    return 0
+    return _emit(args, "n,f_n",
+                 ((str(n), _F(float(c))) for n, c in enumerate(series.coeffs)),
+                 {"config_echo": echo,
+                  "class": sol.class_id.value,
+                  "basis": {"kind": sol.basis.kind, "beta": sol.basis.beta,
+                            "alpha": sol.basis.alpha, "mu": sol.basis.mu,
+                            "exponent": sol.basis.exponent, "nu": sol.basis.nu},
+                  "binding": {"family": type(sol.binding.family).__name__,
+                              "argument": sol.binding.argument},
+                  "omega": sol.omega_description(),
+                  "notes": list(sol.notes),
+                  "coefficients": [float(c) for c in series.coeffs]})
 
 
 def _cmd_eval(args):
-    from .solver import build_series, default_truncation, evaluate_series
+    from .solver import evaluate_series
 
-    sol = _resolved_solution(args)
-    n_trunc = args.N if args.N is not None else default_truncation(sol)
-    series = build_series(sol, n_trunc)
-    grid = _grid_from_args(args)
-    xs = grid.points()
+    _, series = _series(args, _resolved_solution(args))
+    xs = _grid_from_args(args).points()
     ys = evaluate_series(series, xs)
-    if args.format == "csv":
-        lines = ["x,y"]
-        lines += [f"{_F(float(x))},{_F(float(y))}" for x, y in zip(xs, ys)]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        doc = {"config_echo": _config_echo(args, ("klass", "a", "b", "Ap", "Am",
-                                                  "A1", "A0", "mu", "alpha",
-                                                  "tau", "N", "x_min", "x_max",
-                                                  "x_count", "x_spacing")),
-               "x": [float(v) for v in xs],
-               "y": [float(v) for v in ys]}
-        _write(args.out, jsonio.dumps(doc))
-    return 0
+    echo = _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1", "A0", "mu",
+                               "alpha", "tau", "N", "x_min", "x_max", "x_count",
+                               "x_spacing"))
+    return _emit(args, "x,y", ((_F(float(x)), _F(float(y))) for x, y in zip(xs, ys)),
+                 {"config_echo": echo,
+                  "x": [float(v) for v in xs],
+                  "y": [float(v) for v in ys]})
 
 
 def _cmd_verify(args):
-    from .solver import build_series, default_truncation
     from .verify import residual, tridiagonality_sweep
 
+    if args.format != "json":
+        raise ValueError(f"verify writes JSON only (got --format {args.format})")
     if args.n_min > args.n:
         raise ConstraintViolation(
             f"--n-min <= --n (got --n-min {args.n_min}, --n {args.n})")
@@ -219,36 +216,44 @@ def _cmd_verify(args):
     _write(args.out, jsonio.dumps(doc))
     # residual report for the assembled series, when requested
     if args.with_residual:
-        n_trunc = args.N if args.N is not None else default_truncation(sol)
-        series = build_series(sol, n_trunc)
+        n_trunc, series = _series(args, sol)
         sys.stdout.write(
             f"residual(N={n_trunc}): {_F(residual(series, grid).max_rel_deviation)}\n")
     return 0 if rep.passed else 3
 
 
-def _check_well_args(args):
-    """The well system needs --Am and --Ap and has no ell, Lambda or A1."""
-    if args.Am is None or args.Ap is None:
-        raise ValueError(f"well {args.command} needs --Am and --Ap")
-    given = [f"--{key} {getattr(args, key)}"
-             for key, unset in (("ell", 0), ("Lambda", 0), ("A1", None))
+# Each system: the flags it needs, and the flags it takes no value for, with
+# their unset values (a flag the subcommand lacks is skipped).
+_SYSTEM_FLAGS = {
+    "well": (("Am", "Ap"), (("ell", 0), ("Lambda", 0), ("A1", None))),
+    "oscillator": (("A1",), (("Am", None), ("Ap", None), ("N", None))),
+}
+
+
+def _check_system_flags(args):
+    """ValueError unless the system's flags are given and none it takes no
+    value for is set, by flag or by config file."""
+    needs, unused = _SYSTEM_FLAGS[args.system]
+    if any(getattr(args, key) is None for key in needs):
+        raise ValueError(f"{args.system} {args.command} needs --{' and --'.join(needs)}")
+    unused = [(key, unset) for key, unset in unused if hasattr(args, key)]
+    given = [f"--{key} {getattr(args, key)}" for key, unset in unused
              if getattr(args, key) != unset]
     if given:
-        raise ValueError(f"the well system takes no --ell, --Lambda or --A1 "
-                         f"(got {', '.join(given)})")
+        flags = [f"--{key}" for key, _ in unused]
+        raise ValueError(f"the {args.system} system takes no {', '.join(flags[:-1])} "
+                         f"or {flags[-1]} (got {', '.join(given)})")
 
 
 def _cmd_spectrum(args):
     from .quantum import SpectrumResult, confining_well, eq64_energies
 
+    _check_system_flags(args)
     if args.system == "well":
-        _check_well_args(args)
         _, result = confining_well(args.Am, args.Ap, args.lam, N=args.N,
                                    n_levels=args.levels)
         echo_keys = ("system", "Am", "Ap", "lam", "N", "levels")
     else:
-        if args.A1 is None:
-            raise ValueError("oscillator spectrum needs --A1")
         energies = eq64_energies(args.lam, args.A1, args.Lambda, args.ell, args.levels)
         result = SpectrumResult(energies, "closed_form_eq64",
                                 {"Lambda": args.Lambda, "ell": args.ell})
@@ -259,12 +264,10 @@ def _cmd_spectrum(args):
 def _cmd_oracle(args):
     from .quantum import fd_oracle, oscillator_potential, well_potential
 
+    _check_system_flags(args)
     if args.system == "well":
-        _check_well_args(args)
         potential, ell = well_potential(args.Am, args.Ap, args.lam), 0
     else:
-        if args.A1 is None:
-            raise ValueError("oscillator oracle needs --A1")
         # the effective oscillator potential already carries the ell term
         potential = oscillator_potential(args.A1, args.Lambda, args.ell, args.lam)
         ell = args.ell

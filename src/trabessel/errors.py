@@ -56,7 +56,9 @@ class UnsupportedRow(TraError):
 
 
 class SeriesOverflow(TraError):
-    """Basis prefactor overflows double precision at the evaluation point."""
+    """A quantity computed from in-range inputs overflows double precision:
+    a class's relations, a basis block or series truncation on its grid, an
+    FD potential, or a closed-form C_n."""
 
 
 def _check_integer(n, name="degree"):

@@ -206,6 +206,7 @@ def morse_levels(A_minus: float, lam: float, count: int) -> np.ndarray:
     Not printed in the source material; validated against fd_oracle before
     use (see the acceptance suite).
     """
+    _check_integer(count, "count")
     n_max = int(math.floor(A_minus - 0.5 - 1e-12))
     count = min(count, n_max + 1)
     return np.array([-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)])

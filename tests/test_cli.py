@@ -351,6 +351,56 @@ def test_well_system_takes_the_oscillator_flags_at_their_defaults(command):
     assert run_cli(command + ["--ell", "0", "--Lambda", "0"]) == (code, out, err)
 
 
+_OSCILLATOR = ["--system", "oscillator", "--A1", "-0.25"]
+_OSCILLATOR_ORACLE = ["oracle"] + _OSCILLATOR + ["--Lambda", "3.75", "--r-min", "1e-6",
+                                                 "--r-max", "14", "--grid-size", "500"]
+
+
+@pytest.mark.parametrize("command, flags, got", [
+    (["spectrum"] + _OSCILLATOR, ["--Am", "5"], "--Am, --Ap or --N (got --Am 5.0)"),
+    (["spectrum"] + _OSCILLATOR, ["--N", "0"], "--Am, --Ap or --N (got --N 0)"),
+    (["spectrum"] + _OSCILLATOR, ["--Am", "5", "--Ap", "3", "--N", "7"],
+     "--Am, --Ap or --N (got --Am 5.0, --Ap 3.0, --N 7)"),
+    (_OSCILLATOR_ORACLE, ["--Ap", "-1"], "--Am or --Ap (got --Ap -1.0)"),
+    (_OSCILLATOR_ORACLE, ["--Am", "20.5", "--Ap", "-1"],
+     "--Am or --Ap (got --Am 20.5, --Ap -1.0)"),
+], ids=["spectrum-Am", "spectrum-N-zero", "spectrum-all", "oracle-Ap", "oracle-all"])
+def test_oscillator_system_refuses_the_well_flags(command, flags, got, tmp_path):
+    """The oscillator has no A-, A+ or truncation N: given by flag or by
+    config file, they exit 2 on one line, where they used to be ignored."""
+    want = (2, "", f"error: the oscillator system takes no {got}\n")
+    assert run_cli(command + flags) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                           for flag, value in zip(flags[::2], flags[1::2])))
+    assert run_cli(command + ["--config", str(cfg)]) == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--system", "well", "--Am", "20.5"], "well spectrum needs --Am and --Ap"),
+    (["oracle", "--system", "well", "--Ap", "-1", "--r-min", "-5.7", "--r-max", "-1.2"],
+     "well oracle needs --Am and --Ap"),
+    (["spectrum", "--system", "oscillator", "--Am", "5"], "oscillator spectrum needs --A1"),
+    (["oracle", "--system", "oscillator", "--r-min", "1e-6", "--r-max", "14"],
+     "oscillator oracle needs --A1"),
+], ids=["spectrum-well", "oracle-well", "spectrum-oscillator", "oracle-oscillator"])
+def test_each_system_needs_its_flags(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+def test_verify_writes_json_only(tmp_path):
+    """--format csv used to be accepted and JSON written anyway."""
+    argv = ["verify"] + L39A_FLAGS
+    want = (2, "", "error: verify writes JSON only (got --format csv)\n")
+    assert run_cli(argv + ["--format", "csv"]) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = csv\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == want
+    code, out, err = run_cli(argv + ["--format", "json"])
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+    assert run_cli(argv) == (code, out, err)
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\nb = 0\nAp = -1\nAm = 5\nA1 = -0.25\nA0 = 2  # eq-57 style\n")

@@ -180,6 +180,14 @@ def test_confining_well_guards():
 def test_morse_levels_count_capped():
     levels = morse_levels(2.2, 1.0, 10)
     assert len(levels) == 2   # only n = 0, 1 bound
+    assert morse_levels(2.2, 1.0, np.int64(10)).tolist() == levels.tolist()
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True], ids=["float", "integral-float", "bool"])
+def test_morse_levels_count_must_be_an_integer(count):
+    """Not a bare TypeError from range, and True is not one level."""
+    with pytest.raises(DomainError, match=f"count must be an integer, not {count!r}"):
+        morse_levels(20.5, 1.0, count)
 
 
 # ---------------------------------------------------------------------------
