@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, DomainError
 
 _NAME = "scipy.linalg._flapack"
 
@@ -55,15 +55,15 @@ def flapack():
 
 
 def _checked(d, e):
-    """(d, e) as float arrays, after scipy.linalg's input checks."""
+    """(d, e) as float arrays, after scipy.linalg's input checks (0x0: e is empty too)."""
     # C order: dstebz reads the buffers as they lie
     d = np.asarray(d, dtype=float, order="C")
     e = np.asarray(e, dtype=float, order="C")
     if d.ndim != 1 or e.ndim != 1:
         raise ValueError("expected a 1-D array")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if d.size != e.size + 1:
+        raise DomainError("matrix entries must be finite")
+    if e.size != max(d.size - 1, 0):
         raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
     return d, e
 
@@ -76,10 +76,10 @@ def _check_info(info, routine):
 
 def all_eigenvalues(d, e):
     """Every eigenvalue of the symmetric tridiagonal matrix with diagonal d
-    and off-diagonal e, as dstevd returns them."""
+    and off-diagonal e, ascending, as dstevd returns them."""
     d, e = _checked(d, e)
-    if d.size == 1:
-        return d[:1].copy()
+    if d.size <= 1:
+        return d.copy()
     w, _, info = flapack().dstevd(d, e, compute_v=0)
     _check_info(info, "dstevd")
     return w

@@ -5,8 +5,8 @@ Two kinds are used by the solution classes:
 - bessel:   phi_n(x) = x^alpha e^{-beta/x} J_n^mu(x)          (G_n = 1)
 - laguerre: phi_n(x) = x^exponent e^{-beta/x} L_n^{2nu}(1/x)   (g_n = 1)
 
-Polynomial derivatives come from the term-by-term differentiated upward
-recursions (seeds P_0' = P_0'' = 0), the prefactor from the product rule.
+Polynomial derivatives come from the term-by-term differentiated upward recursions
+(seeds P_0' = P_0'' = 0), then one pass applies the chain rule (laguerre) and the product rule.
 Coefficient rows for all degrees come first, by the scalar recursion's float operations
 in its order (no denominator vanishes for m < n <= n_max); the loop over degrees then
 makes 3 same-shape ufunc calls per degree for values (2 where d_m = 1, as for bessel),
@@ -121,7 +121,7 @@ def _prefactor(power: float, beta: float, x):
 
 
 def _poly_rows(basis: BasisSpec, n: int, x, derivs):
-    """Polynomial factor (value, d/dx, d2/dx2) for degrees 0..n: J^mu(x) or L^{2nu}(1/x)."""
+    """Polynomial rows (P, P', P'') for degrees 0..n: J^mu(x), or L^{2nu}(u) in u = 1/x."""
     _check_integer(n)
     if n < 0:
         raise DomainError(f"degree {n} is negative")
@@ -138,20 +138,8 @@ def _poly_rows(basis: BasisSpec, n: int, x, derivs):
         return _differentiated_rows(a, b, x, c, np.ones_like(m), derivs)
     u, alpha = 1.0 / x, 2 * basis.nu
     # 2m + alpha + 1 - u, as (2m + alpha + 1) + (-1) u: the same bits
-    rows = _differentiated_rows(
+    return _differentiated_rows(
         2 * m + alpha + 1, np.full_like(m, -1.0), u, -(m + alpha), m + 1, derivs)
-    if derivs:
-        # d/dx L(1/x) = -u^2 L_u ;  d2/dx2 = u^4 L_uu + 2 u^3 L_u, in place and
-        # _BLOCK degrees at a time through scratch, as the product rule
-        _, du, duu = rows
-        u4, two_u3, minus_u2 = u ** 4, 2 * u ** 3, -u ** 2
-        scratch = np.empty((min(n + 1, _BLOCK),) + x.shape)
-        for lo in range(0, n + 1, _BLOCK):
-            d1, d2 = du[lo:lo + _BLOCK], duu[lo:lo + _BLOCK]
-            d2 *= u4
-            d2 += np.multiply(two_u3, d1, out=scratch[:len(d1)])
-            d1 *= minus_u2
-    return rows
 
 
 def basis_block(basis: BasisSpec, n: int, x, derivs=True):
@@ -171,12 +159,21 @@ def basis_block(basis: BasisSpec, n: int, x, derivs=True):
             lw1 = power / x + beta / x ** 2              # w'/w
             lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3  # w''/w
             two_lw1 = 2 * lw1
-            # product rule, in place: phi' = w (lw1 P + P'), phi'' = w (lw2 P + 2 lw1 P' + P''),
-            # _BLOCK degrees at a time through one scratch pair, not (n+1) x grid temporaries
+            laguerre = basis.kind == "laguerre"
+            if laguerre:
+                u = 1.0 / x
+                u4, two_u3, minus_u2 = u ** 4, 2 * u ** 3, -u ** 2
+            # in place, _BLOCK degrees at a time through one scratch pair: the chain rule
+            # d/dx L(1/x) = -u^2 L_u, d2/dx2 = u^4 L_uu + 2 u^3 L_u (laguerre), then the
+            # product rule phi' = w (lw1 P + P'), phi'' = w (lw2 P + 2 lw1 P' + P'')
             scratch = np.empty((2, min(n + 1, _BLOCK)) + x.shape)
             for lo in range(0, n + 1, _BLOCK):
                 p, d1, d2 = rows[:, lo:lo + _BLOCK]
                 term, lift = scratch[:, :len(p)]
+                if laguerre:
+                    d2 *= u4
+                    d2 += np.multiply(two_u3, d1, out=term)
+                    d1 *= minus_u2
                 d2 += np.add(np.multiply(lw2, p, out=term), np.multiply(two_lw1, d1, out=lift),
                              out=term)
                 d1 += np.multiply(lw1, p, out=term)

@@ -14,16 +14,15 @@ import sys
 from . import __version__, jsonio
 from ._classid import ClassId
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
-                     DefinitenessError, DomainError, QuadratureFailure,
-                     RealityViolation, SeriesOverflow, TraError, UnsupportedRow)
+                     DefinitenessError, QuadratureFailure, SeriesOverflow, TraError)
 
 # Each subcommand imports the layers it runs inside its handler, so a call
 # compiles only those: the oscillator and FD commands never load the solver,
 # and only verify loads the verifier.
 
-# OSError: a config or --out path that cannot be opened
-_VALIDATION_ERRORS = (ConstraintViolation, DomainError, RealityViolation,
-                      UnsupportedRow, ValueError, KeyError, OSError)
+# builtins only (OSError: a config or --out path that cannot be opened): main's
+# `except TraError` gives the package's validation errors exit 2
+_VALIDATION_ERRORS = (ValueError, KeyError, OSError)
 _NUMERICAL_ERRORS = (QuadratureFailure, ConvergenceFailure, DefinitenessError,
                      BoundaryError, SeriesOverflow, ZeroDivisionError, OverflowError)
 
@@ -81,6 +80,11 @@ def _free_params(args):
     return free
 
 
+def _json_only(args):
+    if args.format != "json":
+        raise ValueError(f"{args.command} writes JSON only (got --format {args.format})")
+
+
 def _emit(args, header, rows, doc):
     """Write CSV (the header, then each row of strings comma-joined) or the
     JSON document doc, as --format says."""
@@ -118,6 +122,7 @@ def _grid_from_args(args):
 def _cmd_classify(args):
     from .solver import classify
 
+    _json_only(args)
     params = _ode_from_args(args)
     reports = classify(params, tol=args.tol)
     rows = []
@@ -132,10 +137,9 @@ def _cmd_classify(args):
         print(line)
         for name, val in rep.residuals.items():
             print(f"    {name} = {_F(float(val))}")
-    if args.format == "json":
-        doc = {"config_echo": _config_echo(args, ("a", "b", "Ap", "Am", "A1", "A0", "tol")),
-               "classes": rows}
-        _write(args.out, jsonio.dumps(doc))
+    doc = {"config_echo": _config_echo(args, ("a", "b", "Ap", "Am", "A1", "A0", "tol")),
+           "classes": rows}
+    _write(args.out, jsonio.dumps(doc))
     return 0
 
 
@@ -192,8 +196,7 @@ def _cmd_eval(args):
 def _cmd_verify(args):
     from .verify import residual, tridiagonality_sweep
 
-    if args.format != "json":
-        raise ValueError(f"verify writes JSON only (got --format {args.format})")
+    _json_only(args)
     if args.n_min > args.n:
         raise ConstraintViolation(
             f"--n-min <= --n (got --n-min {args.n_min}, --n {args.n})")
@@ -231,8 +234,8 @@ _SYSTEM_FLAGS = {
 
 
 def _check_system_flags(args):
-    """ValueError unless the system's flags are given and none it takes no
-    value for is set, by flag or by config file."""
+    """ValueError unless the system's flags are given, none it takes no value
+    for is set and every float flag is finite, by flag or by config file."""
     needs, unused = _SYSTEM_FLAGS[args.system]
     if any(getattr(args, key) is None for key in needs):
         raise ValueError(f"{args.system} {args.command} needs --{' and --'.join(needs)}")
@@ -243,6 +246,10 @@ def _check_system_flags(args):
         flags = [f"--{key}" for key, _ in unused]
         raise ValueError(f"the {args.system} system takes no {', '.join(flags[:-1])} "
                          f"or {flags[-1]} (got {', '.join(given)})")
+    for key in ("Am", "Ap", "A1", "Lambda", "lam", "r_min", "r_max"):
+        value = getattr(args, key, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite (got {value})")
 
 
 def _cmd_spectrum(args):

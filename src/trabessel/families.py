@@ -44,34 +44,55 @@ def pochhammer(a, n: int):
 
 
 # ---------------------------------------------------------------------------
-# family specs
+# family specs; each rule is one function, whose message names the family
 # ---------------------------------------------------------------------------
+
+def _no_rule(fam):
+    """Every parameter value is admissible."""
+
+
+def _finite_bessel(fam):
+    if fam.n_max < 0 or not fam.mu < -fam.n_max - 0.5:
+        raise DomainError(f"{type(fam).__name__} needs mu < -n_max - 1/2 "
+                          f"(mu={fam.mu}, n_max={fam.n_max})")
+
+
+def _hahn_p_q(fam):
+    if _is_integral(fam.N):
+        for v, name in ((fam.p, "p"), (fam.q, "q")):
+            if not (v > -1 or v < -fam.N):
+                raise DomainError(f"{type(fam).__name__} {name}={v} outside (> -1 or < -N)")
+
+
+def _pollaczek_region(fam):
+    if not (fam.lam > 0 and 0 < fam.theta < math.pi):
+        raise DomainError(f"{type(fam).__name__} needs lam > 0, 0 < theta < pi "
+                          f"(lam={fam.lam}, theta={fam.theta})")
+
+
+def _meixner_region(fam):
+    if not (fam.lam > 0 and fam.theta > 0):
+        raise DomainError(f"{type(fam).__name__} needs lam > 0, theta > 0 "
+                          f"(lam={fam.lam}, theta={fam.theta})")
+
 
 class BesselJ(Record):
     """Bessel polynomial on the real line; finite family, mu < -n_max - 1/2."""
     mu: float
     n_max: int = 10
-
-    def validate(self):
-        if self.n_max < 0 or not self.mu < -self.n_max - 0.5:
-            raise DomainError(
-                f"BesselJ needs mu < -n_max - 1/2 (mu={self.mu}, n_max={self.n_max})")
+    validate = _finite_bessel
 
 
 class BesselJbar(Record):
     """Bessel variant with degree-dependent order, J-bar_n = n!(-x)^n L_n^{2nu}(1/x)."""
     nu: float
-
-    def validate(self):
-        pass
+    validate = _no_rule
 
 
 class LaguerreL(Record):
     """Generalized Laguerre L_n^alpha."""
     alpha: float
-
-    def validate(self):
-        pass
+    validate = _no_rule
 
 
 class DeformedB(Record):
@@ -79,11 +100,7 @@ class DeformedB(Record):
     mu: float
     gamma: float
     n_max: int = 10
-
-    def validate(self):
-        if self.n_max < 0 or not self.mu < -self.n_max - 0.5:
-            raise DomainError(
-                f"DeformedB needs mu < -n_max - 1/2 (mu={self.mu}, n_max={self.n_max})")
+    validate = _finite_bessel
 
 
 class DualHahnR(Record):
@@ -91,12 +108,7 @@ class DualHahnR(Record):
     p: float
     q: float
     N: float
-
-    def validate(self):
-        if _is_integral(self.N):
-            for v, name in ((self.p, "p"), (self.q, "q")):
-                if not (v > -1 or v < -self.N):
-                    raise DomainError(f"DualHahnR {name}={v} outside (> -1 or < -N)")
+    validate = _hahn_p_q
 
 
 class ContDualHahnS(Record):
@@ -104,9 +116,7 @@ class ContDualHahnS(Record):
     p: float
     c: float
     d: float
-
-    def validate(self):
-        pass
+    validate = _no_rule
 
 
 class HahnQ(Record):
@@ -114,12 +124,7 @@ class HahnQ(Record):
     p: float
     q: float
     N: float
-
-    def validate(self):
-        if _is_integral(self.N):
-            for v, name in ((self.p, "p"), (self.q, "q")):
-                if not (v > -1 or v < -self.N):
-                    raise DomainError(f"HahnQ {name}={v} outside (> -1 or < -N)")
+    validate = _hahn_p_q
 
 
 class ContHahnH(Record):
@@ -128,32 +133,21 @@ class ContHahnH(Record):
     q: complex
     c: complex
     d: complex
-
-    def validate(self):
-        pass
+    validate = _no_rule
 
 
 class MeixnerPollaczekP(Record):
     """Meixner-Pollaczek P_n^lam(x; theta), lam > 0, 0 < theta < pi."""
     lam: float
     theta: float
-
-    def validate(self):
-        if not (self.lam > 0 and 0 < self.theta < math.pi):
-            raise DomainError(
-                f"MeixnerPollaczekP needs lam > 0, 0 < theta < pi "
-                f"(lam={self.lam}, theta={self.theta})")
+    validate = _pollaczek_region
 
 
 class MeixnerM(Record):
     """Meixner M_n^lam(m; theta), lam > 0, theta > 0."""
     lam: float
     theta: float
-
-    def validate(self):
-        if not (self.lam > 0 and self.theta > 0):
-            raise DomainError(
-                f"MeixnerM needs lam > 0, theta > 0 (lam={self.lam}, theta={self.theta})")
+    validate = _meixner_region
 
 
 class DeformedY(Record):
@@ -163,10 +157,7 @@ class DeformedY(Record):
     eta: float
 
     def validate(self):
-        if not (self.lam > 0 and 0 < self.theta < math.pi):
-            raise DomainError(
-                f"DeformedY needs lam > 0, 0 < theta < pi "
-                f"(lam={self.lam}, theta={self.theta})")
+        _pollaczek_region(self)
         if abs(1.0 + self.eta * math.sin(self.theta)) < 1e-14:
             raise DomainError("DeformedY recursion degenerate: 1 + eta sin(theta) = 0")
 
@@ -178,9 +169,7 @@ class DeformedZ(Record):
     eta: float
 
     def validate(self):
-        if not (self.lam > 0 and self.theta > 0):
-            raise DomainError(
-                f"DeformedZ needs lam > 0, theta > 0 (lam={self.lam}, theta={self.theta})")
+        _meixner_region(self)
         if abs(1.0 + self.eta * math.sinh(self.theta)) < 1e-14:
             raise DomainError("DeformedZ recursion degenerate: 1 + eta sinh(theta) = 0")
 
@@ -318,25 +307,28 @@ _STEPS = {
 }
 
 
+def _degree_bounds(family):
+    """(field, value, highest degree) of each bound on `family`'s degrees: n_max,
+    and N where it is integral."""
+    n_max, N = getattr(family, "n_max", None), getattr(family, "N", None)
+    bounds = [] if n_max is None else [("n_max", n_max, n_max)]
+    if N is not None and _is_integral(N):
+        bounds.append(("N", N, round(N)))
+    return bounds
+
+
 def _check_degree(family, n):
     _check_integer(n)
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    n_max = getattr(family, "n_max", None)
-    if n_max is not None and n > n_max:
-        raise DomainError(f"degree {n} exceeds n_max={n_max} for {type(family).__name__}")
-    N = getattr(family, "N", None)
-    if N is not None and _is_integral(N) and n > round(N):
-        raise DomainError(f"degree {n} exceeds N={N} for {type(family).__name__}")
+    for name, value, top in _degree_bounds(family):
+        if n > top:
+            raise DomainError(f"degree {n} exceeds {name}={value} for {type(family).__name__}")
 
 
 def degree_bound(family):
     """Highest degree `_check_degree` accepts for `family`, or None if unbounded."""
-    bounds = [getattr(family, "n_max", None)]
-    N = getattr(family, "N", None)
-    if N is not None and _is_integral(N):
-        bounds.append(round(N))
-    return min((b for b in bounds if b is not None), default=None)
+    return min((top for _, _, top in _degree_bounds(family)), default=None)
 
 
 def _poly_values(family, n: int, z):

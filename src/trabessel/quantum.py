@@ -58,8 +58,7 @@ def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> 
     _check_ell(ell)
     if params.b != 0.0:
         raise ConstraintViolation("coordinate maps need b = 0", got=params.b)
-    if lam <= 0:
-        raise ConstraintViolation("lam must be positive", got=lam)
+    _check_lam(lam)
     Ap, Am, A1, A0 = params.A_plus, params.A_minus, params.A_one, params.A_zero
     l2 = lam * lam
     if a_choice == 0.5:
@@ -99,6 +98,11 @@ def _check_levels(n_levels: int):
 def _check_ell(ell: int):
     if ell < 0:
         raise ConstraintViolation("angular momentum ell >= 0", got=ell)
+
+
+def _check_lam(lam: float):
+    if not lam > 0:  # NaN too
+        raise ConstraintViolation("lam must be positive", got=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +245,15 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
 
     A+ < 0: eigenvalues z_k of the (N+1)x(N+1) Jacobi matrix of the
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
-    A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2.
+    A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2 (N <= K0's n_max).
     """
     # imported here, not at the top: the oscillator and FD paths never load the solver
-    from .basis import _bessel_top
     from .solver import ClassId, jacobi_matrix, resolve_class, tridiag_eigenvalues
 
     _check_levels(n_levels)
     if A_plus > 0:
         raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
-    if lam <= 0:
-        raise ConstraintViolation("lam must be positive", got=lam)
+    _check_lam(lam)
     v = well_potential(A_minus, A_plus, lam)
     if A_plus == 0.0:
         if A_minus < 0.5:
@@ -259,24 +261,22 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
         energies = morse_levels(A_minus, lam, n_levels)
         return v, SpectrumResult(energies, "morse_closed_form",
                                  {"A_minus": A_minus, "lam": lam})
-    mu = -A_minus
-    n_cap = int(math.floor(_bessel_top(mu)))  # the K0 basis's n_max
-    if N is None:
-        N = n_cap
-    if not A_minus >= N + 0.5 or N > n_cap:
-        raise ConstraintViolation("A- >= N + 1/2", A_minus - N - 0.5)
     # K0 instance with A0 left spectral: the Jacobi matrix lives in
     # z = 4 A0 / A+ and its entries do not involve A0
     ode = OdeParams(a=1.0, b=0.0, A_plus=A_plus, A_minus=A_minus,
                     A_one=-0.25, A_zero=0.0)
     sol = resolve_class(ode, ClassId.K0)
+    if N is None:
+        N = sol.n_max
+    if N > sol.n_max:
+        raise ConstraintViolation("A- >= N + 1/2", A_minus - N - 0.5)
     diag, off = jacobi_matrix(sol, N)
     z = tridiag_eigenvalues(diag, off)  # ascending
     # ascending too: -lam^2 A+ > 0, and rounding keeps the order
     energies = (-lam ** 2 * A_plus * z / 8.0)[:n_levels]
     return v, SpectrumResult(
         energies, "jacobi_matrix",
-        {"matrix_size": N + 1, "mu": mu, "gamma": 4.0 / A_plus,
+        {"matrix_size": N + 1, "mu": sol.basis.mu, "gamma": 4.0 / A_plus,
          "z_eigenvalues": z[:n_levels].tolist(),
          "energy_map": "E = -lam^2 A+ z / 8"})
 
@@ -319,6 +319,7 @@ def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
 def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> float:
     """E_k = 4 lam^2 sqrt(-A1) [k + 1/2 + sqrt(Lambda + (ell+1/2)^2)/2]."""
     _check_ell(ell)
+    _check_lam(lam)
     if not A_one < 0:
         raise ConstraintViolation("A1 < 0", got=A_one)
     root_arg = Lambda + (ell + 0.5) ** 2

@@ -580,10 +580,14 @@ def _row(sol: ClassSolution, what="recursion coefficients"):
 # recursion coefficients
 # ---------------------------------------------------------------------------
 
-def _check_bessel_degree(mu, n: int):
-    for expr, label in (((n + mu) * (n + mu + 1), "(n+mu)(n+mu+1)"),
-                        ((n + mu + 0.5), "n+mu+1/2"),
-                        ((n + mu + 1.5), "n+mu+3/2")):
+def _bessel_denominators(mu, n: int):
+    """(value, label) of each denominator of a bessel-basis row at degree n, a_n's first."""
+    return (((n + mu) * (n + mu + 1), "(n+mu)(n+mu+1)"), ((n + mu + 0.5), "n+mu+1/2"),
+            ((n + mu + 1.5), "n+mu+3/2"))
+
+
+def _check_denominators(n: int, denominators):
+    for expr, label in denominators:
         if expr == 0.0:
             raise DomainError(f"coefficient denominator {label} vanishes at n={n}")
 
@@ -608,7 +612,7 @@ def _coefficients(sol: ClassSolution):
             if n_max is not None and n > n_max:
                 raise DomainError(f"n={n} exceeds the basis bound n_max={n_max}")
             if mu is not None:
-                _check_bessel_degree(mu, n)
+                _check_denominators(n, _bessel_denominators(mu, n))
             row = row or _row(sol)
             triple = done[n] = row.u(n), row.s(n), row.t(n)
         return triple
@@ -707,10 +711,7 @@ class FavardReport(Record):
 
 def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     """Signs of the coupling products s_n t_n used by an (N+1)-level truncation."""
-    _check_integer(N, "N")
-    if sol.n_max is not None and N > sol.n_max:
-        raise DomainError(
-            f"N={N} violates mu < -N - 1/2 (mu={sol.basis.mu})")
+    _require_degree(sol, N, "N")
     row = _row(sol)
     prods = np.array([row.s(n) * row.t(n) for n in range(N)])
     return FavardReport(products=prods, definite=bool(np.all(prods > 0)))
@@ -729,6 +730,8 @@ def jacobi_matrix(sol: ClassSolution, N: int):
         raise DefinitenessError(
             f"s_n t_n <= 0 at n={bad} ({rep.products[bad]:.3e}); "
             "no symmetric Jacobi form")
+    if sol.basis.kind == "bessel":  # a_N's denominator; those below N do not vanish
+        _check_denominators(N, _bessel_denominators(sol.basis.mu, N)[:1])
     row = _row(sol)
     diag = np.array([row.a_n(n) / row.c for n in range(N + 1)])
     return diag, np.sqrt(rep.products) / abs(row.c)
@@ -738,10 +741,4 @@ def tridiag_eigenvalues(diag, off):
     """Ascending eigenvalues of a symmetric tridiagonal matrix."""
     from . import _lapack  # only the commands that solve an eigenproblem load it
 
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise DomainError("matrix entries must be finite")
-    if diag.size == 0:
-        return np.array([])
-    return np.sort(_lapack.all_eigenvalues(diag, off))
+    return _lapack.all_eigenvalues(diag, off)

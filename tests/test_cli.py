@@ -401,6 +401,69 @@ def test_verify_writes_json_only(tmp_path):
     assert run_cli(argv) == (code, out, err)
 
 
+def test_classify_refuses_csv(tmp_path):
+    """--format csv used to print the text summary, write no file and exit 0."""
+    out_file = tmp_path / "classes.csv"
+    argv = ["classify"] + K0_FLAGS
+    want = (2, "", "error: classify writes JSON only (got --format csv)\n")
+    assert run_cli(argv + ["--format", "csv", "--out", str(out_file)]) == want
+    assert not out_file.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = csv\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == want
+
+
+_SYSTEM_FLAG_VALUES = {
+    "spectrum": {"well": {"Am": "20.5", "Ap": "-1", "lam": "1"},
+                 "oscillator": {"A1": "-0.25", "Lambda": "0"}},
+    "oracle": {"oscillator": {"A1": "-0.25", "lam": "1", "r_min": "0.01", "r_max": "10"}},
+}
+
+
+@pytest.mark.parametrize("command, system, flag", [
+    (command, system, flag) for command, systems in _SYSTEM_FLAG_VALUES.items()
+    for system, flags in systems.items() for flag in flags])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_system_float_flags_must_be_finite(tmp_path, command, system, flag, value):
+    """A non-finite value, by flag or by config file, used to reach the
+    numerics: non-finite energies, an overflowing potential or a float-to-int
+    conversion, exit 2 or 3 by chance."""
+    option = "--" + flag.replace("_", "-")
+    others = [f"--{key.replace('_', '-')}={val}"
+              for key, val in _SYSTEM_FLAG_VALUES[command][system].items() if key != flag]
+    argv = [command, "--system", system] + others
+    want = (2, "", f"error: {option} must be finite (got {float(value)})\n")
+    assert run_cli(argv + [f"{option}={value}"]) == want
+    if flag in ("r_min", "r_max"):   # required flags: a config file cannot give them
+        return
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == want
+
+
+def test_oscillator_lam_must_be_positive():
+    """lam = 0 used to print all-zero energies and exit 0."""
+    for lam in ("0", "-1"):
+        want = (2, "", f"error: lam must be positive (got {float(lam)})\n")
+        assert run_cli(["spectrum"] + _OSCILLATOR + [f"--lam={lam}"]) == want
+
+
+def test_well_n_must_be_nonnegative():
+    """It used to fail in numpy: zero-size array to reduction operation maximum."""
+    assert run_cli(["spectrum"] + WELL_FLAGS + ["--N", "-1"]) == (
+        2, "", "error: N must be nonnegative\n")
+
+
+def test_well_at_integer_a_minus():
+    """N = n_max at A- = 3 puts a zero in the denominator of the last Jacobi
+    diagonal entry; it used to exit 3 on a bare float division by zero."""
+    argv = ["spectrum", "--system", "well", "--Am", "3", "--Ap", "-1", "--format", "csv"]
+    assert run_cli(argv) == (
+        2, "", "error: coefficient denominator (n+mu)(n+mu+1) vanishes at n=2\n")
+    code, out, err = run_cli(argv + ["--N", "1"])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3   # header and two levels
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\nb = 0\nAp = -1\nAm = 5\nA1 = -0.25\nA0 = 2  # eq-57 style\n")

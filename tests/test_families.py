@@ -201,6 +201,59 @@ def test_family_invariant_validation():
         HahnQ(p=-2.0, q=0.5, N=5).validate()
 
 
+@pytest.mark.parametrize("family, message", [
+    (BesselJ(mu=-3.0, n_max=4), "BesselJ needs mu < -n_max - 1/2 (mu=-3.0, n_max=4)"),
+    (DeformedB(mu=-3.0, gamma=1.0, n_max=4),
+     "DeformedB needs mu < -n_max - 1/2 (mu=-3.0, n_max=4)"),
+    (DualHahnR(p=0.5, q=-2.0, N=5), "DualHahnR q=-2.0 outside (> -1 or < -N)"),
+    (HahnQ(p=-2.0, q=0.5, N=5), "HahnQ p=-2.0 outside (> -1 or < -N)"),
+    (MeixnerPollaczekP(lam=-1.0, theta=1.0),
+     "MeixnerPollaczekP needs lam > 0, 0 < theta < pi (lam=-1.0, theta=1.0)"),
+    (DeformedY(lam=1.0, theta=4.0, eta=0.0),
+     "DeformedY needs lam > 0, 0 < theta < pi (lam=1.0, theta=4.0)"),
+    (MeixnerM(lam=1.0, theta=-0.3), "MeixnerM needs lam > 0, theta > 0 (lam=1.0, theta=-0.3)"),
+    (DeformedZ(lam=0.0, theta=1.0, eta=0.0),
+     "DeformedZ needs lam > 0, theta > 0 (lam=0.0, theta=1.0)"),
+], ids=["BesselJ", "DeformedB", "DualHahnR", "HahnQ", "MeixnerPollaczekP", "DeformedY",
+        "MeixnerM", "DeformedZ"])
+def test_family_rule_messages_name_the_family(family, message):
+    """Families that share a rule share its code; the message still names the
+    family that failed it."""
+    with pytest.raises(DomainError) as exc:
+        family.validate()
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        eval_poly(family, 0, 0.5)
+    assert str(exc.value) == message
+
+
+def test_families_without_a_rule_accept_any_parameters():
+    for family in (BesselJbar(-7.0), LaguerreL(-7.0), ContDualHahnS(-7.0, -7.0, -7.0),
+                   ContHahnH(-7.0, -7.0, -7.0, -7.0)):
+        assert family.validate() is None
+
+
+@pytest.mark.parametrize("family, n, message", [
+    (BesselJ(mu=-5.0, n_max=4), 5, "degree 5 exceeds n_max=4 for BesselJ"),
+    (DeformedB(mu=-5.0, gamma=1.0, n_max=4), 5, "degree 5 exceeds n_max=4 for DeformedB"),
+    (HahnQ(p=0.5, q=0.5, N=3.0), 4, "degree 4 exceeds N=3.0 for HahnQ"),
+    (DualHahnR(p=0.5, q=0.5, N=3), 4, "degree 4 exceeds N=3 for DualHahnR"),
+], ids=["BesselJ", "DeformedB", "HahnQ", "DualHahnR"])
+def test_degree_bound_is_the_highest_degree_accepted(family, n, message):
+    from trabessel.families import degree_bound
+    assert degree_bound(family) == n - 1
+    eval_poly(family, n - 1, 0.5)
+    with pytest.raises(DomainError) as exc:
+        eval_poly(family, n, 0.5)
+    assert str(exc.value) == message
+
+
+def test_a_family_with_a_non_integral_N_has_no_degree_bound():
+    from trabessel.families import degree_bound
+    assert degree_bound(HahnQ(p=0.5, q=0.5, N=3.5)) is None
+    assert degree_bound(LaguerreL(1.0)) is None
+
+
 @given(n=st.integers(0, 8), x=st.floats(0.05, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_besselj_sequence_matches_oracle(n, x):

@@ -52,6 +52,21 @@ def test_lowest_eigenpairs_match_scipy_bit_for_bit(n, k):
     assert _hex(got_w) == _hex(w) and _hex(got_v) == _hex(v)
 
 
+def test_non_finite_entries_are_a_domain_error():
+    from trabessel.errors import DomainError
+    for d, e in (([1.0, np.nan], [0.5]), ([1.0, 2.0], [np.inf])):
+        for solve in (_lapack.all_eigenvalues, lambda d, e: _lapack.Bisection(d, e, 1)):
+            with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+                solve(d, e)
+
+
+def test_all_eigenvalues_of_the_0x0_and_1x1_matrices():
+    assert _lapack.all_eigenvalues([], []).shape == (0,)
+    assert _hex(_lapack.all_eigenvalues([-0.1], [])) == _hex([-0.1])
+    with pytest.raises(ValueError, match=r"^d \(0\) must have one more element than e \(1\)$"):
+        _lapack.all_eigenvalues([], [1.0])
+
+
 @pytest.mark.parametrize("k", [0, 4])
 def test_lowest_eigenvalues_need_1_to_n_of_them(k):
     with pytest.raises(ValueError, match="lowest"):

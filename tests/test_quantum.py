@@ -177,6 +177,38 @@ def test_confining_well_guards():
         confining_well(5.5, -1.0, 1.0, N=8)  # A- < N + 1/2
 
 
+def test_confining_well_bounds_n_by_the_k0_basis():
+    """K0 is resolved first: its region and its n_max bound N, and jacobi_matrix
+    checks N's sign."""
+    with pytest.raises(ConstraintViolation, match="at least one basis degree"):
+        confining_well(0.3, -1.0, 1.0, N=0)   # A- < 1/2: no basis degree at all
+    with pytest.raises(DomainError, match="^N must be nonnegative$"):
+        confining_well(20.5, -1.0, 1.0, N=-1)
+    for A_minus in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^OdeParams.A_minus must be finite$"):
+            confining_well(A_minus, -1.0, 1.0)
+
+
+def test_confining_well_at_integer_a_minus():
+    """The default N = n_max would divide by zero on the Jacobi diagonal."""
+    with pytest.raises(DomainError) as exc:
+        confining_well(3.0, -1.0, 1.0)
+    assert str(exc.value) == "coefficient denominator (n+mu)(n+mu+1) vanishes at n=2"
+    _, res = confining_well(3.0, -1.0, 1.0, N=1)
+    assert len(res.energies) == 2
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_lam_must_be_positive(lam):
+    calls = [lambda: table1_map(1.0, _ode(A0=3.0), lam=lam),
+             lambda: confining_well(20.5, -1.0, lam),
+             lambda: spectrum_eq64(0, lam, -0.25, 0.0, 0),
+             lambda: eq64_energies(lam, -0.25, 0.0, 0, 3)]
+    for call in calls:
+        with pytest.raises(ConstraintViolation, match="^lam must be positive"):
+            call()
+
+
 def test_morse_levels_count_capped():
     levels = morse_levels(2.2, 1.0, 10)
     assert len(levels) == 2   # only n = 0, 1 bound

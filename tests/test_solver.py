@@ -736,6 +736,28 @@ def test_favard_guard_violation():
         favard_report(sol, 3)
 
 
+def test_favard_report_checks_n_as_expansion_coefficients_does():
+    p = OdeParams(a=1, b=0, A_plus=-1, A_minus=2, A_one=-0.25, A_zero=2)
+    sol = resolve_class(p, ClassId.K0)   # mu = -2: n_max = 1
+    with pytest.raises(DomainError, match="^N must be nonnegative$"):
+        favard_report(sol, -1)
+    with pytest.raises(DomainError) as exc:
+        favard_report(sol, 3)
+    assert str(exc.value) == "N=3 violates mu < -N - 1/2 (mu=-2.0, n_max=1)"
+
+
+def test_jacobi_matrix_refuses_a_vanishing_diagonal_denominator():
+    """At integer mu the top degree's a_N divides by (N+mu)(N+mu+1) = 0: the
+    DomainError the coefficient checks give, not a ZeroDivisionError."""
+    p = OdeParams(a=1, b=0, A_plus=-1, A_minus=3, A_one=-0.25, A_zero=0)
+    sol = resolve_class(p, ClassId.K0)   # mu = -3: n_max = 2
+    with pytest.raises(DomainError) as exc:
+        jacobi_matrix(sol, 2)
+    assert str(exc.value) == "coefficient denominator (n+mu)(n+mu+1) vanishes at n=2"
+    diag, off = jacobi_matrix(sol, 1)
+    assert len(diag) == 2 and np.all(np.isfinite(diag)) and len(off) == 1
+
+
 def test_favard_l39b():
     p, _ = DOCUMENTED[ClassId.L39B]
     sol = resolve_class(p, ClassId.L39B)
