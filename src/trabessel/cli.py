@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import __version__, jsonio
@@ -72,12 +73,8 @@ def _write(path, text):
 
 
 def _free_params(args):
-    free = {}
-    for key in ("mu", "alpha", "tau", "beta_free"):
-        val = getattr(args, key, None)
-        if val is not None:
-            free["beta" if key == "beta_free" else key] = val
-    return free
+    values = {key: getattr(args, key) for key in ("mu", "alpha", "tau")}
+    return {key: val for key, val in values.items() if val is not None}
 
 
 def _json_only(args):
@@ -234,8 +231,8 @@ _SYSTEM_FLAGS = {
 
 
 def _check_system_flags(args):
-    """ValueError unless the system's flags are given, none it takes no value
-    for is set and every float flag is finite, by flag or by config file."""
+    """ValueError unless the system's flags are given and none it takes no
+    value for is set, by flag or by config file."""
     needs, unused = _SYSTEM_FLAGS[args.system]
     if any(getattr(args, key) is None for key in needs):
         raise ValueError(f"{args.system} {args.command} needs --{' and --'.join(needs)}")
@@ -246,10 +243,6 @@ def _check_system_flags(args):
         flags = [f"--{key}" for key, _ in unused]
         raise ValueError(f"the {args.system} system takes no {', '.join(flags[:-1])} "
                          f"or {flags[-1]} (got {', '.join(given)})")
-    for key in ("Am", "Ap", "A1", "Lambda", "lam", "r_min", "r_max"):
-        value = getattr(args, key, None)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{key.replace('_', '-')} must be finite (got {value})")
 
 
 def _cmd_spectrum(args):
@@ -289,6 +282,16 @@ def _cmd_oracle(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent notation (-2.5e-1) as a value, where
+    argparse's own pattern knows only -2 and -2.5 and takes it for an option;
+    add_subparsers makes each subcommand's parser of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_ode_flags(p):
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
@@ -305,8 +308,6 @@ def _add_free_flags(p):
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--beta-free", dest="beta_free", type=float, default=None,
-                   help="alternative to --tau for L39C")
 
 
 def _add_io_flags(p):
@@ -336,7 +337,7 @@ def _add_grid_flags(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trabessel",
         description="Series solutions of the six-parameter Bessel-type ODE "
                     "by tridiagonal representation")
@@ -395,24 +396,29 @@ def build_parser():
 def _parse(parser, argv):
     """Parse argv; with --config, parse it again over the file's values set
     as the subcommand's defaults, so a flag always wins and argparse types
-    each value by its flag (a store_true flag reads 1/true/yes)."""
+    each value by its flag (a store_true flag reads 1/true/yes).  Every float
+    flag of the subcommand must then be finite, however it was given."""
     args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
     sub = parser._subparsers._group_actions[0].choices[args.command]
-    flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in flags:
-            raise ValueError(f"unknown config key {key!r}")
-        choices = flags[key].choices  # argparse checks choices in argv only
-        if choices is not None and raw not in choices:
-            raise ValueError(f"config key {key!r} must be one of {', '.join(choices)} "
-                             f"(got {raw!r})")
-        if isinstance(flags[key].default, bool):
-            values[key] = raw.lower() in ("1", "true", "yes")
-    sub.set_defaults(**values)
-    return parser.parse_args(argv)
+    if getattr(args, "config", None):
+        flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+        values = _read_config(args.config)
+        for key, raw in values.items():
+            if key not in flags:
+                raise ValueError(f"unknown config key {key!r}")
+            choices = flags[key].choices  # argparse checks choices in argv only
+            if choices is not None and raw not in choices:
+                raise ValueError(f"config key {key!r} must be one of {', '.join(choices)} "
+                                 f"(got {raw!r})")
+            if isinstance(flags[key].default, bool):
+                values[key] = raw.lower() in ("1", "true", "yes")
+        sub.set_defaults(**values)
+        args = parser.parse_args(argv)
+    for action in sub._actions:
+        value = getattr(args, action.dest) if action.type is float else None
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{action.option_strings[0]} must be finite (got {value})")
+    return args
 
 
 def main(argv=None) -> int:

@@ -197,6 +197,8 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
 
 def well_potential(A_minus: float, A_plus: float, lam: float):
     """V(r) = (lam^2/2)(e^{-2 lam r}/4 - A- e^{-lam r} - A+ e^{lam r})."""
+    _check_lam(lam)
+
     def v(r):
         return (lam ** 2 / 2) * (0.25 * np.exp(-2 * lam * r)
                                  - A_minus * np.exp(-lam * r)
@@ -253,7 +255,6 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     _check_levels(n_levels)
     if A_plus > 0:
         raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
-    _check_lam(lam)
     v = well_potential(A_minus, A_plus, lam)
     if A_plus == 0.0:
         if A_minus < 0.5:
@@ -308,6 +309,7 @@ def well_wavefunction_coeffs(A_minus: float, A_plus: float, lam: float,
 def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
     """V_eff(r) = [ell(ell+1) + Lambda]/2r^2 - 2 lam^4 A1 r^2."""
     _check_ell(ell)
+    _check_lam(lam)
     coef = (ell * (ell + 1) + Lambda) / 2.0
 
     def v(r):

@@ -8,9 +8,9 @@ a symmetric tridiagonal (Jacobi) matrix whose eigenvalues approximate the
 discrete support of the coefficient-polynomial measure.
 
 Everything class-specific is one row of the table `_CLASSES`: the class's
-admissible region, resolver and coefficients u_n, s_n, t_n, a_n and c.  The
-printed closed forms of C_n and the other cross-checks of the classes live in
-`trabessel.oracles`.
+admissible region, free parameters, resolver and coefficients u_n, s_n, t_n,
+a_n and c.  The printed closed forms of C_n and the other cross-checks of the
+classes live in `trabessel.oracles`.
 """
 from __future__ import annotations
 
@@ -190,7 +190,10 @@ def _admit(class_id, params: OdeParams, free, tol):
         if reads_free and free is None:
             continue
         if reads_free and values is None:
-            values = row.read_free(params, free)
+            missing = [key for key in row.free if key not in free]
+            if missing:
+                raise ConstraintViolation(f"{class_id.value} needs free parameters {missing}")
+            values = {key: float(free[key]) for key in row.free}
         value = residual(params, values)
         if not holds(value, tol):
             if relation == _NU_REAL:
@@ -292,6 +295,8 @@ class _Row:
     all four at once would divide by zero at s_N of a finite basis.
     """
 
+    free = ()   # the keys of `free`, read as floats where the region first needs them
+
     def u(self, n):
         """u_n = u_const + a_n wherever u_n - a_n is constant in n."""
         return self.u_const + self.a_n(n)
@@ -334,26 +339,17 @@ class _K0(_Row):
 
 class _C8B(_Row):
     c = 4.0
-
-    @staticmethod
-    def read_free(p, free):
-        missing = {"alpha", "mu"} - free.keys()
-        if missing:
-            raise ConstraintViolation(f"C8B needs free parameters {sorted(missing)}")
-        return {"alpha": float(free["alpha"]), "mu": float(free["mu"]),
-                "branch": int(free.get("branch", +1))}
+    free = ("alpha", "mu")
 
     @staticmethod
     def resolve(p, free):
-        alpha, mu, branch = free["alpha"], free["mu"], free["branch"]
+        alpha, mu = free["alpha"], free["mu"]
         beta = (1 - p.b) / 2
         sym = derived_symbols(p, alpha=alpha, beta=beta, mu=mu)
         basis = BasisSpec(kind="bessel", beta=beta, alpha=alpha, mu=mu)
         nu, kappa = sym.nu, sym.kappa
         half = alpha + (p.a - 1) / 2
-        sgn = 1.0 if branch >= 0 else -1.0
-        fam = families.HahnQ(p=half - 1 + sgn * nu, q=2 * mu + 1 - half - sgn * nu,
-                             N=-half + sgn * nu)
+        fam = families.HahnQ(p=half - 1 + nu, q=2 * mu + 1 - half - nu, N=-half + nu)
         alt = _printed_alt(families.ContHahnH(
             p=-kappa, q=-kappa + 2 * (mu + 1) - (2 * alpha + p.a - 1),
             c=kappa + half + nu, d=kappa + half - nu))
@@ -383,12 +379,7 @@ class _C8B(_Row):
 class _K1(_C8B):
     """C8B at alpha = mu + 1 - a/2, where sigma_+ = 0 and chi^2 = nu^2: it
     shares s_n and t_n to the bit; a_n and C_n keep their printed forms."""
-
-    @staticmethod
-    def read_free(p, free):
-        if "mu" not in free:
-            raise ConstraintViolation("K1 needs the free basis parameter mu")
-        return {"mu": float(free["mu"])}
+    free = ("mu",)
 
     @staticmethod
     def resolve(p, free):
@@ -415,19 +406,12 @@ class _K1(_C8B):
 
 
 class _L39C(_Row):
-    @staticmethod
-    def read_free(p, free):
-        if "tau" in free:
-            tau = float(free["tau"])
-            return {"tau": tau, "beta": (tau + 1 - p.b) / 2}
-        if "beta" in free:
-            beta = float(free["beta"])
-            return {"tau": 2 * beta + p.b - 1, "beta": beta}
-        raise ConstraintViolation("L39C needs the free deformation tau (or beta)")
+    free = ("tau",)
 
     @staticmethod
     def resolve(p, free):
-        tau, beta = free["tau"], free["beta"]
+        tau = free["tau"]
+        beta = (tau + 1 - p.b) / 2
         w = 4 * p.A_one - p.b ** 2
         big_s = w + tau ** 2
         sym = derived_symbols(p, beta=beta)
@@ -444,7 +428,7 @@ class _L39C(_Row):
             if abs(eta) == 1:
                 notes.append("|eta| = 1 boundary: Y-form retained")
         return ClassSolution(ClassId.L39C, p, basis, sym, binding, Omega(-0.25, -1),
-                             free={"tau": tau}, notes=tuple(notes))
+                             free=free, notes=tuple(notes))
 
     def __init__(self, p, sym, mu, tau):
         w = 4 * p.A_one - p.b ** 2
@@ -465,6 +449,7 @@ class _L39C(_Row):
 
 class _L39A(_L39C):
     """L39C's recursion at tau = 0, divided through by 4*A1 - b^2 + 1."""
+    free = ()   # not L39C's tau
 
     @staticmethod
     def resolve(p, free):
@@ -546,10 +531,15 @@ def resolve_class(params: OdeParams, class_id: ClassId, free: dict | None = None
                   tol: float = DEFAULT_TOL) -> ClassSolution:
     """Resolve one admissible class into a full ClassSolution.
 
-    `free` supplies class-specific free parameters: mu (K1), alpha and mu
-    (C8B), tau or beta (L39C), parsed by the row's `read_free`.
+    `free` supplies the free parameters that the class's row declares: mu
+    (K1), alpha and mu (C8B), tau (L39C).  Each is read as a float where the
+    region first needs it; a missing one, or a key the class does not
+    declare, is a ConstraintViolation.
     """
     row = _CLASSES[class_id][0]
+    undeclared = sorted((free or {}).keys() - set(row.free if row else ()))
+    if undeclared:
+        raise ConstraintViolation(f"{class_id.value} does not take free parameters {undeclared}")
     try:
         _, free = _admit(class_id, params, free or {}, tol)
         if row is None:

@@ -13,8 +13,9 @@ from pytest import approx
 import pytest
 
 import trabessel
-from trabessel import _lapack
-from trabessel.cli import main
+from trabessel import ClassId, _lapack
+from trabessel.cli import build_parser, main
+from trabessel.solver import _CLASSES
 
 K0_FLAGS = ["--a", "1", "--b", "0", "--Ap", "-1", "--Am", "5",
             "--A1", "-0.25", "--A0", "2"]
@@ -441,11 +442,75 @@ def test_system_float_flags_must_be_finite(tmp_path, command, system, flag, valu
     assert run_cli(argv + ["--config", str(cfg)]) == want
 
 
+def _float_flag_cases():
+    """(argv without the flag, flag, dest) for every float flag of every
+    subcommand; each required flag gets its first choice, or 1."""
+    subs = build_parser()._subparsers._group_actions[0].choices
+    cases = []
+    for command, sub in subs.items():
+        required = [arg for a in sub._actions if a.required
+                    for arg in (a.option_strings[0], a.choices[0] if a.choices else "1")]
+        cases += [pytest.param([command] + required, a.option_strings[0], a.dest,
+                               id=f"{command}{a.option_strings[0]}")
+                  for a in sub._actions if a.type is float]
+    return cases
+
+
+@pytest.mark.parametrize("argv, flag, dest", _float_flag_cases())
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_every_float_flag_must_be_finite(tmp_path, argv, flag, dest, value):
+    """The parser's own float flags, by flag and by config file: a new flag
+    is covered here as it is added.  --x-max inf used to fail in the output
+    writer, --alpha nan on a float-to-int conversion and --tol inf on A+."""
+    want = (2, "", f"error: {flag} must be finite (got {float(value)})\n")
+    assert run_cli(argv + [f"{flag}={value}"]) == want
+    if flag in argv:   # a required flag: a config file cannot give it
+        return
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest} = {value}\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == want
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["classify"] + K0_FLAGS, "--A1", "-2.5e-1"),
+    (["solve", "--class", "K0"] + K0_FLAGS, "--Ap", "-1e0"),
+    (["eval", "--class", "K0"] + K0_FLAGS, "--A1", "-25E-2"),
+    (["verify"] + L39A_FLAGS, "--Am", "-2e+0"),
+    (["spectrum"] + _OSCILLATOR, "--A1", "-2.5e-1"),
+    (["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2", "--grid-size", "500"],
+     "--r-min", "-5.7e0"),
+], ids=["classify", "solve", "eval", "verify", "spectrum", "oracle"])
+def test_negative_values_in_exponent_notation(argv, flag, value):
+    """argparse took a spaced -2.5e-1 for an option: "expected one argument"."""
+    got = run_cli(argv + [flag, value])
+    assert got == run_cli(argv + [f"{flag}={value}"]) and got[0] == 0
+
+
+def test_free_flags_the_class_does_not_take_exit_2(tmp_path):
+    """K0 used to ignore them and print its own coefficients."""
+    argv = ["solve", "--class", "K0"] + K0_FLAGS
+    assert run_cli(argv + ["--mu", "-5", "--tau", "3"]) == (
+        2, "", "error: K0 does not take free parameters ['mu', 'tau']\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 3\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == (
+        2, "", "error: K0 does not take free parameters ['tau']\n")
+
+
 def test_oscillator_lam_must_be_positive():
     """lam = 0 used to print all-zero energies and exit 0."""
     for lam in ("0", "-1"):
         want = (2, "", f"error: lam must be positive (got {float(lam)})\n")
         assert run_cli(["spectrum"] + _OSCILLATOR + [f"--lam={lam}"]) == want
+
+
+@pytest.mark.parametrize("command", [_WELL_ORACLE, _OSCILLATOR_ORACLE], ids=["well", "oscillator"])
+@pytest.mark.parametrize("lam", ["0", "-1"])
+def test_oracle_lam_must_be_positive(command, lam):
+    """The potentials read lam unchecked: the well exited 3 on an edge
+    magnitude, and the oscillator, reading only lam**4, printed lam = 1's levels."""
+    want = (2, "", f"error: lam must be positive (got {float(lam)})\n")
+    assert run_cli(command + [f"--lam={lam}"]) == want
 
 
 def test_well_n_must_be_nonnegative():
@@ -572,8 +637,10 @@ def _cli_argv(draw):
         p["Ap"] = 0.0
     argv = [cmd] + [f"--{k}={v!r}" for k, v in p.items()]
     if cmd != "classify":
-        argv += [f"--class={draw(st.sampled_from(('K0', 'K1', 'C8B', 'L39A', 'L39B', 'L39C')))}"]
-        argv += [f"--{k}={draw(_CLI_VALUES)!r}" for k in ("mu", "alpha", "tau")]
+        cls = draw(st.sampled_from(("K0", "K1", "C8B", "L39A", "L39B", "L39C")))
+        # the free flags the class declares: resolve_class refuses any other
+        argv += [f"--class={cls}"] + [f"--{k}={draw(_CLI_VALUES)!r}"
+                                      for k in _CLASSES[ClassId(cls)][0].free]
     if cmd in ("solve", "eval"):
         # a bounded N: the default truncation of K0 at |A-| ~ 1e9 runs out of memory
         argv.append(f"--N={draw(st.integers(0, 8))}")
@@ -609,15 +676,12 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
-def test_solve_l39c_beta_free_flag(tmp_path):
-    out_file = tmp_path / "c.json"
-    code, _, _ = run_cli(["solve", "--class", "L39C", "--a", "1.5", "--b", "0",
-                          "--Ap", "0", "--Am", "1", "--A1", "-0.25",
-                          "--A0", "0.9375", "--beta-free", "2.0", "--N", "3",
-                          "--out", str(out_file)])
-    assert code == 0
-    doc = json.loads(out_file.read_text())
-    assert doc["binding"]["family"] == "DeformedZ"   # tau = 3 regime
+def test_solve_l39c_refuses_beta_free_flag():
+    """--beta-free was a second spelling of --tau, and lost silently to it."""
+    code, out, err = run_cli(["solve", "--class", "L39C", "--a", "1.5", "--b", "0",
+                              "--Ap", "0", "--Am", "1", "--A1", "-0.25",
+                              "--A0", "0.9375", "--tau", "3", "--beta-free", "0.1"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --beta-free 0.1" in err
 
 
 def test_verify_degree_range_exit2():

@@ -8,7 +8,8 @@ from trabessel import (OdeParams, confining_well, fd_oracle, morse_levels,
                        singular_oscillator, spectrum_eq64, table1_map)
 from trabessel.errors import (BoundaryError, ConstraintViolation, DomainError,
                               UnsupportedRow)
-from trabessel.quantum import eq64_energies, oscillator_potential, well_domain
+from trabessel.quantum import (eq64_energies, oscillator_potential, well_domain,
+                               well_potential)
 
 
 def _ode(Ap=0.0, Am=0.0, A1=0.0, A0=0.0, a=1.0):
@@ -202,6 +203,8 @@ def test_confining_well_at_integer_a_minus():
 def test_lam_must_be_positive(lam):
     calls = [lambda: table1_map(1.0, _ode(A0=3.0), lam=lam),
              lambda: confining_well(20.5, -1.0, lam),
+             lambda: well_potential(20.5, -1.0, lam),
+             lambda: oscillator_potential(-0.25, 0.0, 0, lam),
              lambda: spectrum_eq64(0, lam, -0.25, 0.0, 0),
              lambda: eq64_energies(lam, -0.25, 0.0, 0, 3)]
     for call in calls:

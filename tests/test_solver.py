@@ -16,7 +16,7 @@ from trabessel.errors import (ConstraintViolation, DefinitenessError,
                               DomainError, RealityViolation, SeriesOverflow,
                               TraError)
 from trabessel.families import (ContDualHahnS, DeformedB, DeformedY, DeformedZ,
-                                HahnQ, MeixnerPollaczekP)
+                                HahnQ, MeixnerPollaczekP, eval_poly)
 from trabessel.solver import derived_symbols
 
 from conftest import DECAY_SETS, DOCUMENTED
@@ -177,12 +177,15 @@ def test_resolve_l39c_regimes():
     assert sol2.binding.family.eta == approx(0.5 / math.sqrt(4.25))
 
 
-def test_resolve_l39c_accepts_beta():
-    p, _ = DOCUMENTED[ClassId.L39C]
-    via_tau = resolve_class(p, ClassId.L39C, {"tau": 3.0})
-    via_beta = resolve_class(p, ClassId.L39C, {"beta": 2.0})
-    assert via_beta.free["tau"] == approx(3.0)
-    assert via_beta.basis.beta == approx(via_tau.basis.beta)
+@pytest.mark.parametrize("cid, key", [(ClassId.K0, "mu"), (ClassId.L39A, "tau"),
+                                      (ClassId.L39B, "mu"), (ClassId.K1, "alpha"),
+                                      (ClassId.C8B, "tau")])
+def test_resolve_refuses_a_free_parameter_the_class_does_not_declare(cid, key):
+    """Such a key used to be ignored: K0 with mu gave K0's plain solution."""
+    p, free = DOCUMENTED[cid]
+    with pytest.raises(ConstraintViolation) as err:
+        resolve_class(p, cid, {**free, key: 3.0})
+    assert str(err.value) == f"{cid.value} does not take free parameters ['{key}']"
 
 
 def test_resolve_missing_free_parameters():
@@ -268,7 +271,7 @@ _RESOLVE_ERRORS = [
                    message="K0 needs 4*A0 >= -(a-1)^2; nu^2 = -3.0 < 0"),
     _resolve_error(ClassId.K1, A_one=0.5, message="b^2 = 1 + 4*A1 (residual 3.000e+00)"),
     _resolve_error(ClassId.K1, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
-    _resolve_error(ClassId.K1, free={}, message="K1 needs the free basis parameter mu"),
+    _resolve_error(ClassId.K1, free={}, message="K1 needs free parameters ['mu']"),
     _resolve_error(ClassId.K1, free={"mu": -0.25}, message="mu < -1/2 (residual -2.500e-01)"),
     _resolve_error(ClassId.K1, free={"mu": -0.5 - 1e-10},
                    message="mu < -1/2 (residual -5.000e-01)"),
@@ -297,11 +300,8 @@ _RESOLVE_ERRORS = [
     _resolve_error(ClassId.L39B, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
     _resolve_error(ClassId.L39B, A_one=1.0, message="b^2 = 1 + 4*A1 (residual 5.000e+00)"),
     _resolve_error(ClassId.L39C, A_plus=1.0, message="A+ = 0 (residual 1.000e+00)"),
-    _resolve_error(ClassId.L39C, free={},
-                   message="L39C needs the free deformation tau (or beta)"),
+    _resolve_error(ClassId.L39C, free={}, message="L39C needs free parameters ['tau']"),
     _resolve_error(ClassId.L39C, free={"tau": 0.0},
-                   message="tau != 0 (tau = 0 is the undeformed class) (residual 0.000e+00)"),
-    _resolve_error(ClassId.L39C, free={"beta": 0.5},
                    message="tau != 0 (tau = 0 is the undeformed class) (residual 0.000e+00)"),
     _resolve_error(ClassId.L39C, free={"tau": 0.5},
                    message="4*A1 - b^2 + tau^2 > 0 (residual -7.500e-01)"),
@@ -581,12 +581,18 @@ def test_binding_route_matches_direct_recursion():
 
 
 def test_c8b_branches_agree():
+    """The binding reads nu as +nu; the -nu reading's C_n Q_n are the same f_n."""
     p, free = DOCUMENTED[ClassId.C8B]
-    plus = resolve_class(p, ClassId.C8B, {**free, "branch": +1})
-    minus = resolve_class(p, ClassId.C8B, {**free, "branch": -1})
-    f1 = expansion_coefficients(plus, 8)
-    f2 = expansion_coefficients(minus, 8)
-    assert np.allclose(f1, f2, rtol=1e-9)
+    sol = resolve_class(p, ClassId.C8B, free)
+    nu, mu = sol.symbols.nu, free["mu"]
+    half = free["alpha"] + (p.a - 1) / 2
+    minus = HahnQ(p=half - 1 - nu, q=2 * mu + 1 - half + nu, N=-half - nu)
+    cn, want = 1.0, []
+    for n in range(9):
+        want.append(cn * eval_poly(minus, n, sol.binding.argument))
+        _, s, t = recursion_coeffs(sol, n)
+        cn *= t / s
+    assert np.allclose(expansion_coefficients(sol, 8), want, rtol=1e-9)
 
 
 def test_l39c_continuity_to_l39a():
