@@ -283,13 +283,15 @@ def _cmd_oracle(args):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative number in exponent notation (-2.5e-1) as a value, where
-    argparse's own pattern knows only -2 and -2.5 and takes it for an option;
-    add_subparsers makes each subcommand's parser of this class too."""
+    """Reads a negative number in exponent notation (-2.5e-1), and -inf,
+    -infinity and -nan in any case, as a value, where argparse's own pattern
+    knows only -2 and -2.5 and takes the rest for an option; add_subparsers
+    makes each subcommand's parser of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def _add_ode_flags(p):

@@ -326,29 +326,20 @@ def _check_degree(family, n):
             raise DomainError(f"degree {n} exceeds {name}={value} for {type(family).__name__}")
 
 
-def degree_bound(family):
-    """Highest degree `_check_degree` accepts for `family`, or None if unbounded."""
-    return min((top for _, _, top in _degree_bounds(family)), default=None)
-
-
-def _poly_values(family, n: int, z):
-    """P_0..P_n of `family` at z by upward recursion, one per next(), after the family
-    and the degree are checked.  The lowest failing degree raises: a non-finite value
-    stops the recursion there.  NumPy-scalar steps warn on overflow, so step it under
-    np.errstate."""
-    family.validate()
-    _check_degree(family, n)
-    one = complex(1.0) if isinstance(family, ContHahnH) else 1.0
-    for value in _three_term(_STEPS[type(family)](family, n, z), one):
-        if not cmath.isfinite(value):  # real values too
-            raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
-        yield value
-
-
 def eval_poly_sequence(family, n: int, z):
-    """Values of degrees 0..n by upward recursion from P_0 = 1, P_{-1} = 0."""
+    """Values of degrees 0..n by upward recursion from P_0 = 1, P_{-1} = 0, after the
+    family and the degree are checked.  A non-finite value stops the recursion at its
+    degree."""
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):  # NumPy scalars warn, floats do not
-        return list(_poly_values(family, n, z))
+        family.validate()
+        _check_degree(family, n)
+        one = complex(1.0) if isinstance(family, ContHahnH) else 1.0
+        for value in _three_term(_STEPS[type(family)](family, n, z), one):
+            if not cmath.isfinite(value):  # real values too
+                raise DomainError(f"{type(family).__name__} recursion produced a non-finite value")
+            values.append(value)
+    return values
 
 
 def eval_poly(family, n: int, z):

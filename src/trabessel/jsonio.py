@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = ["dumps", "format_float"]
+
+_INDENT = "  "
 
 
 def format_float(x: float) -> str:
@@ -21,33 +21,31 @@ def format_float(x: float) -> str:
     return s
 
 
-def _encode(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, level):
+    pad = _INDENT * level
+    pad_in = pad + _INDENT
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}"{k}": {_encode(v, indent, level + 1)}'
-                 for k, v in obj.items()]
+        items = [f'{pad_in}"{k}": {_encode(v, level + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        items = [f"{pad_in}{_encode(v, indent, level + 1)}" for v in seq]
+        items = [f"{pad_in}{_encode(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, float):  # numpy.float64 too
+        return format_float(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _encode(obj, 0) + "\n"

@@ -25,6 +25,8 @@ __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
            "morse_levels", "well_potential", "well_wavefunction_coeffs",
            "oscillator_potential"]
 
+_WELL_ROWS = 100_000
+
 
 class SystemSpec(Record):
     a_choice: float
@@ -247,7 +249,8 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
 
     A+ < 0: eigenvalues z_k of the (N+1)x(N+1) Jacobi matrix of the
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
-    A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2 (N <= K0's n_max).
+    A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2 (N <= K0's n_max)
+    and at most _WELL_ROWS = 100,000 rows, as dstevd's time grows as N^2.
     """
     # imported here, not at the top: the oscillator and FD paths never load the solver
     from .solver import ClassId, jacobi_matrix, resolve_class, tridiag_eigenvalues
@@ -271,6 +274,9 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
         N = sol.n_max
     if N > sol.n_max:
         raise ConstraintViolation("A- >= N + 1/2", A_minus - N - 0.5)
+    if N + 1 > _WELL_ROWS:
+        raise ConstraintViolation(f"the well's Jacobi matrix has at most {_WELL_ROWS} rows",
+                                  got=float(N + 1))
     diag, off = jacobi_matrix(sol, N)
     z = tridiag_eigenvalues(diag, off)  # ascending
     # ascending too: -lam^2 A+ > 0, and rounding keeps the order

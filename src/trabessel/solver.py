@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import islice
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from ._classid import ClassId
 from ._record import Record
 from .basis import BasisSpec, _bessel_top, basis_block, series_sum
 from .errors import (ConstraintViolation, DefinitenessError, DomainError,
-                     RealityViolation, SeriesOverflow, TraError, _check_integer)
+                     RealityViolation, SeriesOverflow, _check_integer)
 from .ode import OdeParams
 
 __all__ = [
@@ -636,29 +635,17 @@ def _require_degree(sol: ClassSolution, N: int, name: str):
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
     """f_0..f_N with f_0 = 1: f_n = (prod_{m<n} t_m/s_m) * P_n(binding argument).
 
-    One upward recursion pass gives P_0..P_N, and the first failing degree
-    stops it, so the cost is O(N) and at most O(degree) when it fails.  The
-    values are bit-identical to `sol.binding.eval(n)` degree by degree, and
-    so are the errors: the lowest degree that fails decides, and s_{n-1} = 0
-    wins a tie with the family at degree n.  For L39B the coefficients are
-    the bound polynomials directly.
+    The family is walked once, up to degree N, before the C_n products: a family
+    error at any degree comes before the first s_{n-1} = 0.  The values are
+    bit-identical to `sol.binding.eval(n)` degree by degree.  For L39B the
+    coefficients are the bound polynomials directly.
     """
     _require_degree(sol, N, "N")
     row = _row(sol)
     b = sol.binding
-    # eval(n) fails at the first degree past the family's bound (HahnQ with an
-    # integral N): recurse up to the bound, then raise that degree's error
-    top = families.degree_bound(b.family)
-    reach = N if top is None else min(N, max(top, 0))
-    try:
-        values = iter(families.eval_poly_sequence(b.family, reach, b.argument)[1:]
-                      if reach else ())
-    except (TraError, ArithmeticError):
-        # it fails at some degree <= reach: step it again beside C_n, where s_{n-1} = 0
-        # at or below that degree comes first
-        values = islice(families._poly_values(b.family, reach, b.argument), 1, None)
+    values = families.eval_poly_sequence(b.family, N, b.argument)
     f, cn = [1.0], 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # stepped here, NumPy scalars warn
+    with np.errstate(over="ignore", invalid="ignore"):  # NumPy-scalar coefficients warn
         for n in range(1, N + 1):
             sm = row.s(n - 1)
             if sm == 0.0:
@@ -666,9 +653,7 @@ def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
                     f"s_{n - 1} = 0: the t/s coefficient product is undefined here")
             if sol.class_id is not ClassId.L39B:
                 cn *= row.t(n - 1) / sm
-            if n > reach:
-                families.eval_poly(b.family, n, b.argument)
-            f.append(cn * (b.per_n_scale ** n * next(values)))
+            f.append(cn * (b.per_n_scale ** n * values[n]))
     return np.array(f, dtype=float)
 
 

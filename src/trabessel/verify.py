@@ -51,10 +51,9 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
                          tol: float = 1e-8) -> CheckReport:
     """tridiagonality_check over several degrees, worst case reported.
 
-    Every degree is checked from one basis block for degrees 0..max + 1, and
-    each degree's coefficients are evaluated once, however often the sweep
-    needs them, so the cost is linear in the top degree.  Errors are those of
-    checking the degrees one at a time in the order given.
+    First every degree's coefficients, in the order given, each distinct degree
+    evaluated once; then one basis block for degrees 0..max + 1.  So the cost is
+    linear in the top degree, and a coefficient error comes before a basis error.
     """
     degrees = list(n_values)
     if not degrees:
@@ -62,15 +61,10 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
     x = (grid or default_grid()).points()
     rows = []
     coeffs = _coefficients(sol)
-    try:
-        for n in degrees:
-            u_n, _, t_n = coeffs(n)
-            rows.append((n, u_n, t_n, coeffs(n - 1)[1] if n > 0 else 0.0))
-    finally:
-        # a basis failure of an earlier degree (no phi_{n_max+1}, an
-        # overflowing prefactor) precedes a later degree's coefficient error
-        if rows:
-            vals, der1, der2 = basis_block(sol.basis, max(r[0] for r in rows) + 1, x)
+    for n in degrees:
+        u_n, _, t_n = coeffs(n)
+        rows.append((n, u_n, t_n, coeffs(n - 1)[1] if n > 0 else 0.0))
+    vals, der1, der2 = basis_block(sol.basis, max(degrees) + 1, x)
     ns, u, t, s_prev = (np.array(c) for c in zip(*rows))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as a non-finite check
         lhs = apply_D_values(sol.ode, vals[ns], der1[ns], der2[ns], x)

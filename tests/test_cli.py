@@ -201,6 +201,44 @@ def test_solve_at_a_huge_a_minus_fails_fast_in_bounded_memory():
     assert proc.stderr == "error: DeformedB recursion produced a non-finite value\n"
 
 
+_K1_MU = ["--class", "K1", "--a", "1", "--Ap", "0", "--mu", "-5.3"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    # coefficients past n_max = 4 before the basis block that overflows on the grid
+    (["verify"] + _K1_MU + ["--b", "3", "--Am", "3", "--A1", "2", "--A0", "2", "--n", "9",
+                            "--x-min", "1e-3", "--x-max", "1", "--x-count", "20"],
+     "error: n=5 exceeds the basis bound n_max=4"),
+    # coefficients past n_max = 4 before the basis block's own bound
+    (["verify"] + _K1_MU + ["--b", "0", "--Am", "3", "--A1", "-0.25", "--A0", "2", "--n", "5"],
+     "error: n=5 exceeds the basis bound n_max=4"),
+    # HahnQ's q = -1 before s_0 = 0
+    (["solve", "--class", "K1", "--a", "1", "--b", "0", "--Ap", "0", "--Am", "-10",
+      "--A1", "-0.25", "--A0", "0.25", "--mu", "-2"],
+     "error: HahnQ q=-1.0 outside (> -1 or < -N)"),
+    # HahnQ's bound names the requested degree
+    (["solve", "--class", "C8B", "--a", "1.5", "--b", "0", "--Ap", "0", "--Am", "2",
+      "--A1", "-0.25", "--A0", "-0.0625", "--alpha", "-3.25", "--mu", "-12.5"],
+     "error: degree 11 exceeds N=3.0 for HahnQ"),
+], ids=["verify-overflow", "verify-basis-bound", "solve-s0-HahnQq", "solve-HahnN3"])
+def test_the_first_failing_stage_decides_the_error(argv, err):
+    """The family, or every degree's coefficients, are checked before the
+    stage that uses them: invalid input exits 2 even where a later stage
+    would fail too."""
+    assert run_cli(argv) == (2, "", err + "\n")
+
+
+@pytest.mark.parametrize("A_minus", ["1e160", "1e300"])
+def test_solve_k0_at_an_extreme_a_minus_fails_the_family_check(A_minus):
+    """-n_max - 1/2 rounds to mu there, so the DeformedB rule fails; it comes
+    before the s_0 = 0, an underflow, that the C_n products would meet (exit 3)."""
+    code, out, err = run_cli(["solve", "--class", "K0", "--a", "1", "--b", "0", "--Ap", "-1",
+                              "--Am", A_minus, "--A1", "-0.25", "--A0", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: DeformedB needs mu < -n_max - 1/2 (mu=-{float(A_minus)}, ")
+    assert err.count("\n") == 1
+
+
 def test_eval_on_a_huge_grid_prints_no_warnings():
     """eval takes phi_n alone, so the prefactor's log-derivatives, which pass
     through x^2 = inf beyond x = 1e154, are never formed."""
@@ -486,6 +524,15 @@ def test_negative_values_in_exponent_notation(argv, flag, value):
     assert got == run_cli(argv + [f"{flag}={value}"]) and got[0] == 0
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Inf", "-INF", "-infinity", "-Infinity",
+                                   "-nan", "-NaN", "-NAN"])
+def test_spaced_negative_inf_and_nan_are_values(value):
+    """argparse took a spaced -inf or -nan for an option: "expected one argument"."""
+    argv = ["spectrum"] + _OSCILLATOR[:-2]
+    want = (2, "", f"error: --A1 must be finite (got {float(value)})\n")
+    assert run_cli(argv + ["--A1", value]) == run_cli(argv + [f"--A1={value}"]) == want
+
+
 def test_free_flags_the_class_does_not_take_exit_2(tmp_path):
     """K0 used to ignore them and print its own coefficients."""
     argv = ["solve", "--class", "K0"] + K0_FLAGS
@@ -511,6 +558,28 @@ def test_oracle_lam_must_be_positive(command, lam):
     magnitude, and the oscillator, reading only lam**4, printed lam = 1's levels."""
     want = (2, "", f"error: lam must be positive (got {float(lam)})\n")
     assert run_cli(command + [f"--lam={lam}"]) == want
+
+
+def test_well_at_a_huge_a_minus_is_refused_fast_in_bounded_memory():
+    """At A- = 1e300 the default N = n_max asks for a Jacobi matrix of 1e300
+    rows: it used to end in a MemoryError traceback (exit 1).  The well caps
+    the matrix at 100,000 rows and exits 2 at once, here under a 1.5 GB
+    address-space limit set in the child only."""
+    resource = pytest.importorskip("resource")
+    limit = 1536 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    proc = run_python(["-m", "trabessel.cli", "spectrum", "--system", "well",
+                       "--Am", "1e300", "--Ap", "-1"],
+                      env={"OPENBLAS_NUM_THREADS": "1"}, timeout=30, preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == "error: the well's Jacobi matrix has at most 100000 rows (got 1e+300)\n"
+
+
+def test_oracle_refuses_an_empty_domain():
+    argv = ["oracle"] + _OSCILLATOR + ["--r-min", "2", "--r-max", "1"]
+    assert run_cli(argv) == (2, "", "error: domain must satisfy r_min < r_max\n")
 
 
 def test_well_n_must_be_nonnegative():
@@ -815,6 +884,15 @@ def test_each_command_loads_only_the_layers_it_runs(key):
 
 def test_package_import_loads_no_submodule():
     assert _modules_loaded([], ("trabessel",)) == ["trabessel"]
+
+
+def test_version_and_the_cli_import_load_no_numpy():
+    """jsonio encodes Python scalars and lists only, so no module that every
+    command loads imports numpy."""
+    assert _modules_loaded(["version"], ("numpy",)) == []
+    probe = "import sys, trabessel.cli; print('numpy' in sys.modules)"
+    proc = run_python(["-c", probe])
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_cli_import_loads_no_dataclasses():

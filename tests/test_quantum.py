@@ -127,6 +127,14 @@ def test_fd_oracle_grid_guard():
         fd_oracle(lambda r: 0 * r, (0.0, 1.0), 50)
 
 
+def test_fd_oracle_refuses_an_empty_domain_and_a_centrifugal_term_at_the_origin():
+    pot = lambda r: 0.5 * r ** 2
+    with pytest.raises(ConstraintViolation, match=r"^domain must satisfy r_min < r_max$"):
+        fd_oracle(pot, (2.0, 1.0), 500)
+    with pytest.raises(ConstraintViolation, match=r"^centrifugal term needs r_min > 0$"):
+        fd_oracle(pot, (0.0, 5.0), 500, ell=1)
+
+
 # ---------------------------------------------------------------------------
 # confining well
 # ---------------------------------------------------------------------------
@@ -188,6 +196,14 @@ def test_confining_well_bounds_n_by_the_k0_basis():
     for A_minus in (math.inf, math.nan):
         with pytest.raises(ValueError, match="^OdeParams.A_minus must be finite$"):
             confining_well(A_minus, -1.0, 1.0)
+
+
+def test_confining_well_caps_the_jacobi_matrix_at_100000_rows():
+    """dstevd's time grows as N^2, so past 100,000 rows the well refuses at
+    once, before any list is built, and prints the size as a float."""
+    with pytest.raises(ConstraintViolation) as exc:
+        confining_well(2e5, -1.0, 1.0, N=100_000)
+    assert str(exc.value) == "the well's Jacobi matrix has at most 100000 rows (got 100001.0)"
 
 
 def test_confining_well_at_integer_a_minus():

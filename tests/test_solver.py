@@ -618,7 +618,10 @@ def test_expansion_zero_division():
 
 
 def _per_degree_coefficients(sol, N):
-    """Reference: C_n * binding.eval(n), the family recursed afresh per degree."""
+    """Reference: C_n * binding.eval(n), the family recursed afresh per degree,
+    after the family stage: binding.eval(N) raises the family's error at any
+    degree up to N before the first s_{n-1} = 0."""
+    sol.binding.eval(N)
     f = np.empty(N + 1)
     f[0] = 1.0
     cn = 1.0
@@ -659,15 +662,15 @@ _EXPANSION_CASES = (
         # s_n = 0 for every n
         _case("L39C-tau2", (OdeParams(a=1.5, b=0, A_plus=0, A_minus=1, A_one=-0.25,
                                       A_zero=15 / 16), {"tau": 2.0}), ClassId.L39C, 3),
-        # HahnQ with N = 3 < n_max = 11: the first failing degree is 4
+        # HahnQ with N = 3 < n_max = 11: the degree bound names the requested degree 11
         _case("C8B-HahnN3", (OdeParams(a=1.5, b=0, A_plus=0, A_minus=2, A_one=-0.25,
                                        A_zero=-0.0625), {"alpha": -3.25, "mu": -12.5}),
               ClassId.C8B),
-        # HahnQ with N = 0: degree 1 already fails
+        # HahnQ with N = 0: the degree bound fails
         _case("K1-HahnN0", (OdeParams(a=1, b=0, A_plus=0, A_minus=3, A_one=-0.25,
                                       A_zero=6.25), {"mu": -3.0}), ClassId.K1),
-        # s_0 = 0, and HahnQ's q = -1 is outside its range: both fail at degree 1,
-        # and the tie goes to s
+        # s_0 = 0, and HahnQ's q = -1 is outside its range: the family stage comes
+        # first
         _case("K1-s0-HahnQq", (OdeParams(a=1, b=0, A_plus=0, A_minus=-10, A_one=-0.25,
                                          A_zero=0.25), {"mu": -2.0}), ClassId.K1),
     ])
@@ -676,7 +679,7 @@ _EXPANSION_CASES = (
 @pytest.mark.parametrize("params,cid,N", _EXPANSION_CASES)
 def test_expansion_matches_per_degree_reference(params, cid, N):
     """One recursion pass reproduces the per-degree loop bit for bit, errors
-    included: same type, same message, same lowest failing degree."""
+    included: same type, same message, the family stage before the C_n products."""
     ode, free = params
     sol = resolve_class(ode, cid, free)
     N = default_truncation(sol) if N is None else N
@@ -694,6 +697,32 @@ def test_expansion_k0_overflow_is_a_family_domain_error():
     with pytest.raises(DomainError,
                        match="DeformedB recursion produced a non-finite value"):
         expansion_coefficients(sol, default_truncation(sol))
+
+
+_K0_OVERFLOWING = OdeParams(a=1, b=0, A_plus=-1, A_minus=100.5, A_one=-0.25, A_zero=2)
+
+
+@pytest.mark.parametrize("ode, fails", [(DOCUMENTED[ClassId.K0][0], False),
+                                        (_K0_OVERFLOWING, True)],
+                         ids=["documented", "Am100.5"])
+def test_expansion_walks_its_family_once(monkeypatch, ode, fails):
+    """One upward recursion per call, whether it passes or fails: at A- = 100.5
+    the DeformedB recursion overflows part way and is not stepped again."""
+    from trabessel import families
+    walks = []
+    three_term = families._three_term
+
+    def counted(*args):
+        walks.append(args)
+        return three_term(*args)
+    monkeypatch.setattr(families, "_three_term", counted)
+    sol = resolve_class(ode, ClassId.K0)
+    if fails:
+        with pytest.raises(DomainError, match="DeformedB recursion produced a non-finite"):
+            expansion_coefficients(sol, default_truncation(sol))
+    else:
+        expansion_coefficients(sol, default_truncation(sol))
+    assert len(walks) == 1
 
 
 def test_truncation_bound_enforced():

@@ -193,32 +193,36 @@ def test_sweep_error_precedence_bessel_classes(cid):
         assert str(exc.value) == message, degrees
 
 
-def test_sweep_error_precedence_follows_degree_order():
-    """The first degree, in the order given, that fails decides the error.
+def test_sweep_error_precedence_follows_stage_order():
+    """Every degree's coefficients come first, in the order given, then the one
+    basis block: a coefficient error comes before any basis error.
 
-    At mu = -5.3 the basis ends at n_max = 4 while n+mu+3/2 stays nonzero,
-    so the check at 4 fails for want of phi_5.  At b = 3 (beta = -1) the
-    prefactor overflows near x = 0, which fails every degree whose
-    coefficients exist.
+    At mu = -5.3 the coefficients end at n_max = 4, while a sweep up to 4 needs
+    phi_5 from the basis block.  At b = 3 (beta = -1) the prefactor overflows
+    near x = 0, which fails the basis block of every sweep whose coefficients
+    exist.
     """
     free = {"mu": -5.3}
     sol = resolve_class(OdeParams(a=1.0, b=0.0, A_plus=0.0, A_minus=3.0,
                                   A_one=-0.25, A_zero=2.0), ClassId.K1, free)
-    beyond = "degree 5 exceeds n_max=4 (mu=-5.3)"
-    cases = [(range(6), beyond), ([4, 6], beyond), ([4], beyond),
-             ([3, 5], "n=5 exceeds the basis bound n_max=4")]
-    for degrees, message in cases:
+    cases = [(range(6), 5), ([4, 6], 6), ([3, 5], 5), ([6, 2], 6)]
+    for degrees, top in cases:
         with pytest.raises(DomainError) as exc:
             tridiagonality_sweep(sol, degrees)
-        assert str(exc.value) == message, degrees
+        assert str(exc.value) == f"n={top} exceeds the basis bound n_max=4", degrees
+    with pytest.raises(DomainError) as exc:
+        tridiagonality_sweep(sol, [4])
+    assert str(exc.value) == "degree 5 exceeds n_max=4 (mu=-5.3)"
     sol = resolve_class(OdeParams(a=1.0, b=3.0, A_plus=0.0, A_minus=3.0,
                                   A_one=2.0, A_zero=2.0), ClassId.K1, free)
     grid = GridSpec(1e-3, 1.0, 20)
-    for degrees in ([0, 9], [4, 6], range(6)):
+    for degrees in ([0, 3], [4], range(5)):
         with pytest.raises(SeriesOverflow):
             tridiagonality_sweep(sol, degrees, grid)
-    with pytest.raises(DomainError, match="n=6 exceeds the basis bound"):
-        tridiagonality_sweep(sol, [6, 2], grid)
+    for degrees, top in cases + [([0, 9], 9)]:
+        with pytest.raises(DomainError) as exc:
+            tridiagonality_sweep(sol, degrees, grid)
+        assert str(exc.value) == f"n={top} exceeds the basis bound n_max=4", degrees
 
 
 def test_sweep_needs_a_degree():
@@ -289,13 +293,10 @@ def ref_tridiagonality_sweep(sol, n_values, grid=None, tol=1e-8):
         raise DomainError("a tridiagonality sweep needs at least one degree")
     x = (grid or default_grid()).points()
     rows = []
-    try:
-        for n in degrees:
-            u_n, _, t_n = recursion_coeffs(sol, n)
-            rows.append((n, u_n, t_n, recursion_coeffs(sol, n - 1)[1] if n > 0 else None))
-    finally:
-        if rows:
-            vals, der1, der2 = basis_block(sol.basis, max(r[0] for r in rows) + 1, x)
+    for n in degrees:
+        u_n, _, t_n = recursion_coeffs(sol, n)
+        rows.append((n, u_n, t_n, recursion_coeffs(sol, n - 1)[1] if n > 0 else None))
+    vals, der1, der2 = basis_block(sol.basis, max(degrees) + 1, x)
     omega = sol.omega(x)
     checks = {}
     for n, u_n, t_n, s_prev in rows:
