@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 # name -> the submodule that defines it; "errors" is the submodule itself
 _SOURCES = {
     "errors": "errors",
-    **dict.fromkeys(("BasisSpec", "basis_derivatives", "basis_value"), "basis"),
+    "BasisSpec": "_basisspec",
+    **dict.fromkeys(("basis_derivatives", "basis_value"), "basis"),
     **dict.fromkeys(("BesselJ", "BesselJbar", "ContDualHahnS", "ContHahnH", "DeformedB",
                      "DeformedY", "DeformedZ", "DualHahnR", "HahnQ", "LaguerreL", "MeixnerM",
                      "MeixnerPollaczekP", "eval_poly", "pochhammer"), "families"),

@@ -16,55 +16,17 @@ makes 3 same-shape ufunc calls per degree for values (2 where d_m = 1, as for be
 """
 from __future__ import annotations
 
-import math
 from itertools import repeat
 
 import numpy as np
 
-from ._record import Record
-from .errors import DomainError, SeriesOverflow, _check_integer
+from ._basisspec import BasisSpec
+from .errors import DomainError, SeriesOverflow, _check_integer, _count_text
 
 __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
 
 _LOG_OVERFLOW = 700.0  # exp argument ceiling for double precision
 _BLOCK = 64  # degrees per pass through scratch: 64 x 2k x grid operand rows, 2 x 64 x grid terms
-
-
-def _bessel_top(mu):
-    """-mu - 1/2 - 1e-9: a bessel basis has degrees 0..floor of it, so at least one
-    exactly where it is >= 0."""
-    return -mu - 0.5 - 1e-9
-
-
-class BasisSpec(Record):
-    """Prefactor exponents plus polynomial parameters for one basis kind.
-
-    bessel kind uses (alpha, beta, mu) and is finite: mu < -n_max - 1/2.
-    laguerre kind uses (exponent, beta, nu); order of the Laguerre is 2 nu.
-    """
-    kind: str
-    beta: float
-    alpha: float | None = None
-    mu: float | None = None
-    exponent: float | None = None
-    nu: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("bessel", "laguerre"):
-            raise DomainError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "bessel" and (self.alpha is None or self.mu is None):
-            raise DomainError("bessel basis needs alpha and mu")
-        if self.kind == "laguerre" and (self.exponent is None or self.nu is None):
-            raise DomainError("laguerre basis needs exponent and nu")
-
-    @property
-    def n_max(self):
-        if self.kind == "bessel":
-            return int(math.floor(_bessel_top(self.mu)))
-        return None
-
-    def power(self):
-        return self.alpha if self.kind == "bessel" else self.exponent
 
 
 def _differentiated_rows(alpha, beta, t, C, d, derivs):
@@ -126,7 +88,8 @@ def _poly_rows(basis: BasisSpec, n: int, x, derivs):
     if n < 0:
         raise DomainError(f"degree {n} is negative")
     if basis.kind == "bessel" and n > basis.n_max:
-        raise DomainError(f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
+        raise DomainError(f"degree {n} exceeds n_max={_count_text(basis.n_max)} "
+                          f"(mu={basis.mu})")
     m = np.arange(n, dtype=float).reshape((-1,) + (1,) * x.ndim)
     if basis.kind == "bessel":
         mu = basis.mu

@@ -148,21 +148,22 @@ def _resolved_solution(args):
     return resolve_class(params, class_id, free=_free_params(args), tol=args.tol)
 
 
-def _series(args, sol):
-    """(N, the series truncated at N): N is --N, else the class's default."""
-    from .solver import build_series, default_truncation
+def _truncation(args, sol):
+    """--N, else the class's default truncation."""
+    from .solver import default_truncation
 
-    n_trunc = default_truncation(sol) if args.N is None else args.N
-    return n_trunc, build_series(sol, n_trunc)
+    return default_truncation(sol) if args.N is None else args.N
 
 
 def _cmd_solve(args):
+    from .solver import _expansion_list
+
     sol = _resolved_solution(args)
-    _, series = _series(args, sol)
+    coeffs = _expansion_list(sol, _truncation(args, sol))  # Python floats: no numpy
     echo = _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1", "A0",
                                "mu", "alpha", "tau", "N", "tol"))
     return _emit(args, "n,f_n",
-                 ((str(n), _F(float(c))) for n, c in enumerate(series.coeffs)),
+                 ((str(n), _F(c)) for n, c in enumerate(coeffs)),
                  {"config_echo": echo,
                   "class": sol.class_id.value,
                   "basis": {"kind": sol.basis.kind, "beta": sol.basis.beta,
@@ -172,13 +173,14 @@ def _cmd_solve(args):
                               "argument": sol.binding.argument},
                   "omega": sol.omega_description(),
                   "notes": list(sol.notes),
-                  "coefficients": [float(c) for c in series.coeffs]})
+                  "coefficients": coeffs})
 
 
 def _cmd_eval(args):
-    from .solver import evaluate_series
+    from .solver import build_series, evaluate_series
 
-    _, series = _series(args, _resolved_solution(args))
+    sol = _resolved_solution(args)
+    series = build_series(sol, _truncation(args, sol))
     xs = _grid_from_args(args).points()
     ys = evaluate_series(series, xs)
     echo = _config_echo(args, ("klass", "a", "b", "Ap", "Am", "A1", "A0", "mu",
@@ -191,6 +193,7 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
+    from .solver import build_series
     from .verify import residual, tridiagonality_sweep
 
     _json_only(args)
@@ -216,7 +219,8 @@ def _cmd_verify(args):
     _write(args.out, jsonio.dumps(doc))
     # residual report for the assembled series, when requested
     if args.with_residual:
-        n_trunc, series = _series(args, sol)
+        n_trunc = _truncation(args, sol)
+        series = build_series(sol, n_trunc)
         sys.stdout.write(
             f"residual(N={n_trunc}): {_F(residual(series, grid).max_rel_deviation)}\n")
     return 0 if rep.passed else 3

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one check that a degree
-is an integer."""
+"""Exception types shared across the package, the one check that a degree
+is an integer, and the helpers that the numeric steps and their messages share."""
+import contextlib
 import numbers
+import sys
 
 
 class TraError(Exception):
@@ -65,3 +67,17 @@ def _check_integer(n, name="degree"):
     """DomainError unless n is an integer: np.int64(3) is one; True and 2.0 are not."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{name} must be an integer, not {n!r}")
+
+
+def _count_text(n):
+    """An integer count for a message: exact up to 15 digits, in float form
+    (1e+300) beyond, as the parameters it derives from print."""
+    return str(n) if abs(n) < 10 ** 15 else str(float(n))
+
+
+def _quiet_numpy():
+    """np.errstate(over="ignore", invalid="ignore") once numpy is loaded, where
+    NumPy-scalar steps warn on overflow; before, no NumPy scalar can exist, and
+    Python floats do not warn."""
+    np = sys.modules.get("numpy")
+    return contextlib.nullcontext() if np is None else np.errstate(over="ignore", invalid="ignore")

@@ -20,10 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from ._record import Record
-from .errors import DomainError, _check_integer
+from .errors import DomainError, _check_integer, _count_text, _quiet_numpy
 
 __all__ = [
     "BesselJ", "BesselJbar", "LaguerreL", "DeformedB", "DualHahnR",
@@ -54,7 +52,7 @@ def _no_rule(fam):
 def _finite_bessel(fam):
     if fam.n_max < 0 or not fam.mu < -fam.n_max - 0.5:
         raise DomainError(f"{type(fam).__name__} needs mu < -n_max - 1/2 "
-                          f"(mu={fam.mu}, n_max={fam.n_max})")
+                          f"(mu={fam.mu}, n_max={_count_text(fam.n_max)})")
 
 
 def _hahn_p_q(fam):
@@ -323,7 +321,8 @@ def _check_degree(family, n):
         raise DomainError("degree must be nonnegative")
     for name, value, top in _degree_bounds(family):
         if n > top:
-            raise DomainError(f"degree {n} exceeds {name}={value} for {type(family).__name__}")
+            raise DomainError(f"degree {n} exceeds {name}={_count_text(value)} "
+                              f"for {type(family).__name__}")
 
 
 def eval_poly_sequence(family, n: int, z):
@@ -331,7 +330,7 @@ def eval_poly_sequence(family, n: int, z):
     family and the degree are checked.  A non-finite value stops the recursion at its
     degree."""
     values = []
-    with np.errstate(over="ignore", invalid="ignore"):  # NumPy scalars warn, floats do not
+    with _quiet_numpy():
         family.validate()
         _check_degree(family, n)
         one = complex(1.0) if isinstance(family, ContHahnH) else 1.0

@@ -1,7 +1,7 @@
 """The six-parameter differential operator and its numeric application."""
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from ._record import Record
 
@@ -19,12 +19,14 @@ class OdeParams(Record):
 
     def __post_init__(self):
         for name in ("a", "b", "A_plus", "A_minus", "A_one", "A_zero"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"OdeParams.{name} must be finite")
 
 
 def apply_D_values(params: OdeParams, f, f1, f2, x):
     """Operator applied to known (f, f', f'') values at x > 0."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return (x ** 2 * f2 + (params.a * x + params.b) * f1
             + (params.A_plus * x + params.A_minus / x

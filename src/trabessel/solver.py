@@ -16,16 +16,19 @@ from __future__ import annotations
 
 import math
 import operator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import families
+from ._basisspec import BasisSpec, _bessel_top
 from ._classid import ClassId
 from ._record import Record
-from .basis import BasisSpec, _bessel_top, basis_block, series_sum
 from .errors import (ConstraintViolation, DefinitenessError, DomainError,
-                     RealityViolation, SeriesOverflow, _check_integer)
+                     RealityViolation, SeriesOverflow, _check_integer, _count_text,
+                     _quiet_numpy)
 from .ode import OdeParams
+
+if TYPE_CHECKING:  # for the annotations: the functions that build arrays import numpy
+    import numpy as np
 
 __all__ = [
     "ClassId", "ClassReport", "DerivedSymbols", "Binding", "Omega", "ClassSolution",
@@ -103,6 +106,8 @@ class Omega(Record):
     power: int
 
     def __call__(self, x):
+        import numpy as np
+
         return self.coeff * np.asarray(x, dtype=float) ** self.power
 
     def describe(self):
@@ -289,9 +294,11 @@ class _Row:
     inside its region; an instance, made from (ode, symbols, basis mu, free
     tau), gives u_n, s_n, t_n, a_n and c (u_n = a_n - z*c).
 
-    Each coefficient is its own method on one degree in Python floats:
-    numpy would square an array by x*x where ** calls pow, and computing
-    all four at once would divide by zero at s_N of a finite basis.
+    Each coefficient is its own method on one degree in Python floats, so
+    classify and solve load no numpy: numpy would square an array by x*x
+    where ** calls pow, and computing all four at once would divide by zero
+    at s_N of a finite basis.  A float ** past double range raises
+    OverflowError where a NumPy scalar gives inf with a warning.
     """
 
     free = ()   # the keys of `free`, read as floats where the region first needs them
@@ -599,7 +606,7 @@ def _coefficients(sol: ClassSolution):
             if row is None:  # after the sign check, as before: sol.n_max can raise
                 n_max = sol.n_max
             if n_max is not None and n > n_max:
-                raise DomainError(f"n={n} exceeds the basis bound n_max={n_max}")
+                raise DomainError(f"n={n} exceeds the basis bound n_max={_count_text(n_max)}")
             if mu is not None:
                 _check_denominators(n, _bessel_denominators(mu, n))
             row = row or _row(sol)
@@ -629,7 +636,26 @@ def _require_degree(sol: ClassSolution, N: int, name: str):
         raise DomainError(f"{name} must be nonnegative")
     if sol.n_max is not None and N > sol.n_max:
         raise DomainError(f"{name}={N} violates mu < -{name} - 1/2 "
-                          f"(mu={sol.basis.mu}, n_max={sol.n_max})")
+                          f"(mu={sol.basis.mu}, n_max={_count_text(sol.n_max)})")
+
+
+def _expansion_list(sol: ClassSolution, N: int) -> list:
+    """`expansion_coefficients` as a list of Python floats, which needs no numpy."""
+    _require_degree(sol, N, "N")
+    row = _row(sol)
+    b = sol.binding
+    values = families.eval_poly_sequence(b.family, N, b.argument)
+    f, cn = [1.0], 1.0
+    with _quiet_numpy():
+        for n in range(1, N + 1):
+            sm = row.s(n - 1)
+            if sm == 0.0:
+                raise ZeroDivisionError(
+                    f"s_{n - 1} = 0: the t/s coefficient product is undefined here")
+            if sol.class_id is not ClassId.L39B:
+                cn *= row.t(n - 1) / sm
+            f.append(cn * (b.per_n_scale ** n * values[n]))
+    return f
 
 
 def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
@@ -640,21 +666,9 @@ def expansion_coefficients(sol: ClassSolution, N: int) -> np.ndarray:
     bit-identical to `sol.binding.eval(n)` degree by degree.  For L39B the
     coefficients are the bound polynomials directly.
     """
-    _require_degree(sol, N, "N")
-    row = _row(sol)
-    b = sol.binding
-    values = families.eval_poly_sequence(b.family, N, b.argument)
-    f, cn = [1.0], 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # NumPy-scalar coefficients warn
-        for n in range(1, N + 1):
-            sm = row.s(n - 1)
-            if sm == 0.0:
-                raise ZeroDivisionError(
-                    f"s_{n - 1} = 0: the t/s coefficient product is undefined here")
-            if sol.class_id is not ClassId.L39B:
-                cn *= row.t(n - 1) / sm
-            f.append(cn * (b.per_n_scale ** n * values[n]))
-    return np.array(f, dtype=float)
+    import numpy as np
+
+    return np.array(_expansion_list(sol, N), dtype=float)
 
 
 def build_series(sol: ClassSolution, N: int) -> SeriesSolution:
@@ -664,6 +678,10 @@ def build_series(sol: ClassSolution, N: int) -> SeriesSolution:
 
 def evaluate_series(series: SeriesSolution, x):
     """y_N(x) = sum f_n phi_n(x) for x > 0 (scalar or array), from phi_n alone."""
+    import numpy as np
+
+    from .basis import basis_block, series_sum
+
     vals, _, _ = basis_block(series.basis, series.order, x, derivs=False)
     with np.errstate(over="ignore", invalid="ignore"):
         total = series_sum(series.coeffs, vals)
@@ -686,6 +704,8 @@ class FavardReport(Record):
 
 def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     """Signs of the coupling products s_n t_n used by an (N+1)-level truncation."""
+    import numpy as np
+
     _require_degree(sol, N, "N")
     row = _row(sol)
     prods = np.array([row.s(n) * row.t(n) for n in range(N)])
@@ -699,6 +719,8 @@ def jacobi_matrix(sol: ClassSolution, N: int):
     Eigenvalues approximate the discrete support of the coefficient
     polynomials' measure in the binding variable.
     """
+    import numpy as np
+
     rep = favard_report(sol, N)
     if not rep.definite:
         bad = int(np.argmin(rep.products > 0))

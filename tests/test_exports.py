@@ -37,6 +37,11 @@ def test_each_name_is_its_defining_modules_object(name):
     assert vars(trabessel)[name] is value  # resolved once
 
 
+def test_basis_spec_still_imports_from_the_basis_module():
+    from trabessel.basis import BasisSpec
+    assert BasisSpec is trabessel.BasisSpec
+
+
 def test_dir_lists_every_name():
     assert set(EXPORTED) <= set(dir(trabessel))
 

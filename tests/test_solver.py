@@ -362,8 +362,7 @@ def test_resolve_builds_no_basis_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("basis_block called while resolving")
 
-    for module in ("trabessel.basis", "trabessel.solver"):
-        monkeypatch.setattr(f"{module}.basis_block", refuse)
+    monkeypatch.setattr("trabessel.basis.basis_block", refuse)  # its only binding
     for cid, (p, free) in list(DOCUMENTED.items()) + list(DECAY_SETS.items()):
         assert resolve_class(p, cid, free).class_id is cid
 
@@ -700,6 +699,25 @@ def test_expansion_k0_overflow_is_a_family_domain_error():
 
 
 _K0_OVERFLOWING = OdeParams(a=1, b=0, A_plus=-1, A_minus=100.5, A_one=-0.25, A_zero=2)
+
+
+@pytest.mark.parametrize("ode, free, cid, N", [
+    (_K0_OVERFLOWING, {}, ClassId.K0, 99),
+    (*DOCUMENTED[ClassId.L39C], ClassId.L39C, 800),
+], ids=["K0-Am100.5", "L39C-doc-N800"])
+def test_numpy_scalar_parameters_give_the_float_outcome(ode, free, cid, N):
+    """With numpy loaded, the recursion and the C_n products run under its
+    errstate guard: np.float64 parameters give the Python floats' DomainError
+    (DeformedB overflows at degree 54), or their array with inf from n = 449
+    on, and no RuntimeWarning, which the test settings make an error."""
+    scalars = OdeParams(**{key: np.float64(value) for key, value in vars(ode).items()})
+    got, want = (_outcome(expansion_coefficients, resolve_class(p, cid, free), N)
+                 for p in (scalars, ode))
+    if isinstance(want, Exception):
+        assert type(got) is DomainError and str(got) == str(want)
+        assert str(want) == "DeformedB recursion produced a non-finite value"
+    else:
+        assert np.isinf(want).any() and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ode, fails", [(DOCUMENTED[ClassId.K0][0], False),
