@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from ._basisspec import BasisSpec
-from .errors import DomainError, SeriesOverflow, _check_integer, _count_text
+from .errors import DomainError, SeriesOverflow
 
 __all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
 
@@ -84,12 +84,7 @@ def _prefactor(power: float, beta: float, x):
 
 def _poly_rows(basis: BasisSpec, n: int, x, derivs):
     """Polynomial rows (P, P', P'') for degrees 0..n: J^mu(x), or L^{2nu}(u) in u = 1/x."""
-    _check_integer(n)
-    if n < 0:
-        raise DomainError(f"degree {n} is negative")
-    if basis.kind == "bessel" and n > basis.n_max:
-        raise DomainError(f"degree {n} exceeds n_max={_count_text(basis.n_max)} "
-                          f"(mu={basis.mu})")
+    basis.check_degree(n, "degree")
     m = np.arange(n, dtype=float).reshape((-1,) + (1,) * x.ndim)
     if basis.kind == "bessel":
         mu = basis.mu

@@ -27,7 +27,7 @@ from .families import (BesselJ, BesselJbar, ContDualHahnS, ContHahnH, DeformedB,
                        MeixnerPollaczekP, _check_degree, _three_term, eval_poly,
                        eval_poly_sequence, pochhammer)
 from .ode import OdeParams, apply_D_values
-from .solver import ClassSolution, _coefficients, _require_degree, _row
+from .solver import ClassSolution, _coefficients, _row
 
 __all__ = ["eval_oracle", "reduce_identity", "generating_check", "orthogonality_integral",
            "closed_form_cn", "u_decomposition", "dual_hahn_rejection",
@@ -444,7 +444,7 @@ _CLOSED_FORM_CN = {
 
 def closed_form_cn(sol: ClassSolution, n: int) -> float:
     """Printed closed form of C_n = prod_{m<n} t_m/s_m, where one exists."""
-    _require_degree(sol, n, "n")
+    sol.basis.check_degree(n)
     row = _row(sol, "closed-form C_n")
     try:
         return _CLOSED_FORM_CN[sol.class_id](row, n)

@@ -209,14 +209,17 @@ def well_potential(A_minus: float, A_plus: float, lam: float):
 
 
 def morse_levels(A_minus: float, lam: float, count: int) -> np.ndarray:
-    """Closed-form levels E_n = -(lam^2/2)(A- - n - 1/2)^2 of the A+ = 0 well.
+    """Closed-form levels E_n = -(lam^2/2)(A- - n - 1/2)^2 of the A+ = 0 well,
+    at most `count` of them: n = 0..floor(A- - 1/2 - 1e-9), the degrees of K0's
+    basis at mu = -A-, as for A+ < 0.
 
     Not printed in the source material; validated against fd_oracle before
     use (see the acceptance suite).
     """
+    from ._basisspec import _bessel_top  # not at the top: the FD paths never load it
+
     _check_integer(count, "count")
-    n_max = int(math.floor(A_minus - 0.5 - 1e-12))
-    count = min(count, n_max + 1)
+    count = min(count, math.floor(_bessel_top(-A_minus)) + 1)
     return np.array([-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)])
 
 
@@ -249,8 +252,9 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
 
     A+ < 0: eigenvalues z_k of the (N+1)x(N+1) Jacobi matrix of the
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
-    A+ = 0: Morse limit, closed-form levels.  Requires A- >= N + 1/2 (N <= K0's n_max)
-    and at most _WELL_ROWS = 100,000 rows, as dstevd's time grows as N^2.
+    A+ = 0: Morse limit, closed-form levels n < A- - 1/2, so A- > 1/2.  N is a degree
+    of K0's basis (N <= n_max, so A- > N + 1/2), with at most _WELL_ROWS = 100,000
+    rows, as dstevd's time grows as N^2.
     """
     # imported here, not at the top: the oscillator and FD paths never load the solver
     from .solver import ClassId, jacobi_matrix, resolve_class, tridiag_eigenvalues
@@ -260,9 +264,9 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
         raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
     v = well_potential(A_minus, A_plus, lam)
     if A_plus == 0.0:
-        if A_minus < 0.5:
-            raise ConstraintViolation("Morse limit needs A- >= 1/2", got=A_minus)
         energies = morse_levels(A_minus, lam, n_levels)
+        if not len(energies):
+            raise ConstraintViolation("Morse limit needs A- > 1/2", got=A_minus)
         return v, SpectrumResult(energies, "morse_closed_form",
                                  {"A_minus": A_minus, "lam": lam})
     # K0 instance with A0 left spectral: the Jacobi matrix lives in
@@ -272,8 +276,6 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     sol = resolve_class(ode, ClassId.K0)
     if N is None:
         N = sol.n_max
-    if N > sol.n_max:
-        raise ConstraintViolation("A- >= N + 1/2", A_minus - N - 0.5)
     if N + 1 > _WELL_ROWS:
         raise ConstraintViolation(f"the well's Jacobi matrix has at most {_WELL_ROWS} rows",
                                   got=float(N + 1))

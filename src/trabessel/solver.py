@@ -23,8 +23,7 @@ from ._basisspec import BasisSpec, _bessel_top
 from ._classid import ClassId
 from ._record import Record
 from .errors import (ConstraintViolation, DefinitenessError, DomainError,
-                     RealityViolation, SeriesOverflow, _check_integer, _count_text,
-                     _quiet_numpy)
+                     RealityViolation, SeriesOverflow, _quiet_numpy)
 from .ode import OdeParams
 
 if TYPE_CHECKING:  # for the annotations: the functions that build arrays import numpy
@@ -592,21 +591,17 @@ def _coefficients(sol: ClassSolution):
     """n -> recursion_coeffs(sol, n).  The class row is bound once, after the first
     degree's checks, and each distinct degree is checked and evaluated once, where
     it is first asked for: asking again gives the same triple."""
+    check = sol.basis.check_degree
     mu = sol.basis.mu if sol.basis.kind == "bessel" else None
-    row, n_max, done = None, None, {}
+    row, done = None, {}
 
     def coeffs(n):
-        nonlocal row, n_max
-        if type(n) is not int:  # the cheap test first: 2.0 and True must not reach done
-            _check_integer(n, "n")
+        nonlocal row
+        if type(n) is not int:  # 2.0 and True must not reach done, which holds 2 and 1
+            check(n)
         triple = done.get(n)
         if triple is None:
-            if n < 0:
-                raise DomainError("n must be nonnegative")
-            if row is None:  # after the sign check, as before: sol.n_max can raise
-                n_max = sol.n_max
-            if n_max is not None and n > n_max:
-                raise DomainError(f"n={n} exceeds the basis bound n_max={_count_text(n_max)}")
+            check(n)
             if mu is not None:
                 _check_denominators(n, _bessel_denominators(mu, n))
             row = row or _row(sol)
@@ -630,18 +625,9 @@ def default_truncation(sol: ClassSolution) -> int:
     return sol.n_max if sol.n_max is not None else 50
 
 
-def _require_degree(sol: ClassSolution, N: int, name: str):
-    _check_integer(N, name)
-    if N < 0:
-        raise DomainError(f"{name} must be nonnegative")
-    if sol.n_max is not None and N > sol.n_max:
-        raise DomainError(f"{name}={N} violates mu < -{name} - 1/2 "
-                          f"(mu={sol.basis.mu}, n_max={_count_text(sol.n_max)})")
-
-
 def _expansion_list(sol: ClassSolution, N: int) -> list:
     """`expansion_coefficients` as a list of Python floats, which needs no numpy."""
-    _require_degree(sol, N, "N")
+    sol.basis.check_degree(N, "N")
     row = _row(sol)
     b = sol.binding
     values = families.eval_poly_sequence(b.family, N, b.argument)
@@ -706,7 +692,7 @@ def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     """Signs of the coupling products s_n t_n used by an (N+1)-level truncation."""
     import numpy as np
 
-    _require_degree(sol, N, "N")
+    sol.basis.check_degree(N, "N")
     row = _row(sol)
     prods = np.array([row.s(n) * row.t(n) for n in range(N)])
     return FavardReport(products=prods, definite=bool(np.all(prods > 0)))

@@ -66,8 +66,8 @@ def ref_laguerre_poly_derivs(alpha, n, u):
 def ref_poly_triples(basis, n, x):
     if basis.kind == "bessel":
         if n > basis.n_max:
-            raise DomainError(
-                f"degree {n} exceeds n_max={basis.n_max} (mu={basis.mu})")
+            raise DomainError(f"degree={n} exceeds the basis bound n_max={basis.n_max} "
+                              f"(mu={basis.mu})")
         return ref_bessel_poly_derivs(basis.mu, n, x)
     u = 1.0 / np.asarray(x, dtype=float)
     p, du, duu = ref_laguerre_poly_derivs(2 * basis.nu, n, u)
@@ -289,10 +289,20 @@ def test_block_derivatives_on_a_huge_grid_raise_no_warning():
     assert _bits(basis_block(sol.basis, 5, x, derivs=False)[0]) == _bits(vals)
 
 
+@pytest.mark.parametrize("field", ["beta", "alpha", "mu"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_bessel_basis_refuses_a_non_finite_field(field, value):
+    """mu = -inf used to make n_max raise a bare OverflowError."""
+    fields = {"beta": 0.5, "alpha": -4.0, "mu": -5.5, field: value}
+    with pytest.raises(DomainError) as err:
+        BasisSpec(kind="bessel", **fields)
+    assert str(err.value) == f"BasisSpec.{field} must be finite (got {value})"
+
+
 def test_block_rejects_a_negative_degree():
     p, free = DOCUMENTED[ClassId.L39A]
     sol = resolve_class(p, ClassId.L39A, free)
-    with pytest.raises(DomainError, match="degree -1 is negative"):
+    with pytest.raises(DomainError, match="^degree must be nonnegative$"):
         basis_block(sol.basis, -1, 1.0)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import trabessel
 from trabessel import ClassId, _lapack
-from trabessel.cli import build_parser, main
+from trabessel.cli import _SYSTEM_FLAGS, build_parser, main
 from trabessel.solver import _CLASSES
 
 K0_FLAGS = ["--a", "1", "--b", "0", "--Ap", "-1", "--Am", "5",
@@ -84,7 +84,7 @@ def test_solve_guard_violation_exit2():
                             "--Ap", "-1", "--Am", "2", "--A1", "-0.25",
                             "--A0", "2", "--N", "50"])
     assert code == 2
-    assert "mu < -N - 1/2" in err
+    assert err == "error: N=50 exceeds the basis bound n_max=1 (mu=-2.0)\n"
 
 
 def test_solve_csv_first_row(tmp_path):
@@ -208,10 +208,10 @@ _K1_MU = ["--class", "K1", "--a", "1", "--Ap", "0", "--mu", "-5.3"]
     # coefficients past n_max = 4 before the basis block that overflows on the grid
     (["verify"] + _K1_MU + ["--b", "3", "--Am", "3", "--A1", "2", "--A0", "2", "--n", "9",
                             "--x-min", "1e-3", "--x-max", "1", "--x-count", "20"],
-     "error: n=5 exceeds the basis bound n_max=4"),
+     "error: n=5 exceeds the basis bound n_max=4 (mu=-5.3)"),
     # coefficients past n_max = 4 before the basis block's own bound
     (["verify"] + _K1_MU + ["--b", "0", "--Am", "3", "--A1", "-0.25", "--A0", "2", "--n", "5"],
-     "error: n=5 exceeds the basis bound n_max=4"),
+     "error: n=5 exceeds the basis bound n_max=4 (mu=-5.3)"),
     # HahnQ's q = -1 before s_0 = 0
     (["solve", "--class", "K1", "--a", "1", "--b", "0", "--Ap", "0", "--Am", "-10",
       "--A1", "-0.25", "--A0", "0.25", "--mu", "-2"],
@@ -753,17 +753,26 @@ _SUBPARSERS = build_parser()._subparsers._group_actions[0].choices
 @st.composite
 def _subcommand_argv(draw, command):
     """command with each flag of its own parser (bar --config, --out and
-    --help) given nine times in ten, in either spelling; a free flag that the
-    drawn class does not take, one time in ten."""
+    --help) given nine times in ten, in either spelling, and a store_true
+    flag without a value; a free flag that the drawn class does not take, or
+    a system flag that the drawn system takes no value for, one time in ten."""
     klass = draw(st.sampled_from(_SUBPARSERS["solve"]._option_string_actions["--class"].choices))
-    takes = _CLASSES[ClassId(klass)][0].free
+    foreign = {"mu", "alpha", "tau"} - set(_CLASSES[ClassId(klass)][0].free)
+    if "--system" in _SUBPARSERS[command]._option_string_actions:
+        system = draw(st.sampled_from(sorted(_SYSTEM_FLAGS)))
+        foreign = {key for key, _ in _SYSTEM_FLAGS[system][1]}
     argv = [command]
     for action in _SUBPARSERS[command]._actions:
-        odds = 1 if action.dest in ("mu", "alpha", "tau") and action.dest not in takes else 9
+        odds = 1 if action.dest in foreign else 9
         if action.dest in ("help", "config", "out") or draw(st.integers(0, 9)) >= odds:
+            continue
+        if action.nargs == 0:  # store_true: a value would be a stray argument
+            argv.append(action.option_strings[0])
             continue
         if action.dest == "klass":
             values = [klass]
+        elif action.dest == "system":
+            values = [system]
         elif action.choices is not None:
             values = sorted(action.choices)
         elif draw(st.integers(0, 9)):
@@ -775,14 +784,7 @@ def _subcommand_argv(draw, command):
     return argv
 
 
-@given(argv=st.sampled_from(("classify", "solve")).flatmap(_subcommand_argv))
-@example(argv=["classify"] + K0_FLAGS[:6] + ["--Am", "20.5"] + K0_FLAGS[8:])
-@example(argv=["solve", "--class", "K0"] + K0_FLAGS[:6] + ["--Am", "100.5"] + K0_FLAGS[8:])
-@example(argv=["solve", "--class", "K0"] + K0_FLAGS[:6] + ["--Am", "1e300"] + K0_FLAGS[8:])
-@example(argv=["solve"] + L39A_FLAGS + ["--N", "50", "--format", "csv"])
-@example(argv=["solve"] + L39A_FLAGS + ["--N", "1.5"])
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_classify_and_solve_keep_the_failure_contract(argv):
+def _assert_the_failure_contract(argv):
     """Exit 0, 2 or 3. A failure writes one `error:` or `numerical failure:`
     line, or (exit 2) the subcommand's usage and one argparse line; never a
     traceback. A RuntimeWarning is an error under the test settings."""
@@ -796,6 +798,26 @@ def test_classify_and_solve_keep_the_failure_contract(argv):
         assert err[len(usage):].count("\n") == 1, err
     else:
         assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1, err
+
+
+@given(argv=st.sampled_from(("classify", "solve")).flatmap(_subcommand_argv))
+@example(argv=["classify"] + K0_FLAGS[:6] + ["--Am", "20.5"] + K0_FLAGS[8:])
+@example(argv=["solve", "--class", "K0"] + K0_FLAGS[:6] + ["--Am", "100.5"] + K0_FLAGS[8:])
+@example(argv=["solve", "--class", "K0"] + K0_FLAGS[:6] + ["--Am", "1e300"] + K0_FLAGS[8:])
+@example(argv=["solve"] + L39A_FLAGS + ["--N", "50", "--format", "csv"])
+@example(argv=["solve"] + L39A_FLAGS + ["--N", "1.5"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_classify_and_solve_keep_the_failure_contract(argv):
+    _assert_the_failure_contract(argv)
+
+
+@given(argv=st.sampled_from(("eval", "verify", "spectrum", "oracle")).flatmap(_subcommand_argv))
+@example(argv=["verify"] + L39A_FLAGS + ["--n", "3", "--with-residual"])
+@example(argv=["spectrum"] + WELL_FLAGS + ["--N", "50"])
+@example(argv=["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_eval_verify_spectrum_and_oracle_keep_the_failure_contract(argv):
+    _assert_the_failure_contract(argv)
 
 
 def test_console_entry_point():
@@ -840,7 +862,11 @@ def test_spectrum_levels_below_one_exit2(argv):
     (["spectrum", "--system", "oscillator", "--A1", "-0.25", "--Lambda", "0",
       "--ell", "0", "--levels", "0"], "n_levels >= 1 (got 0)"),
     (["spectrum", "--system", "well", "--Am", "0.2", "--Ap", "0"],
-     "Morse limit needs A- >= 1/2 (got 0.2)"),
+     "Morse limit needs A- > 1/2 (got 0.2)"),
+    (["spectrum", "--system", "well", "--Am", "0.5", "--Ap", "0"],
+     "Morse limit needs A- > 1/2 (got 0.5)"),
+    (["spectrum", "--system", "well", "--Am", "0.5000000000001", "--Ap", "0"],
+     "Morse limit needs A- > 1/2 (got 0.5000000000001)"),
     (["oracle", "--system", "well", "--Am", "20.5", "--Ap", "-1", "--r-min", "0.01",
       "--r-max", "10", "--grid-size", "50"], "fd oracle needs grid_size >= 100 (got 50)"),
     (["solve", "--class", "K0", "--a", "1", "--b", "0", "--Ap", "0", "--Am", "20.5",
@@ -851,8 +877,9 @@ def test_spectrum_levels_below_one_exit2(argv):
      "angular momentum ell >= 0 (got -1)"),
     (["oracle", "--system", "oscillator", "--A1", "-0.25", "--ell", "-1", "--r-min", "1e-6",
       "--r-max", "14"], "angular momentum ell >= 0 (got -1)"),
-], ids=["levels-count", "morse-value", "grid-size-count", "solver-residual",
-        "solver-relation-residual", "spectrum-negative-ell", "oracle-negative-ell"])
+], ids=["levels-count", "morse-value", "morse-at-one-half", "morse-just-above-one-half",
+        "grid-size-count", "solver-residual", "solver-relation-residual",
+        "spectrum-negative-ell", "oracle-negative-ell"])
 def test_constraint_violation_labels_its_number(argv, message):
     """An offending count or value reads "got"; a relation's miss reads "residual"."""
     code, out, err = run_cli(argv)

@@ -182,8 +182,9 @@ def test_confining_well_morse_limit():
 def test_confining_well_guards():
     with pytest.raises(ConstraintViolation):
         confining_well(20.5, 0.5, 1.0)     # A+ > 0
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(DomainError) as exc:
         confining_well(5.5, -1.0, 1.0, N=8)  # A- < N + 1/2
+    assert str(exc.value) == "N=8 exceeds the basis bound n_max=4 (mu=-5.5)"
 
 
 def test_confining_well_bounds_n_by_the_k0_basis():

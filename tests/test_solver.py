@@ -12,6 +12,7 @@ from trabessel import (ClassId, OdeParams, alt_binding_deviation, build_series,
                        expansion_coefficients, favard_report, jacobi_matrix,
                        recursion_coeffs, resolve_class, tridiag_eigenvalues,
                        tridiagonality_sweep, u_decomposition)
+from trabessel.basis import basis_block
 from trabessel.errors import (ConstraintViolation, DefinitenessError,
                               DomainError, RealityViolation, SeriesOverflow,
                               TraError)
@@ -198,6 +199,46 @@ def test_resolve_missing_free_parameters():
     p, _ = DOCUMENTED[ClassId.L39C]
     with pytest.raises(ConstraintViolation):
         resolve_class(p, ClassId.L39C)
+
+
+@pytest.mark.parametrize("cid, free, field, value", [
+    (ClassId.K1, {"mu": -math.inf}, "alpha", -math.inf),   # alpha = mu + 1 - a/2
+    (ClassId.C8B, {"alpha": math.inf, "mu": -12.5}, "alpha", math.inf),
+    (ClassId.L39C, {"tau": math.inf}, "beta", math.inf),   # beta = (tau + 1 - b)/2
+    (ClassId.L39C, {"tau": -math.inf}, "beta", -math.inf),
+])
+def test_resolve_refuses_a_non_finite_basis(cid, free, field, value):
+    """These used to resolve: K1's n_max and C8B's coefficients then raised a
+    bare OverflowError, and L39C bound DeformedY(theta=nan, eta=nan)."""
+    p, _ = DOCUMENTED[cid]
+    with pytest.raises(DomainError) as err:
+        resolve_class(p, cid, free)
+    assert str(err.value) == f"BasisSpec.{field} must be finite (got {value})"
+
+
+_DEGREE_ENTRY_POINTS = [  # (call on (sol, degree), the name its messages give the degree)
+    pytest.param(recursion_coeffs, "n", id="recursion_coeffs"),
+    pytest.param(expansion_coefficients, "N", id="expansion_coefficients"),
+    pytest.param(favard_report, "N", id="favard_report"),
+    pytest.param(jacobi_matrix, "N", id="jacobi_matrix"),
+    pytest.param(lambda sol, n: tridiagonality_sweep(sol, [n]), "n", id="tridiagonality_sweep"),
+    pytest.param(lambda sol, n: basis_block(sol.basis, n, 1.0), "degree", id="basis_block"),
+    pytest.param(closed_form_cn, "n", id="closed_form_cn"),
+]
+
+
+@pytest.mark.parametrize("call, name", _DEGREE_ENTRY_POINTS)
+def test_every_degree_entry_point_keeps_the_basis_rule(call, name):
+    """K0's basis has degrees 0..n_max = 19 (mu = -20.5); every entry point
+    that takes a degree refuses the rest with one of the basis's three messages."""
+    p, free = DOCUMENTED[ClassId.K0]
+    sol = resolve_class(p, ClassId.K0, free)
+    for n, message in [(20, f"{name}=20 exceeds the basis bound n_max=19 (mu=-20.5)"),
+                       (-1, f"{name} must be nonnegative"),
+                       (2.0, f"{name} must be an integer, not 2.0")]:
+        with pytest.raises(DomainError) as err:
+            call(sol, n)
+        assert type(err.value) is DomainError and str(err.value) == message, n
 
 
 def test_reality_violations():
@@ -523,10 +564,10 @@ def test_l39a_c2_frozen():
 
 def test_closed_form_cn_checks_the_degree():
     """n < 0 in every class, and n past n_max of a Bessel basis, raise
-    DomainError under the rule of expansion_coefficients."""
-    beyond = {ClassId.K0: "n=20 violates mu < -n - 1/2 (mu=-20.5, n_max=19)",
-              ClassId.K1: "n=12 violates mu < -n - 1/2 (mu=-12.5, n_max=11)",
-              ClassId.C8B: "n=12 violates mu < -n - 1/2 (mu=-12.5, n_max=11)"}
+    DomainError under the basis's rule, as expansion_coefficients does."""
+    beyond = {ClassId.K0: "n=20 exceeds the basis bound n_max=19 (mu=-20.5)",
+              ClassId.K1: "n=12 exceeds the basis bound n_max=11 (mu=-12.5)",
+              ClassId.C8B: "n=12 exceeds the basis bound n_max=11 (mu=-12.5)"}
     for cid, (p, free) in DOCUMENTED.items():
         sol = resolve_class(p, cid, free)
         cases = [(-1, "n must be nonnegative"), (-3, "n must be nonnegative")]
@@ -796,7 +837,7 @@ def test_favard_report_checks_n_as_expansion_coefficients_does():
         favard_report(sol, -1)
     with pytest.raises(DomainError) as exc:
         favard_report(sol, 3)
-    assert str(exc.value) == "N=3 violates mu < -N - 1/2 (mu=-2.0, n_max=1)"
+    assert str(exc.value) == "N=3 exceeds the basis bound n_max=1 (mu=-2.0)"
 
 
 def test_jacobi_matrix_refuses_a_vanishing_diagonal_denominator():

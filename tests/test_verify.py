@@ -185,7 +185,8 @@ def test_sweep_error_precedence_bessel_classes(cid):
     top = sol.n_max
     vanish = f"coefficient denominator n+mu+3/2 vanishes at n={top}"
     cases = [(range(top + 1), vanish), ([top, top + 1], vanish),
-             ([top + 1], f"n={top + 1} exceeds the basis bound n_max={top}"),
+             ([top + 1], f"n={top + 1} exceeds the basis bound n_max={top} "
+                         f"(mu={sol.basis.mu})"),
              ([-1], "n must be nonnegative"), ([2, -1], "n must be nonnegative")]
     for degrees, message in cases:
         with pytest.raises(DomainError) as exc:
@@ -209,10 +210,10 @@ def test_sweep_error_precedence_follows_stage_order():
     for degrees, top in cases:
         with pytest.raises(DomainError) as exc:
             tridiagonality_sweep(sol, degrees)
-        assert str(exc.value) == f"n={top} exceeds the basis bound n_max=4", degrees
+        assert str(exc.value) == f"n={top} exceeds the basis bound n_max=4 (mu=-5.3)", degrees
     with pytest.raises(DomainError) as exc:
         tridiagonality_sweep(sol, [4])
-    assert str(exc.value) == "degree 5 exceeds n_max=4 (mu=-5.3)"
+    assert str(exc.value) == "degree=5 exceeds the basis bound n_max=4 (mu=-5.3)"
     sol = resolve_class(OdeParams(a=1.0, b=3.0, A_plus=0.0, A_minus=3.0,
                                   A_one=2.0, A_zero=2.0), ClassId.K1, free)
     grid = GridSpec(1e-3, 1.0, 20)
@@ -222,7 +223,7 @@ def test_sweep_error_precedence_follows_stage_order():
     for degrees, top in cases + [([0, 9], 9)]:
         with pytest.raises(DomainError) as exc:
             tridiagonality_sweep(sol, degrees, grid)
-        assert str(exc.value) == f"n={top} exceeds the basis bound n_max=4", degrees
+        assert str(exc.value) == f"n={top} exceeds the basis bound n_max=4 (mu=-5.3)", degrees
 
 
 def test_sweep_needs_a_degree():
