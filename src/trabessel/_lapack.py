@@ -1,71 +1,92 @@
-"""The package's two symmetric tridiagonal eigensolves, on scipy's LAPACK.
+"""The package's two symmetric tridiagonal eigensolves, on scipy's LAPACK
+through `ctypes`.
 
-The wrappers live in the compiled module `scipy.linalg._flapack` (the same
-objects `scipy.linalg.lapack` documents: `scipy.linalg.lapack.dstebz is
-scipy.linalg._flapack.dstebz`).  `flapack` loads that module from its file
-and does not run `scipy/linalg/__init__.py`, whose array-API shim imports
-numpy.f2py, numpy.testing and unittest and costs a cold process 200 ms or
-more; the module alone loads in a few milliseconds.  It is registered under
-its own name, so scipy.linalg, when imported later, takes it from there, and
-one that scipy.linalg loaded earlier is reused: a process holds one LAPACK
-module.
+The routines are LAPACK's `dstevd`, `dstebz` and `dstein`, from the shared
+object of scipy's compiled wrapper module `scipy.linalg._flapack`.
+`importlib.machinery.PathFinder` finds that file without running any scipy
+code, and `ctypes.CDLL` opens it without importing it: neither numpy nor the
+module's own initialisation runs, and no scipy module is loaded.  dlsym on
+that handle also searches the libraries `_flapack` links, where a routine is
+`scipy_<name>_` (scipy's OpenBLAS wheels) or `<name>_` (a system LAPACK).
+These are the routines scipy's wrappers call; a `ctypes.CDLL` function also
+releases the GIL, where the wrappers hold it.
 
 `all_eigenvalues` and `Bisection` make the LAPACK calls, with the same
 arguments, that scipy.linalg's tridiagonal eigensolver makes by default for
 all eigenvalues and for an index range, so they give the same bits.
-
-One call goes through `ctypes` instead: `Bisection`'s `dstebz`, the
-Sturm-count bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 1967),
-which `fd_oracle` runs on its coarse and fine grids at once.  The f2py
-wrappers hold the GIL while LAPACK runs, so two threads calling
-`_flapack.dstebz` take as long as one after the other; a `ctypes.CDLL`
-function releases it.  The symbol is resolved through
-`ctypes.CDLL(flapack().__file__)`: dlsym on that handle also searches the
-libraries `_flapack` links, where the routine is `scipy_dstebz_` (scipy's
-OpenBLAS wheels) or `dstebz_` (a system LAPACK).  It is the routine the
-wrapper calls, with the same arguments, so the bits are the same.  `dstevd`
-and `dstein` stay on the wrappers.
+`all_eigenvalues` is `dstevd` with JOBZ = "N" and the workspace sizes of
+scipy's `compute_v=0` (LWORK = LIWORK = 1), on `array('d')` buffers, and takes
+and returns Python floats, so the well's spectrum needs no numpy.  `Bisection`
+is the Sturm-count bisection `dstebz` (Barth, Martin and Wilkinson, Numer.
+Math. 9, 1967), with `dstein` for the eigenvectors, on numpy arrays; it is
+split in steps so that `fd_oracle` can bisect its coarse and fine grids at
+once, on two threads.
 """
 import ctypes
+import functools
 import importlib.machinery
-import importlib.util
+import math
 import os
-import sys
-
-import numpy as np
+from array import array
 
 from .errors import ConvergenceFailure, DomainError
 
 _NAME = "scipy.linalg._flapack"
 
-
-def flapack():
-    """The module `scipy.linalg._flapack`, loaded on first use."""
-    module = sys.modules.get(_NAME)
-    if module is None:
-        scipy = importlib.machinery.PathFinder.find_spec("scipy")
-        if scipy is None:
-            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(_NAME, [linalg])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_NAME] = module
-    return module
+# name -> (its CHARACTER arguments, which come first, and its other arguments).
+# Every argument goes by reference, INTEGER as int32, and the length of each
+# CHARACTER argument follows them all as a hidden size_t (the gfortran ABI).
+_SIGNATURES = {
+    "dstevd": (1, 10),   # JOBZ; N D E Z LDZ WORK LWORK IWORK LIWORK INFO
+    "dstebz": (2, 16),   # RANGE ORDER; N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK
+                         #   ISPLIT WORK IWORK INFO
+    "dstein": (0, 13),   # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
+}
+_routines = {}   # name -> its ctypes function, resolved on first use
 
 
-def _checked(d, e):
-    """(d, e) as float arrays, after scipy.linalg's input checks (0x0: e is empty too)."""
-    # C order: dstebz reads the buffers as they lie
-    d = np.asarray(d, dtype=float, order="C")
-    e = np.asarray(e, dtype=float, order="C")
-    if d.ndim != 1 or e.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+@functools.cache
+def _library():
+    """scipy's `_flapack` shared object, opened and not imported."""
+    scipy = importlib.machinery.PathFinder.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        _NAME, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {_NAME!r}", name=_NAME)
+    return ctypes.CDLL(spec.origin)
+
+
+def _routine(name):
+    """LAPACK's routine `name` as a ctypes function; ImportError naming both
+    spellings of its symbol when the library has neither."""
+    fn = _routines.get(name)
+    if fn is None:
+        library = _library()
+        symbols = (f"scipy_{name}_", f"{name}_")
+        symbol = next((s for s in symbols if hasattr(library, s)), None)
+        if symbol is None:
+            raise ImportError(f"no LAPACK {name} in {library._name}: "
+                              f"tried {', '.join(symbols)}")
+        chars, others = _SIGNATURES[name]
+        fn = getattr(library, symbol)
+        fn.argtypes = ([ctypes.c_char_p] * chars + [ctypes.c_void_p] * others
+                       + [ctypes.c_size_t] * chars)
+        fn.restype = None
+        _routines[name] = fn
+    return fn
+
+
+def _check(d, e, finite):
+    """scipy.linalg's input checks on d and e (0x0: e is empty too), with
+    `finite(v)` telling whether every entry of v is finite."""
+    if not (finite(d) and finite(e)):
         raise DomainError("matrix entries must be finite")
-    if e.size != max(d.size - 1, 0):
-        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
-    return d, e
+    if len(e) != max(len(d) - 1, 0):
+        raise ValueError(f"d ({len(d)}) must have one more element than e ({len(e)})")
+
+
+def _all_finite(values):
+    return all(map(math.isfinite, values))
 
 
 def _check_info(info, routine):
@@ -74,42 +95,29 @@ def _check_info(info, routine):
             f"tridiagonal eigensolver failed: {routine} returned LAPACK info={info}")
 
 
+def _address(buffer):
+    return buffer.buffer_info()[0]
+
+
 def all_eigenvalues(d, e):
     """Every eigenvalue of the symmetric tridiagonal matrix with diagonal d
-    and off-diagonal e, ascending, as dstevd returns them."""
-    d, e = _checked(d, e)
-    if d.size <= 1:
-        return d.copy()
-    w, _, info = flapack().dstevd(d, e, compute_v=0)
-    _check_info(info, "dstevd")
-    return w
-
-
-# the dstebz symbol: scipy's OpenBLAS wheels prefix it, a system LAPACK does not
-_DSTEBZ_NAMES = ("scipy_dstebz_", "dstebz_")
-_dstebz_symbol = None
-
-
-def _dstebz():
-    """LAPACK's dstebz as a ctypes function, which releases the GIL.  Every
-    argument goes by reference, INTEGER as int32, and the two CHARACTER
-    lengths follow as hidden size_t arguments (the gfortran ABI)."""
-    global _dstebz_symbol
-    if _dstebz_symbol is None:
-        library = ctypes.CDLL(flapack().__file__)
-        name = next((n for n in _DSTEBZ_NAMES if hasattr(library, n)), None)
-        if name is None:
-            raise ImportError(f"no LAPACK dstebz in {library._name}: "
-                              f"tried {', '.join(_DSTEBZ_NAMES)}")
-        fn = getattr(library, name)
-        char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
-        #              RANGE ORDER N    VL   VU   IL   IU   ABSTOL D    E    M    NSPLIT
-        fn.argtypes = [char, char, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                       # W  IBLOCK ISPLIT WORK IWORK INFO
-                       ptr, ptr, ptr, ptr, ptr, ptr, size, size]
-        fn.restype = None
-        _dstebz_symbol = fn
-    return _dstebz_symbol
+    and off-diagonal e, ascending, as a list of the Python floats dstevd
+    returns."""
+    try:
+        d, e = array("d", d), array("d", e)   # copies: dstevd overwrites both
+    except TypeError:   # not a flat sequence of numbers
+        raise ValueError("expected a 1-D array") from None
+    _check(d, e, _all_finite)
+    n = len(d)
+    if n > 1:
+        ints = array("i", [n, 1, 0])   # N; 1 for LDZ, LWORK and LIWORK; INFO
+        # one word each; Z is not referenced for JOBZ = "N", so work stands in for it
+        work, iwork = array("d", [0.0]), array("i", [0])
+        size, one, info = (_address(ints) + k * ints.itemsize for k in range(3))
+        _routine("dstevd")(b"N", size, _address(d), _address(e), _address(work), one,
+                           _address(work), one, _address(iwork), one, info, 1)
+        _check_info(ints[2], "dstevd")
+    return d.tolist()
 
 
 class Bisection:
@@ -122,13 +130,21 @@ class Bisection:
     allocates no array and does not hold the GIL; `result` checks its info
     and returns the eigenvalues ascending and, with `vectors`, their
     eigenvectors by dstein as the columns of an (n, k) array (else None).
-    The call is dstebz(RANGE="I", IL=1, IU=k) with the arguments scipy's
+    The calls are dstebz(RANGE="I", IL=1, IU=k) with the arguments scipy's
     wrapper passes (VL = 0, VU = 1, ABSTOL = 0, ORDER "B" for vectors, else
-    "E"), so it gives the wrapper's bits.
+    "E") and dstein(d, e, w[:m], iblock, isplit), so they give the wrappers'
+    bits.
     """
 
     def __init__(self, d, e, k, vectors=False):
-        self.d, self.e = _checked(d, e)
+        import numpy as np
+
+        # C order: LAPACK reads the buffers as they lie
+        self.d = np.asarray(d, dtype=float, order="C")
+        self.e = np.asarray(e, dtype=float, order="C")
+        if self.d.ndim != 1 or self.e.ndim != 1:
+            raise ValueError("expected a 1-D array")
+        _check(self.d, self.e, lambda v: bool(np.isfinite(v).all()))
         n = self.d.size
         if not 1 <= k <= n:
             raise ValueError(f"cannot take the lowest {k} eigenvalues of a {n}x{n} matrix")
@@ -144,7 +160,7 @@ class Bisection:
         # alive while the call may run; `result` lets go of them (the scratch
         # is 7n words) and of the arguments, so no later call can use them
         self._keep = (scalars, nsplit, work, iwork)
-        self._call = _dstebz()   # a missing symbol raises here, not on the worker
+        self._call = _routine("dstebz")   # a missing symbol raises here, not on the worker
         address = ctypes.addressof
         self._args = (b"I", b"B" if vectors else b"E", *map(address, scalars),
                       self.d.ctypes.data, self.e.ctypes.data, address(self._m),
@@ -158,13 +174,23 @@ class Bisection:
         self.m, self.info = self._m.value, self._info.value
 
     def result(self):
+        import numpy as np
+
         self._keep = self._args = None
         _check_info(self.info, "dstebz")
         w = self.w[:self.m]
         if not self.vectors:
             return w, None
-        v, info = flapack().dstein(self.d, self.e, w, self.iblock, self.isplit)
-        _check_info(info, "dstein")
+        n, m = self.d.size, self.m
+        v = np.zeros((n, m), order="F")
+        ints = np.array([n, m, 0], dtype=np.int32)   # N and LDZ, M; INFO
+        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int32)
+        ifail = np.empty(m, dtype=np.int32)
+        size, count, info = (ints.ctypes.data + k * ints.itemsize for k in range(3))
+        _routine("dstein")(size, self.d.ctypes.data, self.e.ctypes.data, count,
+                           w.ctypes.data, self.iblock.ctypes.data, self.isplit.ctypes.data,
+                           v.ctypes.data, size, work.ctypes.data, iwork.ctypes.data,
+                           ifail.ctypes.data, info)
+        _check_info(int(ints[2]), "dstein")
         order = np.argsort(w)   # dstebz's "B" order is by block
         return w[order], v[:, order]
-

@@ -250,15 +250,16 @@ def _check_system_flags(args):
 
 
 def _cmd_spectrum(args):
-    from .quantum import SpectrumResult, confining_well, eq64_energies
+    # the levels as Python floats: neither system loads numpy
+    from .quantum import SpectrumResult, _eq64_list, _well_spectrum
 
     _check_system_flags(args)
     if args.system == "well":
-        _, result = confining_well(args.Am, args.Ap, args.lam, N=args.N,
-                                   n_levels=args.levels)
+        result = SpectrumResult(*_well_spectrum(args.Am, args.Ap, args.lam, args.N,
+                                                args.levels))
         echo_keys = ("system", "Am", "Ap", "lam", "N", "levels")
     else:
-        energies = eq64_energies(args.lam, args.A1, args.Lambda, args.ell, args.levels)
+        energies = _eq64_list(args.lam, args.A1, args.Lambda, args.ell, args.levels)
         result = SpectrumResult(energies, "closed_form_eq64",
                                 {"Lambda": args.Lambda, "ell": args.ell})
         echo_keys = ("system", "A1", "Lambda", "ell", "lam", "levels")
@@ -440,6 +441,10 @@ def main(argv=None) -> int:
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # its message is empty
+        print("numerical failure: out of memory: the problem is too large for this process",
+              file=sys.stderr)
         return 3
     except TraError as exc:
         print(f"error: {exc}", file=sys.stderr)

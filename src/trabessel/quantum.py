@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 import threading
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import (BoundaryError, ConstraintViolation, ConvergenceFailure,
                      SeriesOverflow, UnsupportedRow, _check_integer)
 from .ode import OdeParams
+
+if TYPE_CHECKING:  # for the annotations: the functions that build arrays import numpy
+    import numpy as np
 
 __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
            "singular_oscillator", "spectrum_eq64", "eq64_energies", "fd_oracle",
@@ -48,10 +50,11 @@ class SpectrumResult(Record):
     metadata: dict = {}
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        if not np.all(np.isfinite(e)):
+        e = [float(v) for v in self.energies]
+        if not all(map(math.isfinite, e)):
             raise ConvergenceFailure("spectrum contains non-finite energies")
-        if np.any(np.diff(e) < -1e-12 * max(1.0, float(np.max(np.abs(e))))):
+        slack = -1e-12 * max(1.0, max(map(abs, e)))
+        if any(b - a < slack for a, b in zip(e, e[1:])):
             raise ConvergenceFailure("spectrum is not ascending")
 
 
@@ -70,11 +73,14 @@ def table1_map(a_choice: float, params: OdeParams, lam: float, ell: int = 0) -> 
             lambda r: -2 * Am / l2 / r ** 4 - 2 * A1 / l2 ** 2 / r ** 6,
             "V(r) = -(2 A-/lam^2)/r^4 - (2 A1/lam^4)/r^6")
     if a_choice == 1.0:
+        def v(r):
+            import numpy as np
+
+            return -(l2 / 2) * (Ap * np.exp(lam * r) + Am * np.exp(-lam * r)
+                                + A1 * np.exp(-2 * lam * r))
         return SystemSpec(
             a_choice, lam, 1.0, ell, params, 0.0,
-            "x = exp(lam r), r in R", -l2 * A0 / 2, "E = -lam^2 A0 / 2",
-            lambda r: -(l2 / 2) * (Ap * np.exp(lam * r) + Am * np.exp(-lam * r)
-                                   + A1 * np.exp(-2 * lam * r)),
+            "x = exp(lam r), r in R", -l2 * A0 / 2, "E = -lam^2 A0 / 2", v,
             "V(r) = -(lam^2/2)(A+ e^{lam r} + A- e^{-lam r} + A1 e^{-2 lam r})")
     if a_choice == 1.5:
         return SystemSpec(
@@ -126,6 +132,8 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     returns or raises.  Each grid gets the LAPACK calls it would get alone,
     so the bits are those of a serial solve.
     """
+    import numpy as np
+
     from . import _lapack  # only the commands that solve an eigenproblem load it
 
     r_min, r_max = domain
@@ -202,10 +210,21 @@ def well_potential(A_minus: float, A_plus: float, lam: float):
     _check_lam(lam)
 
     def v(r):
+        import numpy as np
+
         return (lam ** 2 / 2) * (0.25 * np.exp(-2 * lam * r)
                                  - A_minus * np.exp(-lam * r)
                                  - A_plus * np.exp(lam * r))
     return v
+
+
+def _morse_list(A_minus: float, lam: float, count: int) -> list:
+    """`morse_levels` as a list of Python floats, which needs no numpy."""
+    from ._basisspec import _bessel_top  # not at the top: the FD paths never load it
+
+    _check_integer(count, "count")
+    count = min(count, math.floor(_bessel_top(-A_minus)) + 1)
+    return [-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)]
 
 
 def morse_levels(A_minus: float, lam: float, count: int) -> np.ndarray:
@@ -216,11 +235,9 @@ def morse_levels(A_minus: float, lam: float, count: int) -> np.ndarray:
     Not printed in the source material; validated against fd_oracle before
     use (see the acceptance suite).
     """
-    from ._basisspec import _bessel_top  # not at the top: the FD paths never load it
+    import numpy as np
 
-    _check_integer(count, "count")
-    count = min(count, math.floor(_bessel_top(-A_minus)) + 1)
-    return np.array([-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)])
+    return np.array(_morse_list(A_minus, lam, count), dtype=float)
 
 
 def well_domain(A_minus: float, A_plus: float, lam: float, e_max: float):
@@ -246,6 +263,43 @@ def well_domain(A_minus: float, A_plus: float, lam: float, e_max: float):
     return lo, hi
 
 
+def _well_spectrum(A_minus: float, A_plus: float, lam: float, N: int | None,
+                   n_levels: int):
+    """`confining_well`'s spectrum as (energies, method, metadata), with the
+    energies a list of Python floats: no numpy is needed."""
+    _check_levels(n_levels)
+    if A_plus > 0:
+        raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
+    _check_lam(lam)
+    # K0 instance with A0 left spectral: the Jacobi matrix lives in
+    # z = 4 A0 / A+ and its entries do not involve A0; it also refuses a
+    # non-finite A- on the Morse branch
+    ode = OdeParams(a=1.0, b=0.0, A_plus=A_plus, A_minus=A_minus,
+                    A_one=-0.25, A_zero=0.0)
+    if A_plus == 0.0:
+        energies = _morse_list(A_minus, lam, n_levels)
+        if not energies:
+            raise ConstraintViolation("Morse limit needs A- > 1/2", got=A_minus)
+        return energies, "morse_closed_form", {"A_minus": A_minus, "lam": lam}
+    # imported here, not at the top: the Morse, oscillator and FD paths never load them
+    from . import _lapack
+    from .solver import ClassId, _jacobi_lists, resolve_class
+
+    sol = resolve_class(ode, ClassId.K0)
+    if N is None:
+        N = sol.n_max
+    sol.basis.check_degree(N, "N")
+    if N + 1 > _WELL_ROWS:
+        raise ConstraintViolation(f"the well's Jacobi matrix has at most {_WELL_ROWS} rows",
+                                  got=float(N + 1))
+    z = _lapack.all_eigenvalues(*_jacobi_lists(sol, N))[:n_levels]  # ascending
+    # ascending too: -lam^2 A+ > 0, and rounding keeps the order
+    scale = -lam ** 2 * A_plus
+    return ([scale * zk / 8.0 for zk in z], "jacobi_matrix",
+            {"matrix_size": N + 1, "mu": sol.basis.mu, "gamma": 4.0 / A_plus,
+             "z_eigenvalues": z, "energy_map": "E = -lam^2 A+ z / 8"})
+
+
 def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = None,
                    n_levels: int = 5):
     """Potential and spectrum of the exponentially confining well.
@@ -254,40 +308,13 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
     A+ = 0: Morse limit, closed-form levels n < A- - 1/2, so A- > 1/2.  N is a degree
     of K0's basis (N <= n_max, so A- > N + 1/2), with at most _WELL_ROWS = 100,000
-    rows, as dstevd's time grows as N^2.
+    rows, as dstevd's time grows as N^2.  A- must be finite on both branches.
     """
-    # imported here, not at the top: the oscillator and FD paths never load the solver
-    from .solver import ClassId, jacobi_matrix, resolve_class, tridiag_eigenvalues
+    import numpy as np
 
-    _check_levels(n_levels)
-    if A_plus > 0:
-        raise ConstraintViolation("A+ <= 0 (otherwise the particle escapes)", got=A_plus)
-    v = well_potential(A_minus, A_plus, lam)
-    if A_plus == 0.0:
-        energies = morse_levels(A_minus, lam, n_levels)
-        if not len(energies):
-            raise ConstraintViolation("Morse limit needs A- > 1/2", got=A_minus)
-        return v, SpectrumResult(energies, "morse_closed_form",
-                                 {"A_minus": A_minus, "lam": lam})
-    # K0 instance with A0 left spectral: the Jacobi matrix lives in
-    # z = 4 A0 / A+ and its entries do not involve A0
-    ode = OdeParams(a=1.0, b=0.0, A_plus=A_plus, A_minus=A_minus,
-                    A_one=-0.25, A_zero=0.0)
-    sol = resolve_class(ode, ClassId.K0)
-    if N is None:
-        N = sol.n_max
-    if N + 1 > _WELL_ROWS:
-        raise ConstraintViolation(f"the well's Jacobi matrix has at most {_WELL_ROWS} rows",
-                                  got=float(N + 1))
-    diag, off = jacobi_matrix(sol, N)
-    z = tridiag_eigenvalues(diag, off)  # ascending
-    # ascending too: -lam^2 A+ > 0, and rounding keeps the order
-    energies = (-lam ** 2 * A_plus * z / 8.0)[:n_levels]
-    return v, SpectrumResult(
-        energies, "jacobi_matrix",
-        {"matrix_size": N + 1, "mu": sol.basis.mu, "gamma": 4.0 / A_plus,
-         "z_eigenvalues": z[:n_levels].tolist(),
-         "energy_map": "E = -lam^2 A+ z / 8"})
+    energies, method, metadata = _well_spectrum(A_minus, A_plus, lam, N, n_levels)
+    return (well_potential(A_minus, A_plus, lam),
+            SpectrumResult(np.array(energies, dtype=float), method, metadata))
 
 
 def well_wavefunction_coeffs(A_minus: float, A_plus: float, lam: float,
@@ -321,6 +348,8 @@ def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
     coef = (ell * (ell + 1) + Lambda) / 2.0
 
     def v(r):
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         return coef / r ** 2 - 2 * lam ** 4 * A_one * r ** 2
     return v
@@ -341,12 +370,18 @@ def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> 
     return 4 * lam ** 2 * math.sqrt(-A_one) * (k + 0.5 + 0.5 * math.sqrt(root_arg))
 
 
+def _eq64_list(lam: float, A_one: float, Lambda: float, ell: int, n_levels: int) -> list:
+    """`eq64_energies` as a list of Python floats, which needs no numpy."""
+    _check_levels(n_levels)
+    return [spectrum_eq64(k, lam, A_one, Lambda, ell) for k in range(n_levels)]
+
+
 def eq64_energies(lam: float, A_one: float, Lambda: float, ell: int,
                   n_levels: int) -> np.ndarray:
     """The lowest n_levels closed-form energies E_0..E_{n_levels-1} of eq. 64."""
-    _check_levels(n_levels)
-    return np.array([spectrum_eq64(k, lam, A_one, Lambda, ell)
-                     for k in range(n_levels)])
+    import numpy as np
+
+    return np.array(_eq64_list(lam, A_one, Lambda, ell, n_levels), dtype=float)
 
 
 def singular_oscillator(A_one: float, A_minus: float, A_zero: float, ell: int,

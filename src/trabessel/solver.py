@@ -688,14 +688,33 @@ class FavardReport(Record):
         return iter(self.products)
 
 
+def _coupling_products(sol: ClassSolution, N: int):
+    """The class row, and s_n t_n for n = 0..N-1 as Python floats."""
+    sol.basis.check_degree(N, "N")
+    row = _row(sol)
+    return row, [row.s(n) * row.t(n) for n in range(N)]
+
+
 def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     """Signs of the coupling products s_n t_n used by an (N+1)-level truncation."""
     import numpy as np
 
-    sol.basis.check_degree(N, "N")
-    row = _row(sol)
-    prods = np.array([row.s(n) * row.t(n) for n in range(N)])
+    prods = np.array(_coupling_products(sol, N)[1], dtype=float)
     return FavardReport(products=prods, definite=bool(np.all(prods > 0)))
+
+
+def _jacobi_lists(sol: ClassSolution, N: int):
+    """`jacobi_matrix` as two lists of Python floats, which needs no numpy."""
+    row, prods = _coupling_products(sol, N)
+    bad = next((n for n, p in enumerate(prods) if not p > 0), None)
+    if bad is not None:
+        raise DefinitenessError(
+            f"s_n t_n <= 0 at n={bad} ({prods[bad]:.3e}); no symmetric Jacobi form")
+    if sol.basis.kind == "bessel":  # a_N's denominator; those below N do not vanish
+        _check_denominators(N, _bessel_denominators(sol.basis.mu, N)[:1])
+    scale = abs(row.c)
+    return ([row.a_n(n) / row.c for n in range(N + 1)],
+            [math.sqrt(p) / scale for p in prods])
 
 
 def jacobi_matrix(sol: ClassSolution, N: int):
@@ -707,21 +726,13 @@ def jacobi_matrix(sol: ClassSolution, N: int):
     """
     import numpy as np
 
-    rep = favard_report(sol, N)
-    if not rep.definite:
-        bad = int(np.argmin(rep.products > 0))
-        raise DefinitenessError(
-            f"s_n t_n <= 0 at n={bad} ({rep.products[bad]:.3e}); "
-            "no symmetric Jacobi form")
-    if sol.basis.kind == "bessel":  # a_N's denominator; those below N do not vanish
-        _check_denominators(N, _bessel_denominators(sol.basis.mu, N)[:1])
-    row = _row(sol)
-    diag = np.array([row.a_n(n) / row.c for n in range(N + 1)])
-    return diag, np.sqrt(rep.products) / abs(row.c)
+    return tuple(np.array(v, dtype=float) for v in _jacobi_lists(sol, N))
 
 
 def tridiag_eigenvalues(diag, off):
     """Ascending eigenvalues of a symmetric tridiagonal matrix."""
+    import numpy as np
+
     from . import _lapack  # only the commands that solve an eigenproblem load it
 
-    return _lapack.all_eigenvalues(diag, off)
+    return np.array(_lapack.all_eigenvalues(diag, off), dtype=float)

@@ -1,3 +1,4 @@
+import ctypes
 import importlib.util
 import json
 import math
@@ -323,21 +324,20 @@ def test_oracle_domain_too_narrow_for_its_grid_exit2_without_warnings():
                            "has a finite 1/h^2 (got 2.220446049250313e-16)\n")
 
 
-class _FailingLapack:
-    """scipy's LAPACK wrappers, except that `routine` reports info = 1."""
+def _failing(routine, real=_lapack._routine):
+    """_lapack._routine, except that `routine` sets its INFO argument to 1
+    after the LAPACK call: INFO is its last argument by reference, before
+    the hidden CHARACTER lengths."""
+    def resolve(name):
+        fn = real(name)
+        if name != routine:
+            return fn
 
-    def __init__(self, routine):
-        self._lapack = _lapack.flapack()
-        self._routine = routine
-
-    def __getattr__(self, name):
-        wrapper = getattr(self._lapack, name)
-        if name != self._routine:
-            return wrapper
-
-        def failing(*args, **kwargs):
-            return wrapper(*args, **kwargs)[:-1] + (1,)
-        return failing
+        def call(*args):
+            fn(*args)
+            ctypes.c_int.from_address(args[-1 - _lapack._SIGNATURES[name][0]]).value = 1
+        return call
+    return resolve
 
 
 @pytest.mark.parametrize("routine, argv", [
@@ -346,13 +346,7 @@ class _FailingLapack:
     ("dstein", ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2"]),
 ], ids=["spectrum-dstevd", "oracle-dstebz", "oracle-dstein"])
 def test_lapack_failure_exit3(monkeypatch, routine, argv):
-    if routine == "dstebz":   # called through ctypes, not through the wrappers
-        def run(self, real=_lapack.Bisection.run):
-            real(self)
-            self.info = 1
-        monkeypatch.setattr(_lapack.Bisection, "run", run)
-    else:
-        monkeypatch.setattr(_lapack, "flapack", lambda stub=_FailingLapack(routine): stub)
+    monkeypatch.setattr(_lapack, "_routine", _failing(routine))
     code, out, err = run_cli(argv)
     assert (code, out) == (3, "")
     assert err == ("numerical failure: tridiagonal eigensolver failed: "
@@ -578,6 +572,22 @@ def test_well_at_a_huge_a_minus_is_refused_fast_in_bounded_memory():
     assert proc.stderr == "error: the well's Jacobi matrix has at most 100000 rows (got 1e+300)\n"
 
 
+def test_solve_out_of_memory_exits_3_with_one_line():
+    """L39A has no basis bound, so nothing bounds --N: at 1e8 the family's
+    values outgrow a 64 MB address-space limit, set in the child only, within
+    about a second.  A MemoryError carries no message, so the line names it."""
+    resource = pytest.importorskip("resource")
+    limit = 64 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    proc = run_python(["-m", "trabessel.cli", "solve"] + L39A_FLAGS + ["--N", "100000000"],
+                      timeout=60, preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == ("numerical failure: out of memory: the problem is too large "
+                           "for this process\n")
+
+
 def test_oracle_refuses_an_empty_domain():
     argv = ["oracle"] + _OSCILLATOR + ["--r-min", "2", "--r-max", "1"]
     assert run_cli(argv) == (2, "", "error: domain must satisfy r_min < r_max\n")
@@ -746,6 +756,8 @@ _ARGV_FLOATS = ("0", "1", "-1", "0.5", "-0.25", "1.5", "2", "0.9375", "5", "20.5
                 "-2.5e-1", "-1e0", "-1.005e2")
 _ARGV_FLOAT_EDGES = ("-0.0", "1e300", "-1e300", "inf", "-inf", "nan", "-Infinity")
 _ARGV_COUNTS = ("0", "1", "3", "50")
+# no huge integers: a huge --N runs until memory runs out, which exits 3
+# (test_solve_out_of_memory_exits_3_with_one_line) but takes this process's memory
 _ARGV_COUNT_EDGES = ("-1", "-0", "1.5", "1e1", "-2.5e-1", "nan", "inf")
 _SUBPARSERS = build_parser()._subparsers._group_actions[0].choices
 
@@ -952,8 +964,8 @@ _QUANTUM_LAYERS = ("quantum", "ode", "_record")
 _LAYERS_RUN = {"classify": (_SCALAR_LAYERS, False), "solve": (_SCALAR_LAYERS, False),
                "eval": (_SOLVER_LAYERS + ("grid",), True),
                "verify": (_SOLVER_LAYERS + ("grid", "verify"), True),
-               "spectrum-well": (_SCALAR_LAYERS + ("quantum", "_lapack"), True),
-               "spectrum-oscillator": (_QUANTUM_LAYERS, True),
+               "spectrum-well": (_SCALAR_LAYERS + ("quantum", "_lapack"), False),
+               "spectrum-oscillator": (_QUANTUM_LAYERS, False),
                "oracle": (_QUANTUM_LAYERS + ("_lapack",), True)}
 
 
@@ -962,8 +974,8 @@ def test_each_command_loads_only_the_layers_it_runs(key):
     """The oscillator and FD commands load no solver, families, basis or
     verify; classify, solve and eval no quantum or verify; only the
     eigensolving commands load the LAPACK module; no command loads the
-    test oracles (trabessel.oracles); and classify and solve, even one that
-    fails, do Python-float arithmetic without loading numpy."""
+    test oracles (trabessel.oracles); and classify, solve, even one that
+    fails, and both spectra do Python-float arithmetic without loading numpy."""
     layers, numpy = next(v for k, v in _LAYERS_RUN.items() if key.startswith(k))
     want = ["trabessel"] + [f"trabessel.{m}" for m in ("cli", "_classid", "errors", "jsonio")
                             + layers]
@@ -971,6 +983,16 @@ def test_each_command_loads_only_the_layers_it_runs(key):
     loaded = _modules_loaded(WORKLOADS.CLI_COMMANDS[key], ("trabessel", "numpy"), code)
     assert [m for m in loaded if m.startswith("trabessel")] == sorted(want)
     assert ("numpy" in loaded) is numpy
+
+
+def test_the_morse_well_loads_neither_numpy_nor_the_solver():
+    """The A+ = 0 well's closed-form levels need K0's basis bound, not its
+    Jacobi matrix."""
+    argv = ["spectrum", "--system", "well", "--Ap", "0", "--Am", "20.5"]
+    want = ["trabessel"] + [f"trabessel.{m}" for m in ("cli", "_classid", "errors", "jsonio",
+                                                      "quantum", "ode", "_record",
+                                                      "_basisspec")]
+    assert _modules_loaded(argv, ("trabessel", "numpy", "scipy")) == sorted(want)
 
 
 def test_package_import_loads_no_submodule():
@@ -999,10 +1021,11 @@ def test_cli_import_loads_no_dataclasses():
                                "--grid-size", "500"],
 ], ids=["spectrum-well", "oracle-well"])
 def test_eigensolves_load_only_scipys_lapack_wrappers(argv):
-    """The eigensolves load scipy's compiled LAPACK module alone: not
-    scipy.linalg, its array-API shim (scipy._lib._array_api), scipy.special
-    or the numpy.f2py the shim would pull in."""
-    assert _modules_loaded(argv) == ["scipy.linalg._flapack"]
+    """The eigensolves call LAPACK in the shared object of scipy's compiled
+    wrappers, which ctypes opens without importing it: they load no scipy
+    module at all (not scipy.linalg, its array-API shim or scipy.special),
+    and not the numpy.f2py the shim would pull in."""
+    assert _modules_loaded(argv) == []
 
 
 @pytest.mark.parametrize("key", sorted(WORKLOADS.CLI_COMMANDS))

@@ -1,21 +1,19 @@
-"""The eigensolves on scipy's LAPACK against scipy.linalg itself: the same
-module, the same bits as `eigh_tridiagonal`, and a ctypes `dstebz` with the
-wrapper's bits; and the FD oracle's worker thread, joined on every path.
+"""The eigensolves on scipy's LAPACK, called through ctypes, against
+scipy.linalg itself: the same bits as `eigh_tridiagonal` and as scipy's
+`dstebz` wrapper; each routine's symbol; and the FD oracle's worker thread,
+joined on every path.
 
 scipy.linalg is imported inside the tests only, so that importing this
 module does not load it.
 """
-import os
-import subprocess
-import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-import trabessel
-from trabessel import _lapack, confining_well, fd_oracle, tridiag_eigenvalues
+from trabessel import (ClassId, OdeParams, _lapack, confining_well, fd_oracle,
+                       jacobi_matrix, resolve_class, tridiag_eigenvalues)
 from trabessel.quantum import oscillator_potential, well_domain, well_potential
 
 
@@ -23,13 +21,30 @@ def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 50, 1001])
-def test_tridiag_eigenvalues_match_scipy_bit_for_bit(n):
-    from scipy.linalg import eigh_tridiagonal
+def _random_matrix(n):
     rng = np.random.default_rng(1000 + n)
-    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    return rng.standard_normal(n), rng.standard_normal(n - 1)
+
+
+def _well_matrix(a_minus):
+    """The Jacobi matrix of the benchmark's well at A-, A+ = -1: its diagonal
+    starts near -4 A-^2 and its couplings go down to 1e-5."""
+    sol = resolve_class(OdeParams(1.0, 0.0, -1.0, a_minus, -0.25, 0.0), ClassId.K0)
+    return jacobi_matrix(sol, sol.n_max)
+
+
+@pytest.mark.parametrize("matrix", [
+    *(pytest.param(lambda n=n: _random_matrix(n), id=str(n)) for n in (1, 2, 3, 50, 1001)),
+    *(pytest.param(lambda a=a: _well_matrix(a), id=f"well-Am{a}")
+      for a in (20.5, 100.5, 400.5, 1000.5)),
+])
+def test_tridiag_eigenvalues_match_scipy_bit_for_bit(matrix):
+    from scipy.linalg import eigh_tridiagonal
+    d, e = matrix()
     want = np.sort(eigh_tridiagonal(d, e, eigvals_only=True))
-    assert _hex(tridiag_eigenvalues(d, e)) == _hex(want)
+    got = tridiag_eigenvalues(d, e)
+    assert got.dtype == float and _hex(got) == _hex(want)
+    assert _hex(_lapack.all_eigenvalues(d.tolist(), e.tolist())) == _hex(want)
 
 
 def _lowest(d, e, k, vectors=False):
@@ -61,10 +76,18 @@ def test_non_finite_entries_are_a_domain_error():
 
 
 def test_all_eigenvalues_of_the_0x0_and_1x1_matrices():
-    assert _lapack.all_eigenvalues([], []).shape == (0,)
+    assert _lapack.all_eigenvalues([], []) == []
+    assert tridiag_eigenvalues([], []).shape == (0,)
     assert _hex(_lapack.all_eigenvalues([-0.1], [])) == _hex([-0.1])
     with pytest.raises(ValueError, match=r"^d \(0\) must have one more element than e \(1\)$"):
         _lapack.all_eigenvalues([], [1.0])
+
+
+@pytest.mark.parametrize("d, e", [([[1.0, 2.0]], [0.5]), (1.0, []), (["1"], [])],
+                         ids=["2-D", "scalar", "strings"])
+def test_all_eigenvalues_need_a_flat_sequence_of_numbers(d, e):
+    with pytest.raises(ValueError, match="^expected a 1-D array$"):
+        _lapack.all_eigenvalues(d, e)
 
 
 @pytest.mark.parametrize("k", [0, 4])
@@ -113,42 +136,6 @@ def test_fd_well_matches_scipy_bit_for_bit(a_minus):
 def test_fd_oscillator_matches_scipy_bit_for_bit():
     """The benchmark's oscillator: A1 = -1/4, Lambda = 15/4, ell = 0."""
     _assert_fd_matches_reference(oscillator_potential(-0.25, 3.75, 0, 1.0), (1e-6, 14.0), 4000)
-
-
-def test_wrappers_are_scipys_public_ones():
-    import scipy.linalg.lapack
-    module = _lapack.flapack()
-    assert sys.modules["scipy.linalg._flapack"] is module
-    for name in ("dstevd", "dstebz", "dstein"):
-        assert getattr(module, name) is getattr(scipy.linalg.lapack, name)
-
-
-# Loads the LAPACK module through _lapack and through scipy.linalg, in the
-# order given, in a fresh interpreter.
-_ORDER_PROBE = """
-import sys
-first = sys.argv[1]
-if first == "scipy":
-    import scipy.linalg
-from trabessel import _lapack
-module = _lapack.flapack()
-if first == "trabessel":
-    import scipy.linalg
-import scipy.linalg._flapack as flapack
-from scipy.linalg import lapack
-print(module is flapack is sys.modules["scipy.linalg._flapack"],
-      module.dstebz is lapack.dstebz)
-"""
-
-
-@pytest.mark.parametrize("first", ["scipy", "trabessel"])
-def test_one_lapack_module_whichever_loads_first(first):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _ORDER_PROBE, first],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert (proc.returncode, proc.stdout) == (0, "True True\n"), proc.stderr
 
 
 def _random_tridiagonal(n, seed, zero_at=()):
@@ -244,8 +231,36 @@ def test_fd_oracle_reports_the_coarse_grids_failure_first(monkeypatch):
         fd_oracle(lambda r: 0.5 * r ** 2, (1e-6, 12.0), 1000)
 
 
-def test_a_lapack_without_dstebz_raises_an_import_error_naming_the_symbols(monkeypatch):
-    monkeypatch.setattr(_lapack, "_DSTEBZ_NAMES", ("no_such_dstebz_", "nor_this_"))
-    monkeypatch.setattr(_lapack, "_dstebz_symbol", None)
-    with pytest.raises(ImportError, match="tried no_such_dstebz_, nor_this_"):
-        _lapack.Bisection(np.zeros(3), np.ones(2), 1)
+class _LibraryWithout:
+    """scipy's LAPACK library without either symbol of one routine."""
+
+    def __init__(self, routine):
+        self._library = _lapack._library()
+        self._name = self._library._name
+        self._routine = routine
+
+    def __getattr__(self, symbol):
+        if symbol in (f"scipy_{self._routine}_", f"{self._routine}_"):
+            raise AttributeError(symbol)
+        return getattr(self._library, symbol)
+
+
+def _call_each_routine(routine):
+    """Calls that reach `routine`: dstevd for all eigenvalues, dstebz and
+    dstein for the lowest eigenpairs."""
+    if routine == "dstevd":
+        _lapack.all_eigenvalues([0.0, 0.0, 0.0], [1.0, 1.0])
+    else:
+        bisection = _lapack.Bisection(np.zeros(3), np.ones(2), 1, vectors=True)
+        bisection.run()
+        bisection.result()
+
+
+@pytest.mark.parametrize("routine", ["dstevd", "dstebz", "dstein"])
+def test_a_lapack_without_a_routine_raises_an_import_error_naming_both_symbols(
+        monkeypatch, routine):
+    monkeypatch.setattr(_lapack, "_library", lambda stub=_LibraryWithout(routine): stub)
+    monkeypatch.setattr(_lapack, "_routines", {})
+    with pytest.raises(ImportError, match=f"^no LAPACK {routine} in .*_flapack.*: "
+                                          f"tried scipy_{routine}_, {routine}_$"):
+        _call_each_routine(routine)

@@ -194,17 +194,27 @@ def test_confining_well_bounds_n_by_the_k0_basis():
         confining_well(0.3, -1.0, 1.0, N=0)   # A- < 1/2: no basis degree at all
     with pytest.raises(DomainError, match="^N must be nonnegative$"):
         confining_well(20.5, -1.0, 1.0, N=-1)
-    for A_minus in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="^OdeParams.A_minus must be finite$"):
-            confining_well(A_minus, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("A_plus", [-1.0, 0.0], ids=["jacobi", "morse"])
+@pytest.mark.parametrize("A_minus", [math.inf, -math.inf, math.nan])
+def test_confining_well_refuses_a_non_finite_a_minus_on_both_branches(A_minus, A_plus):
+    """The Morse branch used to raise a bare OverflowError or ValueError from
+    math.floor; both branches now refuse A- through OdeParams."""
+    with pytest.raises(ValueError, match="^OdeParams.A_minus must be finite$"):
+        confining_well(A_minus, A_plus, 1.0)
 
 
 def test_confining_well_caps_the_jacobi_matrix_at_100000_rows():
     """dstevd's time grows as N^2, so past 100,000 rows the well refuses at
-    once, before any list is built, and prints the size as a float."""
+    once, before any list is built, and prints the size as a float; an N past
+    the basis bound as well is refused by the basis first."""
     with pytest.raises(ConstraintViolation) as exc:
         confining_well(2e5, -1.0, 1.0, N=100_000)
     assert str(exc.value) == "the well's Jacobi matrix has at most 100000 rows (got 100001.0)"
+    with pytest.raises(DomainError) as exc:
+        confining_well(5.5, -1.0, 1.0, N=200_000)
+    assert str(exc.value) == "N=200000 exceeds the basis bound n_max=4 (mu=-5.5)"
 
 
 def test_confining_well_at_integer_a_minus():
