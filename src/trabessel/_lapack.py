@@ -11,38 +11,32 @@ that handle also searches the libraries `_flapack` links, where a routine is
 These are the routines scipy's wrappers call; a `ctypes.CDLL` function also
 releases the GIL, where the wrappers hold it.
 
-`all_eigenvalues` and `Bisection` make the LAPACK calls, with the same
-arguments, that scipy.linalg's tridiagonal eigensolver makes by default for
-all eigenvalues and for an index range, so they give the same bits.
-`all_eigenvalues` is `dstevd` with JOBZ = "N" and the workspace sizes of
-scipy's `compute_v=0` (LWORK = LIWORK = 1), on `array('d')` buffers, and takes
-and returns Python floats, so the well's spectrum needs no numpy.  `Bisection`
-is the Sturm-count bisection `dstebz` (Barth, Martin and Wilkinson, Numer.
-Math. 9, 1967), with `dstein` for the eigenvectors, on numpy arrays; it is
-split in steps so that `fd_oracle` can bisect its coarse and fine grids at
-once, on two threads.
+Every call goes through `_call`, which packs each argument by type (a
+CHARACTER, an INTEGER, a DOUBLE or an `array` buffer) and reads INFO, and
+every array is an `array`: the module imports no numpy.  `all_eigenvalues`
+and `lowest_eigenpairs` make the LAPACK calls, with the same arguments, that
+scipy.linalg's tridiagonal eigensolver makes by default for all eigenvalues
+and for an index range, so they give the same bits.  `all_eigenvalues` is
+`dstevd` with JOBZ = "N" and the workspace sizes of scipy's `compute_v=0`
+(LWORK = LIWORK = 1).  `lowest_eigenpairs` is the Sturm-count bisection
+`dstebz` (Barth, Martin and Wilkinson, Numer. Math. 9, 1967), with `dstein`
+for the eigenvectors; `fd_oracle` runs it for its coarse and fine grids at
+once, on two threads.  Both take any flat sequence of numbers, and copy a
+C-contiguous buffer of doubles, such as a float ndarray, by its bytes.
 """
 import ctypes
 import functools
 import importlib.machinery
 import math
+import operator
 import os
 from array import array
 
 from .errors import ConvergenceFailure, DomainError
 
 _NAME = "scipy.linalg._flapack"
-
-# name -> (its CHARACTER arguments, which come first, and its other arguments).
-# Every argument goes by reference, INTEGER as int32, and the length of each
-# CHARACTER argument follows them all as a hidden size_t (the gfortran ABI).
-_SIGNATURES = {
-    "dstevd": (1, 10),   # JOBZ; N D E Z LDZ WORK LWORK IWORK LIWORK INFO
-    "dstebz": (2, 16),   # RANGE ORDER; N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK
-                         #   ISPLIT WORK IWORK INFO
-    "dstein": (0, 13),   # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
-}
 _routines = {}   # name -> its ctypes function, resolved on first use
+_SCALARS = {int: "i", float: "d"}   # a by-reference scalar's array type
 
 
 @functools.cache
@@ -67,130 +61,105 @@ def _routine(name):
         if symbol is None:
             raise ImportError(f"no LAPACK {name} in {library._name}: "
                               f"tried {', '.join(symbols)}")
-        chars, others = _SIGNATURES[name]
-        fn = getattr(library, symbol)
-        fn.argtypes = ([ctypes.c_char_p] * chars + [ctypes.c_void_p] * others
-                       + [ctypes.c_size_t] * chars)
-        fn.restype = None
-        _routines[name] = fn
+        fn = _routines[name] = getattr(library, symbol)
     return fn
 
 
-def _check(d, e, finite):
-    """scipy.linalg's input checks on d and e (0x0: e is empty too), with
-    `finite(v)` telling whether every entry of v is finite."""
-    if not (finite(d) and finite(e)):
+def _call(name, *args):
+    """Call LAPACK's `name` on `args` and a trailing INFO, and return the
+    arguments as passed, with each INTEGER and DOUBLE in a one-element array,
+    so that an output such as M reads [0]; info != 0 is a ConvergenceFailure.
+
+    Each argument is a CHARACTER (bytes), an INTEGER (int), a DOUBLE (float)
+    or a buffer (an `array` of type "i" or "d").  All but a CHARACTER go by
+    reference, INTEGER as int32, and the length of each CHARACTER follows
+    them all as a hidden size_t (the gfortran ABI).
+    """
+    refs = [array(_SCALARS[type(a)], [a]) if type(a) in _SCALARS else a
+            for a in (*args, 0)]   # INFO last
+    _routine(name)(*[a if type(a) is bytes else ctypes.c_void_p(a.buffer_info()[0])
+                     for a in refs],
+                   *[ctypes.c_size_t(1) for a in args if type(a) is bytes])
+    if refs[-1][0] != 0:
+        raise ConvergenceFailure(
+            f"tridiagonal eigensolver failed: {name} returned LAPACK info={refs[-1][0]}")
+    return refs
+
+
+def _doubles(values):
+    """A new array("d") of `values`, a flat sequence of numbers; ValueError
+    for anything else."""
+    try:
+        view = memoryview(values)
+    except TypeError:   # not a buffer: a list, say
+        view = None
+    if view is not None and view.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    copy = array("d")
+    if view is not None and view.format == "d" and view.c_contiguous:
+        copy.frombytes(view.cast("B"))
+        return copy
+    try:
+        copy.extend(values)
+    except TypeError:   # not a sequence of numbers
+        raise ValueError("expected a 1-D array") from None
+    return copy
+
+
+def _matrix(d, e):
+    """d and e as new arrays, after scipy.linalg's input checks (0x0: e is
+    empty too)."""
+    d, e = _doubles(d), _doubles(e)
+    # one sum first: it is finite unless an entry is not, or the sum overflows
+    if not math.isfinite(sum(d) + sum(e)) and not all(map(math.isfinite, d + e)):
         raise DomainError("matrix entries must be finite")
     if len(e) != max(len(d) - 1, 0):
         raise ValueError(f"d ({len(d)}) must have one more element than e ({len(e)})")
+    return d, e
 
 
-def _all_finite(values):
-    return all(map(math.isfinite, values))
-
-
-def _check_info(info, routine):
-    if info != 0:   # None: the call did not return
-        raise ConvergenceFailure(
-            f"tridiagonal eigensolver failed: {routine} returned LAPACK info={info}")
-
-
-def _address(buffer):
-    return buffer.buffer_info()[0]
+def _zeros(typecode, count):
+    return array(typecode, [0]) * count
 
 
 def all_eigenvalues(d, e):
     """Every eigenvalue of the symmetric tridiagonal matrix with diagonal d
     and off-diagonal e, ascending, as a list of the Python floats dstevd
     returns."""
-    try:
-        d, e = array("d", d), array("d", e)   # copies: dstevd overwrites both
-    except TypeError:   # not a flat sequence of numbers
-        raise ValueError("expected a 1-D array") from None
-    _check(d, e, _all_finite)
-    n = len(d)
-    if n > 1:
-        ints = array("i", [n, 1, 0])   # N; 1 for LDZ, LWORK and LIWORK; INFO
-        # one word each; Z is not referenced for JOBZ = "N", so work stands in for it
-        work, iwork = array("d", [0.0]), array("i", [0])
-        size, one, info = (_address(ints) + k * ints.itemsize for k in range(3))
-        _routine("dstevd")(b"N", size, _address(d), _address(e), _address(work), one,
-                           _address(work), one, _address(iwork), one, info, 1)
-        _check_info(ints[2], "dstevd")
+    d, e = _matrix(d, e)   # copies: dstevd overwrites both
+    if len(d) > 1:
+        # one word each; Z is not referenced for JOBZ = "N", so WORK stands in for it
+        work, iwork = _zeros("d", 1), _zeros("i", 1)
+        # JOBZ N D E Z LDZ WORK LWORK IWORK LIWORK
+        _call("dstevd", b"N", len(d), d, e, work, 1, work, 1, iwork, 1)
     return d.tolist()
 
 
-class Bisection:
+def lowest_eigenpairs(d, e, k, vectors=False):
     """The k lowest eigenvalues of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, and with `vectors` their eigenvectors, in
-    three steps, so that the bisection can run on another thread.
+    diagonal d and off-diagonal e, ascending, as a list of Python floats,
+    and with `vectors` their eigenvectors, as a list of k arrays (else None).
 
-    The constructor checks the input, resolves dstebz and makes every array
-    and argument of the call; `run` makes the one dstebz call, which
-    allocates no array and does not hold the GIL; `result` checks its info
-    and returns the eigenvalues ascending and, with `vectors`, their
-    eigenvectors by dstein as the columns of an (n, k) array (else None).
     The calls are dstebz(RANGE="I", IL=1, IU=k) with the arguments scipy's
     wrapper passes (VL = 0, VU = 1, ABSTOL = 0, ORDER "B" for vectors, else
     "E") and dstein(d, e, w[:m], iblock, isplit), so they give the wrappers'
     bits.
     """
-
-    def __init__(self, d, e, k, vectors=False):
-        import numpy as np
-
-        # C order: LAPACK reads the buffers as they lie
-        self.d = np.asarray(d, dtype=float, order="C")
-        self.e = np.asarray(e, dtype=float, order="C")
-        if self.d.ndim != 1 or self.e.ndim != 1:
-            raise ValueError("expected a 1-D array")
-        _check(self.d, self.e, lambda v: bool(np.isfinite(v).all()))
-        n = self.d.size
-        if not 1 <= k <= n:
-            raise ValueError(f"cannot take the lowest {k} eigenvalues of a {n}x{n} matrix")
-        self.vectors = vectors
-        # zeroed, as the wrapper's are; the scratch need not be
-        self.w = np.zeros(n)
-        self.iblock = np.zeros(n, dtype=np.int32)
-        self.isplit = np.zeros(n, dtype=np.int32)
-        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int32)
-        self._m, nsplit, self._info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-        scalars = (ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(1.0),
-                   ctypes.c_int(1), ctypes.c_int(k), ctypes.c_double(0.0))
-        # alive while the call may run; `result` lets go of them (the scratch
-        # is 7n words) and of the arguments, so no later call can use them
-        self._keep = (scalars, nsplit, work, iwork)
-        self._call = _routine("dstebz")   # a missing symbol raises here, not on the worker
-        address = ctypes.addressof
-        self._args = (b"I", b"B" if vectors else b"E", *map(address, scalars),
-                      self.d.ctypes.data, self.e.ctypes.data, address(self._m),
-                      address(nsplit), self.w.ctypes.data, self.iblock.ctypes.data,
-                      self.isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-                      address(self._info), 1, 1)
-        self.m = self.info = None
-
-    def run(self):
-        self._call(*self._args)
-        self.m, self.info = self._m.value, self._info.value
-
-    def result(self):
-        import numpy as np
-
-        self._keep = self._args = None
-        _check_info(self.info, "dstebz")
-        w = self.w[:self.m]
-        if not self.vectors:
-            return w, None
-        n, m = self.d.size, self.m
-        v = np.zeros((n, m), order="F")
-        ints = np.array([n, m, 0], dtype=np.int32)   # N and LDZ, M; INFO
-        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int32)
-        ifail = np.empty(m, dtype=np.int32)
-        size, count, info = (ints.ctypes.data + k * ints.itemsize for k in range(3))
-        _routine("dstein")(size, self.d.ctypes.data, self.e.ctypes.data, count,
-                           w.ctypes.data, self.iblock.ctypes.data, self.isplit.ctypes.data,
-                           v.ctypes.data, size, work.ctypes.data, iwork.ctypes.data,
-                           ifail.ctypes.data, info)
-        _check_info(int(ints[2]), "dstein")
-        order = np.argsort(w)   # dstebz's "B" order is by block
-        return w[order], v[:, order]
+    d, e = _matrix(d, e)
+    n, k = len(d), operator.index(k)   # k a Python int, as _call takes INTEGERs
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot take the lowest {k} eigenvalues of a {n}x{n} matrix")
+    # zeroed, as the wrapper's are; the scratch serves both (dstebz reads 4n and 3n
+    # words of it, dstein 5n and n)
+    w, iblock, isplit = _zeros("d", n), _zeros("i", n), _zeros("i", n)
+    work, iwork = _zeros("d", 5 * n), _zeros("i", 3 * n)
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK
+    m = _call("dstebz", b"I", b"B" if vectors else b"E", n, 0.0, 1.0, 1, k, 0.0,
+              d, e, 0, 0, w, iblock, isplit, work, iwork)[10][0]   # M
+    order = sorted(range(m), key=w.__getitem__)   # "B" orders by block
+    if not vectors:
+        return [w[j] for j in order], None
+    z = _zeros("d", n * m)
+    # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL
+    _call("dstein", n, d, e, m, w, iblock, isplit, z, n, work, iwork, _zeros("i", m))
+    return [w[j] for j in order], [z[j * n:(j + 1) * n] for j in order]

@@ -126,11 +126,13 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
     The centrifugal term ell(ell+1)/2r^2 is added when requested and the
     domain excludes r <= 0.
 
-    The two grids are solved concurrently, and there is no option to solve
-    them one after the other: one worker thread bisects the coarse grid while
-    the calling thread bisects the fine one, and it is joined before the call
-    returns or raises.  Each grid gets the LAPACK calls it would get alone,
-    so the bits are those of a serial solve.
+    The two grids are built on the calling thread, coarse first, and solved
+    concurrently, and there is no option to solve them one after the other:
+    one worker thread runs `_lapack.lowest_eigenpairs` on the coarse grid
+    while the calling thread runs it on the fine one, and the worker is
+    joined before the call returns or raises.  When both solves fail, the
+    coarse grid's failure is raised.  Each grid gets the LAPACK calls it
+    would get alone, so the bits are those of a serial solve.
     """
     import numpy as np
 
@@ -168,17 +170,28 @@ def fd_oracle(potential, domain, grid_size: int = 4000, ell: int = 0,
         off = -0.5 / h ** 2 * np.ones(npts - 1)
         return diag, off
 
-    # both grids are built, checked and allocated here; the worker only bisects
-    coarse_solve = _lapack.Bisection(*grid(grid_size), n_levels)
-    fine_solve = _lapack.Bisection(*grid(2 * grid_size), n_levels, vectors=True)
-    worker = threading.Thread(target=coarse_solve.run)
+    grids = grid(grid_size), grid(2 * grid_size)   # both built here, coarse first
+    # per grid, coarse then fine: lowest_eigenpairs' result or its exception;
+    # only the fine grid's eigenvectors are needed, for the edge check
+    outcomes = [None, None]
+
+    def solve(i):
+        try:
+            outcomes[i] = _lapack.lowest_eigenpairs(*grids[i], n_levels, vectors=i == 1)
+        except BaseException as exc:
+            outcomes[i] = exc
+
+    worker = threading.Thread(target=solve, args=(0,))
     worker.start()
     try:
-        fine_solve.run()
+        solve(1)
     finally:
         worker.join()
-    coarse, _ = coarse_solve.result()
-    fine, vecs = fine_solve.result()
+    for outcome in outcomes:   # the coarse grid's failure first
+        if isinstance(outcome, BaseException):
+            raise outcome
+    (coarse, _), (fine, vecs) = outcomes
+    coarse, fine, vecs = np.array(coarse), np.array(fine), np.array(vecs).T
     if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         raise ConvergenceFailure("finite-difference eigensolver returned non-finite values")
     extrap = (4.0 * fine - coarse) / 3.0
@@ -224,7 +237,11 @@ def _morse_list(A_minus: float, lam: float, count: int) -> list:
 
     _check_integer(count, "count")
     count = min(count, math.floor(_bessel_top(-A_minus)) + 1)
-    return [-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)]
+    try:
+        return [-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)]
+    except OverflowError:   # the square, from about A- = 1.3e154
+        raise SeriesOverflow(f"the Morse levels overflow double precision "
+                             f"(A-={A_minus})") from None
 
 
 def morse_levels(A_minus: float, lam: float, count: int) -> np.ndarray:
@@ -309,6 +326,10 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     A+ = 0: Morse limit, closed-form levels n < A- - 1/2, so A- > 1/2.  N is a degree
     of K0's basis (N <= n_max, so A- > N + 1/2), with at most _WELL_ROWS = 100,000
     rows, as dstevd's time grows as N^2.  A- must be finite on both branches.
+
+    The spectrum has the lowest min(n_levels, N + 1) levels, N = n_max by
+    default (Morse: min(n_levels, n_max + 1)), so it can be shorter than
+    n_levels: at A- = 20.5 it has at most 20.
     """
     import numpy as np
 

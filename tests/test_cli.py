@@ -326,8 +326,8 @@ def test_oracle_domain_too_narrow_for_its_grid_exit2_without_warnings():
 
 def _failing(routine, real=_lapack._routine):
     """_lapack._routine, except that `routine` sets its INFO argument to 1
-    after the LAPACK call: INFO is its last argument by reference, before
-    the hidden CHARACTER lengths."""
+    after the LAPACK call: INFO is its last argument by reference (a pointer),
+    before the hidden CHARACTER lengths."""
     def resolve(name):
         fn = real(name)
         if name != routine:
@@ -335,7 +335,8 @@ def _failing(routine, real=_lapack._routine):
 
         def call(*args):
             fn(*args)
-            ctypes.c_int.from_address(args[-1 - _lapack._SIGNATURES[name][0]]).value = 1
+            info = [a for a in args if isinstance(a, ctypes.c_void_p)][-1]
+            ctypes.c_int.from_address(info.value).value = 1
         return call
     return resolve
 
@@ -351,6 +352,17 @@ def test_lapack_failure_exit3(monkeypatch, routine, argv):
     assert (code, out) == (3, "")
     assert err == ("numerical failure: tridiagonal eigensolver failed: "
                    f"{routine} returned LAPACK info=1\n")
+
+
+def test_morse_levels_that_overflow_exit3():
+    """From about A- = 1.3e154 the square (A- - n - 1/2)^2 of the Morse levels
+    overflows: one SeriesOverflow line that names them, not a bare OverflowError."""
+    morse = ["spectrum", "--system", "well", "--Ap", "0"]
+    assert run_cli(morse + ["--Am", "1e155"]) == (
+        3, "", "numerical failure: the Morse levels overflow double precision (A-=1e+155)\n")
+    code, out, err = run_cli(morse + ["--Am", "1e150"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["energies"] == [-4.9999999999999995e+299] * 5
 
 
 _WELL_ORACLE = ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",

@@ -179,6 +179,14 @@ def test_confining_well_morse_limit():
                   <= 1e-3 * np.abs(oracle.energies))
 
 
+def test_confining_well_returns_at_most_n_plus_1_levels():
+    """An (N+1)-row Jacobi matrix has N + 1 levels, and N defaults to K0's
+    n_max = 19 at A- = 20.5; the Morse branch has n_max + 1 levels."""
+    for A_plus in (-1.0, 0.0):
+        assert len(confining_well(20.5, A_plus, 1.0, n_levels=100)[1].energies) == 20
+    assert len(confining_well(20.5, -1.0, 1.0, N=5, n_levels=100)[1].energies) == 6
+
+
 def test_confining_well_guards():
     with pytest.raises(ConstraintViolation):
         confining_well(20.5, 0.5, 1.0)     # A+ > 0
