@@ -21,7 +21,8 @@ and for an index range, so they give the same bits.  `all_eigenvalues` is
 (LWORK = LIWORK = 1).  `lowest_eigenpairs` is the Sturm-count bisection
 `dstebz` (Barth, Martin and Wilkinson, Numer. Math. 9, 1967), with `dstein`
 for the eigenvectors; `fd_oracle` runs it for its coarse and fine grids at
-once, on two threads.  Both take any flat sequence of numbers, and copy a
+once, on two threads, and the well on a leading block of its Jacobi matrix.
+Both take any flat sequence of numbers, and copy a
 C-contiguous buffer of doubles, such as a float ndarray, by its bytes.
 """
 import ctypes

@@ -28,6 +28,12 @@ __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
            "oscillator_potential"]
 
 _WELL_ROWS = 100_000
+# above this many rows the default-N well solves a leading block of its
+# Jacobi matrix, not all of it (see `_leading_block`).  Measured for 5 levels
+# (best of 300 calls, 2 vCPU): at 59 rows (A- = 59.5) dstevd and a block of
+# 13 rows both take 0.15-0.16 ms; from 60 rows a block of 7 rows is enough and
+# takes 0.10 ms, against 0.16 ms at 60 rows and 9 ms at 1,000 for dstevd
+_WELL_BLOCK_ROWS = 59
 
 
 class SystemSpec(Record):
@@ -238,10 +244,13 @@ def _morse_list(A_minus: float, lam: float, count: int) -> list:
     _check_integer(count, "count")
     count = min(count, math.floor(_bessel_top(-A_minus)) + 1)
     try:
-        return [-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)]
-    except OverflowError:   # the square, from about A- = 1.3e154
+        levels = [-(lam ** 2 / 2) * (A_minus - n - 0.5) ** 2 for n in range(count)]
+    except OverflowError:   # the square, from about A- = 1.3e154, or lam ** 2
+        levels = [math.inf]
+    if not all(map(math.isfinite, levels)):   # or the product, which gives inf
         raise SeriesOverflow(f"the Morse levels overflow double precision "
-                             f"(A-={A_minus})") from None
+                             f"(A-={A_minus}, lam={lam})")
+    return levels
 
 
 def morse_levels(A_minus: float, lam: float, count: int) -> np.ndarray:
@@ -300,21 +309,68 @@ def _well_spectrum(A_minus: float, A_plus: float, lam: float, N: int | None,
         return energies, "morse_closed_form", {"A_minus": A_minus, "lam": lam}
     # imported here, not at the top: the Morse, oscillator and FD paths never load them
     from . import _lapack
-    from .solver import ClassId, _jacobi_lists, resolve_class
+    from .solver import ClassId, _check_last_diagonal, _jacobi_lists, resolve_class
 
     sol = resolve_class(ode, ClassId.K0)
-    if N is None:
-        N = sol.n_max
-    sol.basis.check_degree(N, "N")
-    if N + 1 > _WELL_ROWS:
+    top = sol.n_max if N is None else N
+    sol.basis.check_degree(top, "N")
+    if top + 1 > _WELL_ROWS:
         raise ConstraintViolation(f"the well's Jacobi matrix has at most {_WELL_ROWS} rows",
-                                  got=float(N + 1))
-    z = _lapack.all_eigenvalues(*_jacobi_lists(sol, N))[:n_levels]  # ascending
+                                  got=float(top + 1))
+    block = None
+    if N is None and top + 1 > _WELL_BLOCK_ROWS:
+        _check_last_diagonal(sol, top)   # the full matrix's refusal of an integer A-
+        block = _leading_block(sol, n_levels)
+    if block is None:
+        z = _lapack.all_eigenvalues(*_jacobi_lists(sol, top))[:n_levels]  # ascending
+        rows, bounds = top + 1, {}
+    else:
+        z, ritz, rows = block
+        bounds = {"ritz_bounds": ritz}
+    try:
+        scale = -lam ** 2 * A_plus
+    except OverflowError:   # lam ** 2
+        scale = math.inf
     # ascending too: -lam^2 A+ > 0, and rounding keeps the order
-    scale = -lam ** 2 * A_plus
-    return ([scale * zk / 8.0 for zk in z], "jacobi_matrix",
-            {"matrix_size": N + 1, "mu": sol.basis.mu, "gamma": 4.0 / A_plus,
-             "z_eigenvalues": z, "energy_map": "E = -lam^2 A+ z / 8"})
+    energies = [scale * zk / 8.0 for zk in z]
+    if not all(map(math.isfinite, energies)):   # or the product, which gives inf
+        raise SeriesOverflow(f"the well's energy map E = -lam^2 A+ z / 8 overflows "
+                             f"double precision (lam={lam}, A+={A_plus})")
+    return (energies, "jacobi_matrix",
+            {"matrix_size": rows, "mu": sol.basis.mu, "gamma": 4.0 / A_plus,
+             "z_eigenvalues": z, "energy_map": "E = -lam^2 A+ z / 8", **bounds})
+
+
+def _leading_block(sol, n_levels: int):
+    """The lowest n_levels eigenvalues of sol's Jacobi matrix from its leading
+    (M+1)-block, as (levels, Ritz bounds, M + 1); None once M + 1 rows would
+    leave no dropped row with both couplings, where the full matrix is solved.
+
+    M starts at n_levels + 1 and doubles until both hold:
+    - each level's Ritz bound |e_M y_M| is at most one ulp of it: y, the unit
+      eigenvector padded with zeros, leaves the residual e_M y_M in row M+1 of
+      the full matrix (e_M the first dropped coupling), so that matrix has an
+      eigenvalue within one ulp of each Ritz value (Parlett, The Symmetric
+      Eigenvalue Problem, 1980), and the levels carry only dstebz's own
+      rounding (at most 2.3 ulp from a 40-digit bisection at six wells from
+      A- = 100.5 to 1000.5, where the full dstevd was off by up to 77 ulp);
+    - the first dropped row's diagonal, less its two couplings, lies above the
+      top level, so no row below the block brings a lower level (the
+      diagonal rises with n, and its couplings stay far below its gaps).
+    """
+    from . import _lapack
+    from .solver import _jacobi_lists
+
+    M = n_levels + 1
+    while M + 2 <= sol.n_max:
+        d, e = _jacobi_lists(sol, M + 2)   # rows 0..M+2: the block and two more
+        z, vectors = _lapack.lowest_eigenpairs(d[:M + 1], e[:M], n_levels, vectors=True)
+        ritz = [abs(e[M] * y[M]) for y in vectors]   # dstein's vectors have unit norm
+        if (all(b <= math.ulp(zk) for b, zk in zip(ritz, z))
+                and d[M + 1] - e[M] - e[M + 1] > z[-1]):
+            return z, ritz, M + 1
+        M *= 2
+    return None
 
 
 def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = None,
@@ -325,7 +381,16 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     deformed-Bessel coefficient recursion, mapped through E = -lam^2 A+ z / 8.
     A+ = 0: Morse limit, closed-form levels n < A- - 1/2, so A- > 1/2.  N is a degree
     of K0's basis (N <= n_max, so A- > N + 1/2), with at most _WELL_ROWS = 100,000
-    rows, as dstevd's time grows as N^2.  A- must be finite on both branches.
+    rows, and A- must be finite on both branches.
+
+    With N left at its default n_max, a matrix of more than _WELL_BLOCK_ROWS = 59
+    rows is not solved whole: the levels are the Ritz values of its smallest
+    leading block whose Ritz bounds are all at most one ulp (for 5 levels, 7 rows
+    and about 0.1 ms at any A- from 60.5 to the cap; see `_leading_block`), and the metadata
+    gives the block's `matrix_size` and each z level's bound as `ritz_bounds`.
+    Otherwise dstevd solves all N + 1 rows, in time growing as N^2.  An integer
+    A- is refused at the default N either way, for the zero in a_{n_max}'s
+    denominator.
 
     The spectrum has the lowest min(n_levels, N + 1) levels, N = n_max by
     default (Morse: min(n_levels, n_max + 1)), so it can be shorter than
@@ -343,8 +408,14 @@ def well_wavefunction_coeffs(A_minus: float, A_plus: float, lam: float,
     """Expansion coefficients f_n of the well eigenstate at a given energy.
 
     The state at energy E corresponds to A0 = -2E/lam^2; its coefficients are
-    the deformed-Bessel values C_n B_n(z) with z = 4 A0 / A+.  Meaningful at
-    (or near) the Jacobi eigenvalues returned by confining_well.
+    the deformed-Bessel values C_n B_n(z) with z = 4 A0 / A+, by the forward
+    recursion from f_0 = 1.
+
+    Caveat: at a float eigenvalue from confining_well, a rounding error away
+    from the exact one, the recursion's dominant solution swamps these
+    coefficients (at A- = 20.5: max|f| about 5e58, 15 sign changes at every
+    level), so they do not give the bound state; the same recursion at the
+    eigenvalue in 150 digits does.
     """
     from .solver import ClassId, expansion_coefficients, resolve_class
 
@@ -388,7 +459,14 @@ def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> 
             "Lambda >= -(ell+1/2)^2 (fall-to-the-center guard)", root_arg)
     if k < 0:
         raise ConstraintViolation("k >= 0", got=k)
-    return 4 * lam ** 2 * math.sqrt(-A_one) * (k + 0.5 + 0.5 * math.sqrt(root_arg))
+    try:
+        level = 4 * lam ** 2 * math.sqrt(-A_one) * (k + 0.5 + 0.5 * math.sqrt(root_arg))
+    except OverflowError:   # lam ** 2
+        level = math.inf
+    if not math.isfinite(level):   # or the product, which gives inf
+        raise SeriesOverflow(f"the eq. 64 levels overflow double precision "
+                             f"(lam={lam}, A1={A_one})")
+    return level
 
 
 def _eq64_list(lam: float, A_one: float, Lambda: float, ell: int, n_levels: int) -> list:

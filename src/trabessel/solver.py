@@ -703,6 +703,14 @@ def favard_report(sol: ClassSolution, N: int) -> FavardReport:
     return FavardReport(products=prods, definite=bool(np.all(prods > 0)))
 
 
+def _check_last_diagonal(sol: ClassSolution, N: int):
+    """Refuse an (N+1)-row Jacobi matrix whose last diagonal entry a_N / c has a
+    vanishing denominator: for a Bessel basis, N = n_max at an integer A-.  Those
+    below N do not vanish."""
+    if sol.basis.kind == "bessel":
+        _check_denominators(N, _bessel_denominators(sol.basis.mu, N)[:1])
+
+
 def _jacobi_lists(sol: ClassSolution, N: int):
     """`jacobi_matrix` as two lists of Python floats, which needs no numpy."""
     row, prods = _coupling_products(sol, N)
@@ -710,8 +718,7 @@ def _jacobi_lists(sol: ClassSolution, N: int):
     if bad is not None:
         raise DefinitenessError(
             f"s_n t_n <= 0 at n={bad} ({prods[bad]:.3e}); no symmetric Jacobi form")
-    if sol.basis.kind == "bessel":  # a_N's denominator; those below N do not vanish
-        _check_denominators(N, _bessel_denominators(sol.basis.mu, N)[:1])
+    _check_last_diagonal(sol, N)
     scale = abs(row.c)
     return ([row.a_n(n) / row.c for n in range(N + 1)],
             [math.sqrt(p) / scale for p in prods])

@@ -359,10 +359,28 @@ def test_morse_levels_that_overflow_exit3():
     overflows: one SeriesOverflow line that names them, not a bare OverflowError."""
     morse = ["spectrum", "--system", "well", "--Ap", "0"]
     assert run_cli(morse + ["--Am", "1e155"]) == (
-        3, "", "numerical failure: the Morse levels overflow double precision (A-=1e+155)\n")
+        3, "", "numerical failure: the Morse levels overflow double precision "
+               "(A-=1e+155, lam=1.0)\n")
     code, out, err = run_cli(morse + ["--Am", "1e150"])
     assert (code, err) == (0, "")
     assert json.loads(out)["energies"] == [-4.9999999999999995e+299] * 5
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--system", "well", "--Ap", "0", "--Am", "1e150", "--lam", "1e10"],
+     "the Morse levels overflow double precision (A-=1e+150, lam=10000000000.0)"),
+    (["--system", "well", "--Am", "20.5", "--Ap", "-1", "--lam", "1e160"],
+     "the well's energy map E = -lam^2 A+ z / 8 overflows double precision "
+     "(lam=1e+160, A+=-1.0)"),
+    (["--system", "oscillator", "--A1", "-0.25", "--Lambda", "0", "--ell", "0",
+      "--lam", "1e160"],
+     "the eq. 64 levels overflow double precision (lam=1e+160, A1=-0.25)"),
+], ids=["morse-product", "well-energy-map", "eq64"])
+def test_energy_maps_that_overflow_exit3_naming_their_stage(argv, line):
+    """A huge lam overflows lam ** 2 (an OverflowError) or the product that
+    follows (inf): either way one SeriesOverflow line that names the stage,
+    not the bare OverflowError text or the generic non-finite spectrum."""
+    assert run_cli(["spectrum"] + argv) == (3, "", f"numerical failure: {line}\n")
 
 
 _WELL_ORACLE = ["oracle"] + WELL_FLAGS + ["--r-min", "-5.7", "--r-max", "-1.2",
@@ -979,20 +997,28 @@ _LAYERS_RUN = {"classify": (_SCALAR_LAYERS, False), "solve": (_SCALAR_LAYERS, Fa
                "spectrum-well": (_SCALAR_LAYERS + ("quantum", "_lapack"), False),
                "spectrum-oscillator": (_QUANTUM_LAYERS, False),
                "oracle": (_QUANTUM_LAYERS + ("_lapack",), True)}
+# the benchmark commands, and a well whose default levels come from a leading
+# block of its Jacobi matrix (A- = 20.5 solves all of it)
+_GOLDEN = json.loads(WORKLOADS.CLI_GOLDEN.read_text(encoding="utf-8"))
+_LAYERS_COMMANDS = {**{key: (argv, _GOLDEN[key]["exit"])
+                       for key, argv in WORKLOADS.CLI_COMMANDS.items()},
+                    "spectrum-well-Am400.5": (["spectrum", "--system", "well",
+                                               "--Am", "400.5", "--Ap", "-1"], 0)}
 
 
-@pytest.mark.parametrize("key", sorted(WORKLOADS.CLI_COMMANDS))
+@pytest.mark.parametrize("key", sorted(_LAYERS_COMMANDS))
 def test_each_command_loads_only_the_layers_it_runs(key):
     """The oscillator and FD commands load no solver, families, basis or
     verify; classify, solve and eval no quantum or verify; only the
     eigensolving commands load the LAPACK module; no command loads the
     test oracles (trabessel.oracles); and classify, solve, even one that
-    fails, and both spectra do Python-float arithmetic without loading numpy."""
+    fails, and both spectra, the well's leading block included, do
+    Python-float arithmetic without loading numpy."""
     layers, numpy = next(v for k, v in _LAYERS_RUN.items() if key.startswith(k))
     want = ["trabessel"] + [f"trabessel.{m}" for m in ("cli", "_classid", "errors", "jsonio")
                             + layers]
-    code = json.loads(WORKLOADS.CLI_GOLDEN.read_text(encoding="utf-8"))[key]["exit"]
-    loaded = _modules_loaded(WORKLOADS.CLI_COMMANDS[key], ("trabessel", "numpy"), code)
+    argv, code = _LAYERS_COMMANDS[key]
+    loaded = _modules_loaded(argv, ("trabessel", "numpy"), code)
     assert [m for m in loaded if m.startswith("trabessel")] == sorted(want)
     assert ("numpy" in loaded) is numpy
 

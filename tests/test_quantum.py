@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from trabessel import (OdeParams, confining_well, fd_oracle, morse_levels,
-                       singular_oscillator, spectrum_eq64, table1_map)
+from trabessel import (ClassId, OdeParams, confining_well, fd_oracle, jacobi_matrix,
+                       morse_levels, resolve_class, singular_oscillator, spectrum_eq64,
+                       table1_map, tridiag_eigenvalues)
+from trabessel import quantum
 from trabessel.errors import (BoundaryError, ConstraintViolation, DomainError,
                               UnsupportedRow)
 from trabessel.quantum import (eq64_energies, oscillator_potential, well_domain,
@@ -149,7 +151,7 @@ def test_confining_well_dual_method():
     assert np.all(rel <= 0.02)
 
 
-@pytest.mark.parametrize("A_minus", [20.5, 100.5, 400.5])
+@pytest.mark.parametrize("A_minus", [20.5, 100.5, 400.5, 1000.5])
 def test_confining_well_levels_match_fd_oracle(A_minus):
     """All five Jacobi levels against the Richardson FD oracle, to the
     benchmark's FD tolerance: gaps read 3e-10 at most at grid 4000."""
@@ -234,6 +236,98 @@ def test_confining_well_at_integer_a_minus():
     assert len(res.energies) == 2
 
 
+def _well_matrix(A_minus, N=None):
+    """The full Jacobi matrix of the well at A+ = -1 (N = n_max by default)."""
+    sol = resolve_class(_ode(Ap=-1.0, Am=A_minus, A1=-0.25), ClassId.K0)
+    return jacobi_matrix(sol, sol.n_max if N is None else N)
+
+
+def _sturm_levels(d, e, guesses, dps=40):
+    """The eigenvalues of the float tridiagonal matrix (d, e) next to `guesses`,
+    the lowest ascending, by Sturm-count bisection in dps digits: level k is
+    bracketed around guesses[k] by the count of eigenvalues below each end."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        diag = [mpmath.mpf(float(v)) for v in d]
+        off2 = [mpmath.mpf(float(v)) ** 2 for v in e]
+        tiny = mpmath.mpf(10) ** (-3 * dps)   # a zero pivot, as if x were a hair lower
+
+        def below(x):   # the number of eigenvalues below x: negative pivots of T - x
+            count, q = 0, diag[0] - x
+            for dn, e2 in zip(diag[1:], off2):
+                count += q < 0
+                q = dn - x - e2 / (q or tiny)
+            return count + (q < 0)
+
+        levels = []
+        for k, guess in enumerate(guesses):
+            step = mpmath.mpf(abs(guess)) * 1e-12
+            lo, hi = guess - step, guess + step
+            while below(lo) > k:
+                lo, step = lo - step, 2 * step
+            while below(hi) < k + 1:
+                hi, step = hi + step, 2 * step
+            while hi - lo > abs(lo) * mpmath.mpf(10) ** (2 - dps):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if below(mid) > k else (mid, hi)
+            levels.append((lo + hi) / 2)
+        return levels
+
+
+@pytest.mark.parametrize("A_minus", [100.5, 400.5])
+def test_default_well_levels_are_those_of_a_40_digit_bisection(A_minus):
+    """Above the crossover the default levels come from a leading block of the
+    Jacobi matrix: within 2 ulp of the same float matrix's levels in 40 digits
+    (the full dstevd is off by up to 6.8 ulp at these wells)."""
+    z = confining_well(A_minus, -1.0, 1.0)[1].metadata["z_eigenvalues"]
+    for zk, ref in zip(z, _sturm_levels(*_well_matrix(A_minus), z)):
+        assert abs(zk - ref) <= 2 * math.ulp(zk)
+
+
+@pytest.mark.parametrize("A_minus, n_levels", [(1000.5, 5), (5000.5, 5), (1000.5, 1),
+                                               (1000.5, 12)])
+def test_default_well_levels_match_the_full_dstevd(A_minus, n_levels):
+    _, res = confining_well(A_minus, -1.0, 1.0, n_levels=n_levels)
+    full = tridiag_eigenvalues(*_well_matrix(A_minus))[:n_levels]
+    assert res.metadata["matrix_size"] < 30   # a leading block
+    np.testing.assert_allclose(res.metadata["z_eigenvalues"], full, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(res.energies, full / 8, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("A_minus", [quantum._WELL_BLOCK_ROWS + 1.5, 100.5, 400.5, 1000.5,
+                                     5000.5, 99_999.5])
+def test_default_well_levels_carry_ritz_bounds_of_at_most_one_ulp(A_minus):
+    """Past the crossover (n_max + 1 rows above _WELL_BLOCK_ROWS) the well
+    reports the block's size and each level's Ritz bound; at the 100,000-row
+    cap itself the block takes 7 rows, where dstevd would take about a minute."""
+    md = confining_well(A_minus, -1.0, 1.0)[1].metadata
+    assert md["matrix_size"] <= 13
+    assert len(md["ritz_bounds"]) == len(md["z_eigenvalues"]) == 5
+    assert all(0 <= b <= math.ulp(z) for b, z in zip(md["ritz_bounds"], md["z_eigenvalues"]))
+
+
+@pytest.mark.parametrize("A_minus, N", [
+    (20.5, None), (quantum._WELL_BLOCK_ROWS + 0.5, None),   # at or below the crossover
+    (400.5, 30), (400.5, 399), (1000.5, 6)])               # an explicit N
+def test_explicit_n_and_small_default_wells_solve_the_full_matrix(A_minus, N):
+    _, res = confining_well(A_minus, -1.0, 1.0, N=N)
+    d, e = _well_matrix(A_minus, N)
+    assert res.metadata["matrix_size"] == len(d)
+    assert res.metadata["z_eigenvalues"] == tridiag_eigenvalues(d, e)[:5].tolist()
+    assert "ritz_bounds" not in res.metadata
+
+
+def test_default_well_past_the_crossover_keeps_the_full_matrix_refusals():
+    """The 100,000-row cap and the integer-A- refusal are still checked on n_max."""
+    with pytest.raises(ConstraintViolation) as exc:
+        confining_well(2e5, -1.0, 1.0)
+    assert str(exc.value) == "the well's Jacobi matrix has at most 100000 rows (got 200000.0)"
+    with pytest.raises(DomainError) as exc:
+        confining_well(1000.0, -1.0, 1.0)
+    assert str(exc.value) == "coefficient denominator (n+mu)(n+mu+1) vanishes at n=999"
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
 def test_lam_must_be_positive(lam):
     calls = [lambda: table1_map(1.0, _ode(A0=3.0), lam=lam),
@@ -275,6 +369,27 @@ def test_singular_oscillator_lambda_consistency():
     # at a = 3/2 the two printed Lambda decompositions coincide
     _, res, _ = singular_oscillator(-0.25, 1.0, 0.5, ell=1, lam=1.0, tau=2.0)
     assert res.metadata["Lambda"] == approx(4 * 0.5 - 1 * 2)
+
+
+@pytest.mark.parametrize("A1, Lambda, ell", [(-0.25, 0.0, 0), (-0.25, 3.0, 0), (-1.0, 2.0, 1),
+                                           (-4.0, 0.5, 2)])
+def test_oscillator_levels_from_the_l39c_jacobi_matrix_are_eq64s(A1, Lambda, ell):
+    """On the a = 3/2 row (b = 0, A+ = 0) L39C's rows are linear in A-, with
+    z = A- / sqrt(4 A1 + tau^2), so the eigenvalues z_k of its Jacobi matrix
+    give the oscillator's levels E = -2 lam^2 sqrt(4 A1 + tau^2) z_k at any
+    placeholder A-.  They are eq. 64's, whatever the basis parameter tau above
+    the edge tau0 = 1 + 2 sqrt(-A1) where the couplings stay definite; N grows
+    with tau - tau0 (worst 1.2e-14 relative)."""
+    lam, tau0 = 1.0, 1 + 2 * math.sqrt(-A1)
+    ode = _ode(Am=1.0, A1=A1, A0=(Lambda + ell * (ell + 1)) / 4, a=1.5)
+    want = eq64_energies(lam, A1, Lambda, ell, 5)
+    levels = []
+    for tau, N in [(tau0 + 0.25, 40), (tau0 + 1, 160), (2 * tau0, 640)]:
+        sol = resolve_class(ode, ClassId.L39C, free={"tau": tau})
+        z = tridiag_eigenvalues(*jacobi_matrix(sol, N))
+        levels.append(np.sort(-2 * lam ** 2 * math.sqrt(4 * A1 + tau ** 2) * z)[:5])
+        np.testing.assert_allclose(levels[-1], want, rtol=5e-14, atol=0)
+    np.testing.assert_allclose(levels[1:], [levels[0]] * 2, rtol=1e-13, atol=0)
 
 
 def test_singular_oscillator_guards():
