@@ -38,151 +38,90 @@ __all__ = ["eval_oracle", "reduce_identity", "generating_check", "orthogonality_
 # ---------------------------------------------------------------------------
 # terminating hypergeometric oracles
 #
-# The alternating sums cancel catastrophically for n near 10, so the oracle
-# accumulates in extended precision (80-bit long double); the recursion side
-# stays in plain doubles.  An oracle should out-resolve what it checks.
+# Each family's textbook form (Koekoek, Lesky and Swarttouw, Hypergeometric
+# Orthogonal Polynomials and Their q-Analogues, 2010), summed by mpmath in 30
+# digits from the exact float parameters: the alternating sums cancel
+# catastrophically for n near 10, while the recursion side stays in plain
+# doubles.  An oracle should out-resolve what it checks.
 # ---------------------------------------------------------------------------
 
-_LD = np.longdouble
-_CLD = np.clongdouble
-
-
-def _poch_ld(a, n):
-    r = a - a + 1  # one, in a's precision
-    for k in range(n):
-        r = r * (a + k)
-    return r
-
-
-def _oracle_besselj(fam, n, x):
-    # 2F0(-n, n+2mu+1; -; -x)
-    xl = _LD(x)
-    s = _LD(0)
-    for k in range(n + 1):
-        s += _poch_ld(_LD(-n), k) * _poch_ld(_LD(n + 2 * fam.mu + 1), k) \
-            / _LD(math.factorial(k)) * (-xl) ** k
-    return float(s)
-
-
-def _oracle_besseljbar(fam, n, x):
-    # 2F0(-n, -n-2nu; -; -x)
-    xl = _LD(x)
-    s = _LD(0)
-    for k in range(n + 1):
-        s += _poch_ld(_LD(-n), k) * _poch_ld(_LD(-n - 2 * fam.nu), k) \
-            / _LD(math.factorial(k)) * (-xl) ** k
-    return float(s)
-
-
-def _oracle_laguerre(fam, n, x):
-    # ((alpha+1)_n / n!) 1F1(-n; alpha+1; x)
-    al = _LD(fam.alpha)
-    xl = _LD(x)
-    s = _LD(0)
-    for k in range(n + 1):
-        s += _poch_ld(_LD(-n), k) / (_poch_ld(al + 1, k) * _LD(math.factorial(k))) \
-            * xl ** k
-    return float(_poch_ld(al + 1, n) / _LD(math.factorial(n)) * s)
-
-
-def _oracle_dualhahn(fam, n, m_arg):
-    # 3F2(-n, -m, m+p+q+1; p+1, -N; 1)
-    p, q, N = _LD(fam.p), _LD(fam.q), _LD(fam.N)
-    m = _LD(m_arg)
-    s = _LD(0)
-    for k in range(n + 1):
-        s += (_poch_ld(_LD(-n), k) * _poch_ld(-m, k) * _poch_ld(m + p + q + 1, k)
-              / (_poch_ld(p + 1, k) * _poch_ld(-N, k) * _LD(math.factorial(k))))
-    return float(s)
-
-
-def _oracle_cdualhahn(fam, n, z2):
-    # 3F2(-n, p+iz, p-iz; p+c, p+d; 1); (p+iz)_k (p-iz)_k = prod((p+j)^2 + z^2)
-    p, c, d = _LD(fam.p), _LD(fam.c), _LD(fam.d)
-    z2l = _LD(z2)
-    s = _LD(0)
-    for k in range(n + 1):
-        num = _LD(1)
-        for j in range(k):
-            num *= (p + j) ** 2 + z2l
-        s += _poch_ld(_LD(-n), k) * num / (_poch_ld(p + c, k) * _poch_ld(p + d, k)
-                                           * _LD(math.factorial(k)))
-    return float(s)
-
-
-def _oracle_hahn(fam, n, m_arg):
-    # 3F2(-n, -m, n+p+q+1; p+1, -N; 1)
-    p, q, N = _LD(fam.p), _LD(fam.q), _LD(fam.N)
-    m = _LD(m_arg)
-    s = _LD(0)
-    for k in range(n + 1):
-        s += (_poch_ld(_LD(-n), k) * _poch_ld(-m, k) * _poch_ld(_LD(n) + p + q + 1, k)
-              / (_poch_ld(p + 1, k) * _poch_ld(-N, k) * _LD(math.factorial(k))))
-    return float(s)
-
-
-def _oracle_conthahn(fam, n, x):
-    # 3F2(-n, n+p+q+c+d-1, p+ix; p+c, p+d; 1)
-    p, q, c, d = (_CLD(fam.p), _CLD(fam.q), _CLD(fam.c), _CLD(fam.d))
-    xl = _CLD(x)
-    s = _CLD(0)
-    for k in range(n + 1):
-        s += (_poch_ld(_CLD(-n), k) * _poch_ld(n + p + q + c + d - 1, k)
-              * _poch_ld(p + 1j * xl, k)
-              / (_poch_ld(p + c, k) * _poch_ld(p + d, k) * _LD(math.factorial(k))))
-    return complex(s)
-
-
-def _oracle_mp(fam, n, x):
-    # ((2lam)_n / n!) e^{in theta} 2F1(-n, lam+ix; 2lam; 1 - e^{-2i theta})
-    lam, th = fam.lam, fam.theta
-    zz = _CLD(1 - cmath.exp(-2j * th))
-    s = _CLD(0)
-    for k in range(n + 1):
-        s += (_poch_ld(_CLD(-n), k) * _poch_ld(_CLD(lam) + 1j * _CLD(x), k)
-              / (_poch_ld(_CLD(2 * lam), k) * _LD(math.factorial(k))) * zz ** k)
-    out = _poch_ld(_LD(2 * lam), n) / _LD(math.factorial(n)) \
-        * _CLD(cmath.exp(1j * n * th)) * s
-    return float(out.real)
-
-
-def _oracle_meixner(fam, n, m_arg):
-    # ((2lam)_n / n!) e^{-n theta} 2F1(-n, -m; 2lam; 1 - e^{2 theta})
-    lam, th = _LD(fam.lam), _LD(fam.theta)
-    zz = 1 - np.exp(2 * th)
-    s = _LD(0)
-    for k in range(n + 1):
-        s += (_poch_ld(_LD(-n), k) * _poch_ld(_LD(-m_arg), k)
-              / (_poch_ld(2 * lam, k) * _LD(math.factorial(k))) * zz ** k)
-    return float(_poch_ld(2 * lam, n) / _LD(math.factorial(n)) * np.exp(-n * th) * s)
-
-
-_ORACLES = {
-    BesselJ: _oracle_besselj,
-    BesselJbar: _oracle_besseljbar,
-    LaguerreL: _oracle_laguerre,
-    DualHahnR: _oracle_dualhahn,
-    ContDualHahnS: _oracle_cdualhahn,
-    HahnQ: _oracle_hahn,
-    ContHahnH: _oracle_conthahn,
-    MeixnerPollaczekP: _oracle_mp,
-    MeixnerM: _oracle_meixner,
-}
+def _terminating_form(mp, family, n, z):
+    """The family's degree-n polynomial at z as an mpmath pFq call, with every
+    parameter an mpmath number; UnsupportedOracle for the deformed families."""
+    kind, z = type(family), mp.mpmathify(z)
+    v = [mp.mpmathify(value) for value in family._values()]
+    if kind is BesselJ:  # 2F0(-n, n+2mu+1; -; -x)
+        return mp.hyp2f0(-n, n + 2 * v[0] + 1, -z)
+    if kind is BesselJbar:  # 2F0(-n, -n-2nu; -; -x)
+        return mp.hyp2f0(-n, -n - 2 * v[0], -z)
+    if kind is LaguerreL:  # ((alpha+1)_n / n!) 1F1(-n; alpha+1; x)
+        return mp.rf(v[0] + 1, n) / mp.factorial(n) * mp.hyp1f1(-n, v[0] + 1, z)
+    if kind is DualHahnR:  # 3F2(-n, -m, m+p+q+1; p+1, -N; 1)
+        p, q, N = v
+        return mp.hyp3f2(-n, -z, z + p + q + 1, p + 1, -N, 1)
+    if kind is ContDualHahnS:  # 3F2(-n, p+iz, p-iz; p+c, p+d; 1), argument z^2
+        p, c, d = v
+        iz = 1j * mp.sqrt(z)
+        return mp.hyp3f2(-n, p + iz, p - iz, p + c, p + d, 1)
+    if kind is HahnQ:  # 3F2(-n, -m, n+p+q+1; p+1, -N; 1)
+        p, q, N = v
+        return mp.hyp3f2(-n, -z, n + p + q + 1, p + 1, -N, 1)
+    if kind is ContHahnH:  # 3F2(-n, n+p+q+c+d-1, p+ix; p+c, p+d; 1)
+        p, q, c, d = v
+        return mp.hyp3f2(-n, n + p + q + c + d - 1, p + 1j * z, p + c, p + d, 1)
+    # ((2lam)_n / n!) e^{in theta} 2F1(-n, lam+ix; 2lam; 1-e^{-2i theta})
+    if kind is MeixnerPollaczekP:
+        lam, th = v
+        return (mp.rf(2 * lam, n) / mp.factorial(n) * mp.expj(n * th)
+                * mp.hyp2f1(-n, lam + 1j * z, 2 * lam, 1 - mp.expj(-2 * th)))
+    if kind is MeixnerM:  # ((2lam)_n / n!) e^{-n theta} 2F1(-n, -m; 2lam; 1-e^{2 theta})
+        lam, th = v
+        return (mp.rf(2 * lam, n) / mp.factorial(n) * mp.exp(-n * th)
+                * mp.hyp2f1(-n, -z, 2 * lam, 1 - mp.exp(2 * th)))
+    raise UnsupportedOracle(f"{kind.__name__} has no hypergeometric representation; "
+                            "use reduce_identity for cross-checks")
 
 
 def eval_oracle(family, n: int, z):
-    """Terminating hypergeometric evaluation, independent of the recursion.
+    """Terminating hypergeometric evaluation, independent of the recursion:
+    a float, or a complex for ContHahnH.
 
     Raises UnsupportedOracle for the three recursion-only deformed families.
     """
     family.validate()
     _check_degree(family, n)
-    oracle = _ORACLES.get(type(family))
-    if oracle is None:
-        raise UnsupportedOracle(
-            f"{type(family).__name__} has no hypergeometric representation; "
-            "use reduce_identity for cross-checks")
-    return oracle(family, n, z)
+    import mpmath  # here, so that only the oracle loads it
+
+    with mpmath.workdps(30):
+        value = _terminating_form(mpmath, family, n, z)
+        return complex(value) if type(family) is ContHahnH else float(mpmath.re(value))
+
+
+# ---------------------------------------------------------------------------
+# the connections of the deformed families with Meixner-Pollaczek and Meixner
+# ---------------------------------------------------------------------------
+
+def _y_to_p(theta, eta):
+    """(q, phi, root) of Y_n^lam(x; theta, eta) = q^{n/2} P_n^lam(x / root; phi),
+    with root = sqrt(1 - eta^2); needs |eta| < 1."""
+    if abs(eta) >= 1:
+        raise DomainError(f"the Y to P connection needs |eta| < 1 (eta={eta})")
+    s = math.sin(theta)
+    root = math.sqrt(1 - eta ** 2)
+    q = (1 - eta * s) / (1 + eta * s)
+    phi = math.acos(math.cos(theta) / math.sqrt(1 - eta ** 2 * s ** 2))
+    return q, phi, root
+
+
+def _z_to_m(lam, theta, eta, m):
+    """(q, phi, m') of Z_n^lam(m; theta, eta) = q^{n/2} M_n^lam(m'; phi);
+    needs |eta sinh theta| < 1."""
+    sh, ch = math.sinh(theta), math.cosh(theta)
+    if abs(eta * sh) >= 1:
+        raise DomainError(f"the Z to M connection needs |eta sinh theta| < 1 (got {eta * sh})")
+    q = (1 - eta * sh) / (1 + eta * sh)
+    phi = math.acosh(ch / math.sqrt(1 - eta ** 2 * sh ** 2))
+    return q, phi, (m + lam) / math.sqrt(1 + eta ** 2) - lam
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +147,14 @@ def reduce_identity(name: str, n: int, point, params: dict):
         return lhs, rhs
     if name == "Y_to_P":
         lam, th, eta = params["lam"], params["theta"], params["eta"]
-        if abs(eta) >= 1:
-            raise DomainError(f"Y_to_P needs |eta| < 1 (eta={eta})")
-        x = point
-        lhs = eval_poly(DeformedY(lam, th, eta), n, x)
-        s = math.sin(th)
-        q = (1 - eta * s) / (1 + eta * s)
-        y = x / math.sqrt(1 - eta ** 2)
-        phi = math.acos(math.cos(th) / math.sqrt(1 - eta ** 2 * s ** 2))
-        rhs = q ** (n / 2.0) * eval_poly(MeixnerPollaczekP(lam, phi), n, y)
+        q, phi, root = _y_to_p(th, eta)
+        lhs = eval_poly(DeformedY(lam, th, eta), n, point)
+        rhs = q ** (n / 2.0) * eval_poly(MeixnerPollaczekP(lam, phi), n, point / root)
         return lhs, rhs
     if name == "Z_to_M":
         lam, th, eta = params["lam"], params["theta"], params["eta"]
-        sh, ch = math.sinh(th), math.cosh(th)
-        if abs(eta * sh) >= 1:
-            raise DomainError(f"Z_to_M needs |eta sinh theta| < 1 (got {eta * sh})")
-        m_arg = point
-        lhs = eval_poly(DeformedZ(lam, th, eta), n, m_arg)
-        q = (1 - eta * sh) / (1 + eta * sh)
-        phi = math.acosh(ch / math.sqrt(1 - eta ** 2 * sh ** 2))
-        mt = (m_arg + lam) / math.sqrt(1 + eta ** 2) - lam
+        q, phi, mt = _z_to_m(lam, th, eta, point)
+        lhs = eval_poly(DeformedZ(lam, th, eta), n, point)
         rhs = q ** (n / 2.0) * eval_poly(MeixnerM(lam, phi), n, mt)
         return lhs, rhs
     if name == "Jbar_to_Laguerre":
@@ -294,12 +221,7 @@ def generating_check(family, x, t: float, n_terms: int = 30):
         return partial, closed.real
     # DeformedZ: the closed form carries the sqrt(q) rescaling of t implied by
     # the Meixner connection; the plain printed form fails at first order
-    sh, ch = math.sinh(th), math.cosh(th)
-    if abs(eta * sh) >= 1:
-        raise DomainError(f"DeformedZ generating check needs |eta sinh theta| < 1")
-    q = (1 - eta * sh) / (1 + eta * sh)
-    phi = math.acosh(ch / math.sqrt(1 - eta ** 2 * sh ** 2))
-    mt = (x + lam) / math.sqrt(1 + eta ** 2) - lam
+    q, phi, mt = _z_to_m(lam, th, eta, x)
     teff = t * math.sqrt(q)
     closed = (1 - teff * math.exp(phi)) ** mt * (1 - teff * math.exp(-phi)) ** (-mt - 2 * lam)
     return partial, closed
@@ -357,13 +279,8 @@ def orthogonality_integral(family, n: int, m: int, tol: float = 1e-10):
             rhs = -math.factorial(n) * math.gamma(-n - 2 * mu) / (2 * n + 2 * mu + 1)
         return prev, rhs
     if isinstance(family, DeformedY):
-        lam, th, eta = family.lam, family.theta, family.eta
-        if abs(eta) >= 1:
-            raise DomainError("DeformedY orthogonality needs |eta| < 1")
-        s = math.sin(th)
-        root = math.sqrt(1 - eta ** 2)
-        q = (1 - eta * s) / (1 + eta * s)
-        phi = math.acos(math.cos(th) / math.sqrt(1 - eta ** 2 * s ** 2))
+        lam = family.lam
+        q, phi, root = _y_to_p(family.theta, family.eta)
 
         def integrand(x):
             y = x / root

@@ -1013,24 +1013,26 @@ def test_each_command_loads_only_the_layers_it_runs(key):
     eigensolving commands load the LAPACK module; no command loads the
     test oracles (trabessel.oracles); and classify, solve, even one that
     fails, and both spectra, the well's leading block included, do
-    Python-float arithmetic without loading numpy."""
+    Python-float arithmetic without loading numpy.  None loads mpmath, which
+    only the oracles use."""
     layers, numpy = next(v for k, v in _LAYERS_RUN.items() if key.startswith(k))
     want = ["trabessel"] + [f"trabessel.{m}" for m in ("cli", "_classid", "errors", "jsonio")
                             + layers]
     argv, code = _LAYERS_COMMANDS[key]
-    loaded = _modules_loaded(argv, ("trabessel", "numpy"), code)
+    loaded = _modules_loaded(argv, ("trabessel", "numpy", "mpmath"), code)
     assert [m for m in loaded if m.startswith("trabessel")] == sorted(want)
     assert ("numpy" in loaded) is numpy
+    assert not [m for m in loaded if m.startswith("mpmath")]
 
 
 def test_the_morse_well_loads_neither_numpy_nor_the_solver():
     """The A+ = 0 well's closed-form levels need K0's basis bound, not its
-    Jacobi matrix."""
+    Jacobi matrix, and no mpmath."""
     argv = ["spectrum", "--system", "well", "--Ap", "0", "--Am", "20.5"]
     want = ["trabessel"] + [f"trabessel.{m}" for m in ("cli", "_classid", "errors", "jsonio",
                                                       "quantum", "ode", "_record",
                                                       "_basisspec")]
-    assert _modules_loaded(argv, ("trabessel", "numpy", "scipy")) == sorted(want)
+    assert _modules_loaded(argv, ("trabessel", "numpy", "scipy", "mpmath")) == sorted(want)
 
 
 def test_package_import_loads_no_submodule():

@@ -5,8 +5,8 @@ import pytest
 from pytest import approx
 
 from trabessel import (ClassId, OdeParams, confining_well, fd_oracle, jacobi_matrix,
-                       morse_levels, resolve_class, singular_oscillator, spectrum_eq64,
-                       table1_map, tridiag_eigenvalues)
+                       morse_levels, recursion_coeffs, resolve_class, singular_oscillator,
+                       spectrum_eq64, table1_map, tridiag_eigenvalues, u_decomposition)
 from trabessel import quantum
 from trabessel.errors import (BoundaryError, ConstraintViolation, DomainError,
                               UnsupportedRow)
@@ -318,6 +318,18 @@ def test_explicit_n_and_small_default_wells_solve_the_full_matrix(A_minus, N):
     assert "ritz_bounds" not in res.metadata
 
 
+@pytest.mark.parametrize("A_minus", [60.5, 100.5])
+def test_default_well_whose_block_does_not_converge_solves_the_full_matrix(A_minus):
+    """At A+ = -1e6 the couplings are large against the diagonal gaps, so the
+    leading block gives up before n_max: the well then reports the full
+    matrix's size and levels, and no Ritz bounds."""
+    md = confining_well(A_minus, -1e6, 1.0)[1].metadata
+    sol = resolve_class(_ode(Ap=-1e6, Am=A_minus, A1=-0.25), ClassId.K0)
+    assert md["matrix_size"] == sol.n_max + 1 == int(A_minus - 0.5)
+    assert "ritz_bounds" not in md
+    assert md["z_eigenvalues"] == tridiag_eigenvalues(*jacobi_matrix(sol, sol.n_max))[:5].tolist()
+
+
 def test_default_well_past_the_crossover_keeps_the_full_matrix_refusals():
     """The 100,000-row cap and the integer-A- refusal are still checked on n_max."""
     with pytest.raises(ConstraintViolation) as exc:
@@ -390,6 +402,23 @@ def test_oscillator_levels_from_the_l39c_jacobi_matrix_are_eq64s(A1, Lambda, ell
         levels.append(np.sort(-2 * lam ** 2 * math.sqrt(4 * A1 + tau ** 2) * z)[:5])
         np.testing.assert_allclose(levels[-1], want, rtol=5e-14, atol=0)
     np.testing.assert_allclose(levels[1:], [levels[0]] * 2, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("A1, Lambda, ell", [(-0.25, 0.0, 0), (-0.25, 3.0, 0), (-1.0, 2.0, 1),
+                                           (-4.0, 0.5, 2)])
+def test_eq64_is_the_l39c_diagonal_at_the_definiteness_edge(A1, Lambda, ell, lam):
+    """At tau0 = 1 + 2 sqrt(-A1) L39C's s_n vanish, so its recursion is two-term
+    and each level is its diagonal: E_n = -2 lam^2 sqrt(4 A1 + tau0^2) a_n / c,
+    eq. 64 degree by degree (worst 1.6e-16 relative)."""
+    tau0 = 1 + 2 * math.sqrt(-A1)
+    ode = _ode(Am=1.0, A1=A1, A0=(Lambda + ell * (ell + 1)) / 4, a=1.5)
+    sol = resolve_class(ode, ClassId.L39C, free={"tau": tau0})
+    assert [recursion_coeffs(sol, n)[1] for n in range(5)] == [0.0] * 5
+    a_n, c = u_decomposition(sol)
+    levels = [-2 * lam ** 2 * math.sqrt(4 * A1 + tau0 ** 2) * a_n(n) / c for n in range(5)]
+    np.testing.assert_allclose(levels, eq64_energies(lam, A1, Lambda, ell, 5), rtol=5e-16,
+                               atol=0)
 
 
 def test_singular_oscillator_guards():
