@@ -13,6 +13,9 @@ makes 3 same-shape ufunc calls per degree for values (2 where d_m = 1, as for be
 5 with derivatives (4): one multiply forms all of a degree's products.
 `basis_block` gives (n+1,) + x.shape arrays, row k for degree k, in one pass
 (phi alone with derivs=False), bit for bit as the loops in tests/test_basis.py.
+`series_derivatives` gives (y, y', y'') of a truncated series: from the derivative
+block for bessel, from the values alone for laguerre (the structure relation and
+the Laguerre equation give L' and L'' from L_n and L_{n-1}).
 """
 from __future__ import annotations
 
@@ -23,7 +26,8 @@ import numpy as np
 from ._basisspec import BasisSpec
 from .errors import DomainError, SeriesOverflow
 
-__all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum"]
+__all__ = ["BasisSpec", "basis_derivatives", "basis_value", "basis_block", "series_sum",
+           "series_derivatives"]
 
 _LOG_OVERFLOW = 700.0  # exp argument ceiling for double precision
 _BLOCK = 64  # degrees per pass through scratch: 64 x 2k x grid operand rows, 2 x 64 x grid terms
@@ -82,6 +86,12 @@ def _prefactor(power: float, beta: float, x):
     return np.exp(logw)
 
 
+def _log_derivatives(power: float, beta: float, x):
+    """(w'/w, w''/w) of the prefactor w = x^power e^(-beta/x)."""
+    lw1 = power / x + beta / x ** 2
+    return lw1, lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3
+
+
 def _poly_rows(basis: BasisSpec, n: int, x, derivs):
     """Polynomial rows (P, P', P'') for degrees 0..n: J^mu(x), or L^{2nu}(u) in u = 1/x."""
     basis.check_degree(n, "degree")
@@ -114,8 +124,7 @@ def basis_block(basis: BasisSpec, n: int, x, derivs=True):
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _poly_rows(basis, n, x, derivs)
         if derivs:
-            lw1 = power / x + beta / x ** 2              # w'/w
-            lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3  # w''/w
+            lw1, lw2 = _log_derivatives(power, beta, x)
             two_lw1 = 2 * lw1
             laguerre = basis.kind == "laguerre"
             if laguerre:
@@ -152,6 +161,43 @@ def series_sum(coeffs, rows):
     """sum_k coeffs[k] rows[k], bit for bit as Python's sum(): the final + 0.0
     turns an all -0.0 sum into sum()'s +0.0, as its int 0 start does."""
     return _prefix_sums(coeffs, rows)[-1] + 0.0
+
+
+def series_derivatives(basis: BasisSpec, coeffs, x, orders):
+    """(y, y', y'') of y_r = sum_{n<=r} coeffs[n] phi_n at x, one triple per r in
+    orders (each r < len(coeffs)), every sum added in degree order, bit for bit as
+    Python's sum().  An overflowing series leaves inf/nan values without a warning.
+
+    bessel: prefix sums of basis_block's three arrays.
+    laguerre: the values alone.  With u = 1/x, alpha = 2nu and S = sum f_n L_n^alpha(u),
+    u L_n' = n L_n - (n+alpha) L_{n-1} (DLMF 18.9.14) gives w u S_u = D = A_r - B_{r-1},
+    where A and B sum the phi_m with weights m f_m and (m+1+alpha) f_{m+1}, and the
+    Laguerre equation u L'' = (u - alpha - 1) L' - n L gives w u^2 S_uu; then
+    y' = lw1 y - u D and y'' = lw2 y - 2 lw1 u D + u^2 ((1 - alpha + u) D - u A_r),
+    with lw1 = w'/w and lw2 = w''/w.  Nothing divides by u or by w."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = len(coeffs) - 1
+    if basis.kind == "bessel":
+        block = basis_block(basis, n, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # in place: the block is used only here
+            sums = [_prefix_sums(coeffs, rows, out=rows) for rows in block]
+        return [tuple(rows[r] + 0.0 for rows in sums) for r in orders]
+    vals = basis_block(basis, n, x, derivs=False)[0]
+    x, alpha, m = np.asarray(x, dtype=float), 2 * basis.nu, np.arange(n + 1.0)
+    triples = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _prefix_sums(m * coeffs, vals)
+        B = _prefix_sums((m[:-1] + 1 + alpha) * coeffs[1:], vals)  # rows 0..n-1
+        Y = _prefix_sums(coeffs, vals, out=vals)
+        lw1, lw2 = _log_derivatives(basis.power(), basis.beta, x)
+        u = 1.0 / x
+        two_lw1, u2, shift = 2 * lw1, u ** 2, 1 - alpha + u
+        for r in orders:
+            y, a = Y[r] + 0.0, A[r] + 0.0
+            D = a - B[r - 1] if r else a
+            uD = u * D
+            triples.append((y, lw1 * y - uD, lw2 * y - two_lw1 * uD + u2 * (shift * D - u * a)))
+    return triples
 
 
 def basis_derivatives(basis: BasisSpec, n: int, x):

@@ -54,8 +54,11 @@ def _terminating_form(mp, family, n, z):
         return mp.hyp2f0(-n, n + 2 * v[0] + 1, -z)
     if kind is BesselJbar:  # 2F0(-n, -n-2nu; -; -x)
         return mp.hyp2f0(-n, -n - 2 * v[0], -z)
-    if kind is LaguerreL:  # ((alpha+1)_n / n!) 1F1(-n; alpha+1; x)
-        return mp.rf(v[0] + 1, n) / mp.factorial(n) * mp.hyp1f1(-n, v[0] + 1, z)
+    # sum_k binom(n+alpha, n-k) (-x)^k / k!: ((alpha+1)_n / n!) 1F1(-n; alpha+1; x)
+    # without its pole at an integer alpha <= -1 (where n >= -alpha)
+    if kind is LaguerreL:
+        return mp.fsum(mp.binomial(n + v[0], n - k) * (-z) ** k / mp.factorial(k)
+                       for k in range(n + 1))
     if kind is DualHahnR:  # 3F2(-n, -m, m+p+q+1; p+1, -N; 1)
         p, q, N = v
         return mp.hyp3f2(-n, -z, z + p + q + 1, p + 1, -N, 1)

@@ -34,6 +34,11 @@ _WELL_ROWS = 100_000
 # 13 rows both take 0.15-0.16 ms; from 60 rows a block of 7 rows is enough and
 # takes 0.10 ms, against 0.16 ms at 60 rows and 9 ms at 1,000 for dstevd
 _WELL_BLOCK_ROWS = 59
+# a leading block holds the levels only while the couplings stay below the diagonal's
+# gaps; with g = e_0 / (d_1 - d_0), scans of A- = 60.5..3000.5 and A+ = -1e4..-1e9
+# found blocks of 30-80 g rows (g >= 0.5), so the doubling ends near 60-160 g rows,
+# and a matrix of at most _WELL_BLOCK_REACH g rows is solved whole at once
+_WELL_BLOCK_REACH = 128
 
 
 class SystemSpec(Record):
@@ -357,6 +362,10 @@ def _leading_block(sol, n_levels: int):
     - the first dropped row's diagonal, less its two couplings, lies above the
       top level, so no row below the block brings a lower level (the
       diagonal rises with n, and its couplings stay far below its gaps).
+
+    None at once, before any eigensolve, when _WELL_BLOCK_REACH e_0 / (d_1 - d_0)
+    reaches the matrix's n_max + 1 rows: the doubling would end on most of the
+    matrix, or fail, as at A+ = -1e6 and A- = 60.5 or 100.5.
     """
     from . import _lapack
     from .solver import _jacobi_lists
@@ -364,6 +373,8 @@ def _leading_block(sol, n_levels: int):
     M = n_levels + 1
     while M + 2 <= sol.n_max:
         d, e = _jacobi_lists(sol, M + 2)   # rows 0..M+2: the block and two more
+        if _WELL_BLOCK_REACH * e[0] >= (sol.n_max + 1) * (d[1] - d[0]):
+            return None   # the same rows each round, so this gives up at the first
         z, vectors = _lapack.lowest_eigenpairs(d[:M + 1], e[:M], n_levels, vectors=True)
         ritz = [abs(e[M] * y[M]) for y in vectors]   # dstein's vectors have unit norm
         if (all(b <= math.ulp(zk) for b, zk in zip(ritz, z))
@@ -387,7 +398,9 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     rows is not solved whole: the levels are the Ritz values of its smallest
     leading block whose Ritz bounds are all at most one ulp (for 5 levels, 7 rows
     and about 0.1 ms at any A- from 60.5 to the cap; see `_leading_block`), and the metadata
-    gives the block's `matrix_size` and each z level's bound as `ritz_bounds`.
+    gives the block's `matrix_size` and each z level's bound as `ritz_bounds`.  Where the
+    first coupling is large against the first diagonal gap (A+ = -1e6 at A- = 60.5 or
+    100.5) the whole matrix is solved at once.
     Otherwise dstevd solves all N + 1 rows, in time growing as N^2.  An integer
     A- is refused at the default N either way, for the zero in a_{n_max}'s
     denominator.

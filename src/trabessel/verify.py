@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .basis import _prefix_sums, basis_block
+from .basis import basis_block, series_derivatives
 from .errors import DomainError, SeriesOverflow
 from .grid import GridSpec, default_grid
 from .ode import apply_D_values
@@ -85,11 +85,9 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
                        per_n={n: c[1] for n, c in checks.items()}, notes=tuple(sol.notes))
 
 
-def _residual_core(ode, sums, N, x):
-    """Residual of y_N = sum_{n<=N} coeffs[n] phi_n, from the prefix sums of the
-    phi, phi' and phi'' terms: row N + 0.0 is series_sum of the first N + 1."""
+def _residual_core(ode, y, y1, y2, N, x):
+    """Residual of y_N = sum_{n<=N} coeffs[n] phi_n from its values and derivatives."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y, y1, y2 = (rows[N] + 0.0 for rows in sums)
         dvals = np.abs(apply_D_values(ode, y, y1, y2, x))
     if not (np.isfinite(y).all() and np.isfinite(dvals).all()):
         raise SeriesOverflow(
@@ -103,10 +101,12 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
              tol: float | None = None) -> CheckReport:
     """max |D y_N| over the grid, scaled by max |y_N|.
 
-    One basis block for degrees 0..N and one prefix sum of its terms serve
-    both truncations: for a series attached to an infinite class the report
-    also carries the half-truncation residual (per_n keys N and N//2), read
-    at row N//2, so decay with N is visible.  The cost is O(N) in the degree.
+    One call of basis.series_derivatives serves both truncations: for a series
+    attached to an infinite class the report also carries the half-truncation
+    residual (per_n keys N and N//2), so decay with N is visible.  A Laguerre
+    series takes y' and y'' from its basis values alone, by the structure relation
+    and the Laguerre equation; a Bessel series sums the basis block's derivative
+    rows.  The cost is O(N) in the degree.
     A series with all-zero coefficients is flagged degenerate; one that
     overflows double precision on the grid raises SeriesOverflow.
     """
@@ -115,20 +115,18 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
     if (coeffs == 0.0).all():
         return CheckReport(0.0, 0.0, float(x[0]), 0.0, tol or 0.0, True,
                            per_n={}, notes=("degenerate: all coefficients zero",))
-    block = basis_block(series.basis, series.order, x)
-    with np.errstate(over="ignore", invalid="ignore"):  # in place: the block is used only here
-        sums = [_prefix_sums(coeffs, rows, out=rows) for rows in block]
-    dev, rel, argmax, scale = _residual_core(series.ode, sums, series.order, x)
-    per_n = {series.order: rel}
-    notes = []
+    N = series.order
     infinite = series.solution is not None and series.solution.n_max is None
-    if infinite and series.order >= 2:
-        half = series.order // 2
-        _, rel_half, _, _ = _residual_core(series.ode, sums, half, x)
-        per_n[half] = rel_half
+    orders = (N, N // 2) if infinite and N >= 2 else (N,)
+    triples = series_derivatives(series.basis, coeffs, x, orders)
+    dev, rel, argmax, scale = _residual_core(series.ode, *triples[0], N, x)
+    per_n = {N: rel}
+    notes = []
+    if len(orders) == 2:
+        _, rel_half, _, _ = _residual_core(series.ode, *triples[1], orders[1], x)
+        per_n[orders[1]] = rel_half
         notes.append("decaying with N" if rel < rel_half else "not decaying with N")
     passed = True if tol is None else rel <= tol
     return CheckReport(max_abs_deviation=dev, max_rel_deviation=rel,
                        argmax_x=argmax, scale=scale, tolerance=tol or math.nan,
                        passed=passed, per_n=per_n, notes=tuple(notes))
-

@@ -64,7 +64,7 @@ def test_acceptance_1_oracle_equivalence():
                                theta=rng.uniform(0.1, math.pi - 0.1)),
              rng.uniform(-3, 3)))
         # MeixnerM theta grid capped at 1.2 (documented): beyond that the
-        # terminating sum cancels catastrophically
+        # upward Meixner recursion loses digits
         draws["MeixnerM"].append((MeixnerM(lam=rng.uniform(0.1, 3),
                                            theta=rng.uniform(0.05, 1.2)),
                                   int(rng.integers(0, 11))))

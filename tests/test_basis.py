@@ -7,6 +7,7 @@ errors by type and message.
 """
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -105,34 +106,75 @@ def ref_evaluate_series(series, x, block=None):
     return total
 
 
-def ref_residual_core(ode, coeffs, block, x):
-    vals, d1, d2 = block
+def ref_block_sums(coeffs, block, r):
+    """(y, y', y'') of the truncation at r: the block's three rows summed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y = sum(c * v for c, v in zip(coeffs, vals))
-        y1 = sum(c * v for c, v in zip(coeffs, d1))
-        y2 = sum(c * v for c, v in zip(coeffs, d2))
+        return tuple(sum(c * v for c, v in zip(coeffs[:r + 1], rows)) for rows in block)
+
+
+def ref_laguerre_sums(series, x, vals, r):
+    """(y, y', y'') of the truncation at r from the value rows alone: with
+    u = 1/x and alpha = 2nu, D = A - B, where A and B sum phi_m with weights
+    m f_m (m <= r) and (m+1+alpha) f_{m+1} (m < r)."""
+    f, alpha = series.coeffs, 2 * series.basis.nu
+    power, beta = series.basis.power(), series.basis.beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        lw1 = power / x + beta / x ** 2
+        lw2 = lw1 ** 2 - power / x ** 2 - 2 * beta / x ** 3
+        u = 1.0 / x
+        y = sum(f[m] * vals[m] for m in range(r + 1))
+        A = sum((m * f[m]) * vals[m] for m in range(r + 1))
+        D = A - sum(((m + 1 + alpha) * f[m + 1]) * vals[m] for m in range(r))
+        return (y, lw1 * y - u * D,
+                lw2 * y - 2 * lw1 * (u * D) + u ** 2 * ((1 - alpha + u) * D - u * A))
+
+
+def ref_residual_core(ode, triple, N, x):
+    y, y1, y2 = triple
+    with np.errstate(over="ignore", invalid="ignore"):
         dvals = np.abs(apply_D_values(ode, y, y1, y2, x))
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dvals))):
         raise SeriesOverflow(
-            f"the series truncated at N={len(coeffs) - 1} overflows double "
-            "precision on this grid")
+            f"the series truncated at N={N} overflows double precision on this grid")
     scale = max(float(np.max(np.abs(y))), verify._SCALE_FLOOR)
     i = int(np.argmax(dvals))
     return float(dvals[i]), float(dvals[i]) / scale, float(x[i]), scale
 
 
-def ref_residual(series, x, block):
-    """residual() with tol=None, each truncation summed afresh (f_0 = 1, so
-    never the all-zero case)."""
-    coeffs = np.asarray(series.coeffs, dtype=float)
-    dev, rel, argmax, scale = ref_residual_core(series.ode, coeffs, block, x)
-    per_n, notes = {series.order: rel}, ()
-    if series.solution.n_max is None and series.order >= 2:
-        half = series.order // 2
-        rel_half = ref_residual_core(series.ode, coeffs[:half + 1], block, x)[1]
-        per_n[half] = rel_half
-        notes = ("decaying with N" if rel < rel_half else "not decaying with N",)
+def ref_residual(series, x, triple):
+    """residual() with tol=None, triple(r) giving (y, y', y'') of each truncation
+    r summed afresh (f_0 = 1, so never the all-zero case)."""
+    N = series.order
+    dev, rel, argmax, scale = ref_residual_core(series.ode, triple(N), N, x)
+    per_n, notes = {N: rel}, ()
+    if series.solution.n_max is None and N >= 2:
+        half = N // 2
+        per_n[half] = ref_residual_core(series.ode, triple(half), half, x)[1]
+        notes = ("decaying with N" if rel < per_n[half] else "not decaying with N",)
     return verify.CheckReport(dev, rel, argmax, scale, math.nan, True, per_n=per_n, notes=notes)
+
+
+def _round_off(series, x, block, r):
+    """eps max_x sum_{n<=r} |f_n| (x^2 |phi_n''| + |a x + b| |phi_n'| + |V| |phi_n|):
+    the round-off floor of D y_r, whose terms can be far larger than their sum."""
+    ode, f = series.ode, np.abs(series.coeffs[:r + 1, None])
+    V = ode.A_plus * x + ode.A_minus / x + ode.A_one / x ** 2 - ode.A_zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, d1, d2 = (np.sum(f * np.abs(rows[:r + 1]), axis=0) for rows in block)
+        terms = x ** 2 * d2 + np.abs(ode.a * x + ode.b) * d1 + np.abs(V) * v
+    return np.finfo(float).eps * float(np.max(terms))
+
+
+def _agrees(new, old, round_off):
+    """The Laguerre residual against the derivative block's: the same scale, and
+    each truncation r's residual within 1e-6 |old| + 1e-12 + round_off(r), scaled
+    as the residual is.  The decay note may differ where both truncations sit at
+    that floor."""
+    N = max(old.per_n)
+    pairs = [(new.max_abs_deviation, old.max_abs_deviation, round_off(N))]
+    pairs += [(new.per_n[r], old.per_n[r], round_off(r) / old.scale) for r in old.per_n]
+    return (set(new.per_n) == set(old.per_n) and new.scale == old.scale
+            and all(abs(a - b) <= 1e-6 * abs(b) + 1e-12 + floor for a, b, floor in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +277,20 @@ def test_block_series_and_residual_match_loop_reference(label, cid, N):
         assert (_outcome(evaluate_series, series, x)
                 == _outcome(ref_evaluate_series, series, x, ref)), name
     for name, grid in GRIDS.items():
-        assert (_outcome(residual, series, grid)
-                == _outcome(ref_residual, series, POINTS[name], refs[name])), name
+        x, block = POINTS[name], refs[name]
+        block_sums = partial(ref_block_sums, series.coeffs, block)
+        got = _outcome(residual, series, grid)
+        old = _outcome(ref_residual, series, x, block_sums)
+        if series.basis.kind == "bessel":
+            assert got == old, name
+            continue
+        assert got == _outcome(ref_residual, series, x,
+                               lambda r: ref_laguerre_sums(series, x, block[0], r)), name
+        if "error" in (got[0], old[0]):
+            assert got == old, name
+        elif name != "underflow":  # near x = 1e60 both are round-off (the block's up to 1.3)
+            assert _agrees(residual(series, grid), ref_residual(series, x, block_sums),
+                           lambda r: _round_off(series, x, block, r)), name
 
 
 def test_underflow_grid_has_all_negative_zero_sums():
@@ -333,7 +387,8 @@ def test_block_holds_no_temporary_that_grows_with_it():
 
 def test_evaluate_series_builds_no_derivative_rows(monkeypatch):
     """evaluate_series takes phi_n alone: every recursion it runs carries one
-    set of rows, while residual's carries three."""
+    set of rows, as does a Laguerre residual's, while a Bessel residual's
+    carries three."""
     row_sets = []
     engine = basis_mod._differentiated_rows
 
@@ -352,4 +407,22 @@ def test_evaluate_series_builds_no_derivative_rows(monkeypatch):
         assert row_sets == [1, 1]
         row_sets.clear()
         residual(series)
-        assert row_sets == [3]
+        assert row_sets == ([3] if cid is ClassId.K0 else [1])
+
+
+@pytest.mark.parametrize("label", ["doc", "decay", "draw"])
+def test_laguerre_residual_runs_no_derivative_recursion(monkeypatch, label):
+    """The residual of a Laguerre series asks basis_block for values alone, once;
+    a Bessel series' asks for the derivative block."""
+    asked = []
+    block = basis_mod.basis_block
+
+    def spy(basis, n, x, derivs=True):
+        asked.append(derivs)
+        return block(basis, n, x, derivs)
+    monkeypatch.setattr(basis_mod, "basis_block", spy)
+    for cid, (p, free) in SETS[label].items():
+        sol = resolve_class(p, cid, free)
+        asked.clear()
+        residual(build_series(sol, min(40, default_truncation(sol))))
+        assert asked == [sol.basis.kind == "bessel"], cid

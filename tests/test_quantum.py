@@ -330,6 +330,26 @@ def test_default_well_whose_block_does_not_converge_solves_the_full_matrix(A_min
     assert md["z_eigenvalues"] == tridiag_eigenvalues(*jacobi_matrix(sol, sol.n_max))[:5].tolist()
 
 
+@pytest.mark.parametrize("A_minus", [60.5, 100.5])
+def test_default_well_whose_block_cannot_converge_solves_no_block(monkeypatch, A_minus):
+    """At A+ = -1e6 the first coupling is 1.9 and 1.2 times the first diagonal
+    gap, and the well goes to the full matrix before any block eigensolve;
+    at A+ = -1 the same wells solve one block of 7 rows."""
+    from trabessel import _lapack
+
+    calls = []
+    solve = _lapack.lowest_eigenpairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(_lapack, "lowest_eigenpairs", counted)
+    confining_well(A_minus, -1e6, 1.0)
+    assert calls == []
+    assert confining_well(A_minus, -1.0, 1.0)[1].metadata["matrix_size"] == 7
+    assert len(calls) == 1
+
+
 def test_default_well_past_the_crossover_keeps_the_full_matrix_refusals():
     """The 100,000-row cap and the integer-A- refusal are still checked on n_max."""
     with pytest.raises(ConstraintViolation) as exc:
