@@ -28,8 +28,8 @@ __all__ = ["SystemSpec", "SpectrumResult", "table1_map", "confining_well",
            "oscillator_potential"]
 
 _WELL_ROWS = 100_000
-# above this many rows the default-N well solves a leading block of its
-# Jacobi matrix, not all of it (see `_leading_block`).  Measured for 5 levels
+# above this many rows the well tries a leading block of its Jacobi matrix
+# before all of it (see `_well_levels`).  Measured for 5 levels
 # (best of 300 calls, 2 vCPU): at 59 rows (A- = 59.5) dstevd and a block of
 # 13 rows both take 0.15-0.16 ms; from 60 rows a block of 7 rows is enough and
 # takes 0.10 ms, against 0.16 ms at 60 rows and 9 ms at 1,000 for dstevd
@@ -312,9 +312,8 @@ def _well_spectrum(A_minus: float, A_plus: float, lam: float, N: int | None,
         if not energies:
             raise ConstraintViolation("Morse limit needs A- > 1/2", got=A_minus)
         return energies, "morse_closed_form", {"A_minus": A_minus, "lam": lam}
-    # imported here, not at the top: the Morse, oscillator and FD paths never load them
-    from . import _lapack
-    from .solver import ClassId, _check_last_diagonal, _jacobi_lists, resolve_class
+    # imported here, not at the top: the Morse, oscillator and FD paths never load it
+    from .solver import ClassId, resolve_class
 
     sol = resolve_class(ode, ClassId.K0)
     top = sol.n_max if N is None else N
@@ -322,16 +321,7 @@ def _well_spectrum(A_minus: float, A_plus: float, lam: float, N: int | None,
     if top + 1 > _WELL_ROWS:
         raise ConstraintViolation(f"the well's Jacobi matrix has at most {_WELL_ROWS} rows",
                                   got=float(top + 1))
-    block = None
-    if N is None and top + 1 > _WELL_BLOCK_ROWS:
-        _check_last_diagonal(sol, top)   # the full matrix's refusal of an integer A-
-        block = _leading_block(sol, n_levels)
-    if block is None:
-        z = _lapack.all_eigenvalues(*_jacobi_lists(sol, top))[:n_levels]  # ascending
-        rows, bounds = top + 1, {}
-    else:
-        z, ritz, rows = block
-        bounds = {"ritz_bounds": ritz}
+    z, ritz, rows = _well_levels(sol, top, n_levels)
     try:
         scale = -lam ** 2 * A_plus
     except OverflowError:   # lam ** 2
@@ -341,17 +331,19 @@ def _well_spectrum(A_minus: float, A_plus: float, lam: float, N: int | None,
     if not all(map(math.isfinite, energies)):   # or the product, which gives inf
         raise SeriesOverflow(f"the well's energy map E = -lam^2 A+ z / 8 overflows "
                              f"double precision (lam={lam}, A+={A_plus})")
+    bounds = {} if ritz is None else {"ritz_bounds": ritz}
     return (energies, "jacobi_matrix",
             {"matrix_size": rows, "mu": sol.basis.mu, "gamma": 4.0 / A_plus,
              "z_eigenvalues": z, "energy_map": "E = -lam^2 A+ z / 8", **bounds})
 
 
-def _leading_block(sol, n_levels: int):
-    """The lowest n_levels eigenvalues of sol's Jacobi matrix from its leading
-    (M+1)-block, as (levels, Ritz bounds, M + 1); None once M + 1 rows would
-    leave no dropped row with both couplings, where the full matrix is solved.
+def _well_levels(sol, top: int, n_levels: int):
+    """The lowest n_levels eigenvalues of sol's (top+1)-row Jacobi matrix, as
+    (levels, Ritz bounds or None, rows solved).
 
-    M starts at n_levels + 1 and doubles until both hold:
+    A matrix of more than _WELL_BLOCK_ROWS rows is first tried on its leading
+    (M+1)-block, M from n_levels + 1 doubling while two rows below the block
+    remain, until both hold:
     - each level's Ritz bound |e_M y_M| is at most one ulp of it: y, the unit
       eigenvector padded with zeros, leaves the residual e_M y_M in row M+1 of
       the full matrix (e_M the first dropped coupling), so that matrix has an
@@ -363,25 +355,29 @@ def _leading_block(sol, n_levels: int):
       top level, so no row below the block brings a lower level (the
       diagonal rises with n, and its couplings stay far below its gaps).
 
-    None at once, before any eigensolve, when _WELL_BLOCK_REACH e_0 / (d_1 - d_0)
-    reaches the matrix's n_max + 1 rows: the doubling would end on most of the
-    matrix, or fail, as at A+ = -1e6 and A- = 60.5 or 100.5.
+    The block gives up at once, before any eigensolve, when _WELL_BLOCK_REACH
+    e_0 / (d_1 - d_0) reaches the matrix's top + 1 rows: the doubling would end
+    on most of the matrix, or fail, as at A+ = -1e6 and A- = 60.5 or 100.5.
+    A smaller matrix, a give-up and a doubling that reaches the last rows end
+    in dstevd on all top + 1 rows, with no Ritz bounds (None).
     """
     from . import _lapack
-    from .solver import _jacobi_lists
+    from .solver import _check_last_diagonal, _jacobi_lists
 
+    _check_last_diagonal(sol, top)   # an integer A- at top = n_max, before any eigensolve
     M = n_levels + 1
-    while M + 2 <= sol.n_max:
+    while top + 1 > _WELL_BLOCK_ROWS and M + 2 <= top:
         d, e = _jacobi_lists(sol, M + 2)   # rows 0..M+2: the block and two more
-        if _WELL_BLOCK_REACH * e[0] >= (sol.n_max + 1) * (d[1] - d[0]):
-            return None   # the same rows each round, so this gives up at the first
+        if _WELL_BLOCK_REACH * e[0] >= (top + 1) * (d[1] - d[0]):
+            break   # the same rows each round, so this gives up at the first
         z, vectors = _lapack.lowest_eigenpairs(d[:M + 1], e[:M], n_levels, vectors=True)
         ritz = [abs(e[M] * y[M]) for y in vectors]   # dstein's vectors have unit norm
         if (all(b <= math.ulp(zk) for b, zk in zip(ritz, z))
                 and d[M + 1] - e[M] - e[M + 1] > z[-1]):
             return z, ritz, M + 1
         M *= 2
-    return None
+    z = _lapack.all_eigenvalues(*_jacobi_lists(sol, top))[:n_levels]   # ascending
+    return z, None, top + 1
 
 
 def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = None,
@@ -394,16 +390,13 @@ def confining_well(A_minus: float, A_plus: float, lam: float, N: int | None = No
     of K0's basis (N <= n_max, so A- > N + 1/2), with at most _WELL_ROWS = 100,000
     rows, and A- must be finite on both branches.
 
-    With N left at its default n_max, a matrix of more than _WELL_BLOCK_ROWS = 59
-    rows is not solved whole: the levels are the Ritz values of its smallest
-    leading block whose Ritz bounds are all at most one ulp (for 5 levels, 7 rows
-    and about 0.1 ms at any A- from 60.5 to the cap; see `_leading_block`), and the metadata
-    gives the block's `matrix_size` and each z level's bound as `ritz_bounds`.  Where the
-    first coupling is large against the first diagonal gap (A+ = -1e6 at A- = 60.5 or
-    100.5) the whole matrix is solved at once.
-    Otherwise dstevd solves all N + 1 rows, in time growing as N^2.  An integer
-    A- is refused at the default N either way, for the zero in a_{n_max}'s
-    denominator.
+    One rule solves the matrix, given N or not (see `_well_levels`): past
+    _WELL_BLOCK_ROWS = 59 rows, the Ritz values of its smallest leading block whose
+    Ritz bounds are at most one ulp (for 5 levels, 7 rows and about 0.1 ms at any A-
+    up to the cap), with the block's `matrix_size` and the z levels' bounds as
+    `ritz_bounds`; otherwise, or where the block gives up (A+ = -1e6 at A- = 60.5 or
+    100.5), dstevd on all N + 1 rows.  N = n_max is refused at an integer A-, for the
+    zero in a_{n_max}'s denominator.
 
     The spectrum has the lowest min(n_levels, N + 1) levels, N = n_max by
     default (Morse: min(n_levels, n_max + 1)), so it can be shorter than

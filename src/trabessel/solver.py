@@ -605,7 +605,11 @@ def _coefficients(sol: ClassSolution):
             if mu is not None:
                 _check_denominators(n, _bessel_denominators(mu, n))
             row = row or _row(sol)
-            triple = done[n] = row.u(n), row.s(n), row.t(n)
+            try:
+                triple = done[n] = row.u(n), row.s(n), row.t(n)
+            except OverflowError:  # float ** past double range
+                raise SeriesOverflow(f"{sol.class_id.value}: the recursion coefficients "
+                                     f"overflow double precision at n={n}") from None
         return triple
 
     return coeffs

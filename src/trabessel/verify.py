@@ -78,7 +78,8 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
                                      np.abs(lhs).max(axis=1).tolist()):
         scale = max(peak, _SCALE_FLOOR)
         checks[n] = (d, d / scale, x_i, scale)
-    dev, rel, argmax, scale = max(checks.values(), key=lambda c: c[1])
+    # a NaN degree is the worst: max alone passes over it, as NaN compares false
+    dev, rel, argmax, scale = max(checks.values(), key=lambda c: (math.isnan(c[1]), c[1]))
     return CheckReport(max_abs_deviation=dev, max_rel_deviation=rel, argmax_x=argmax,
                        scale=scale, tolerance=tol,
                        passed=all(c[1] <= tol for c in checks.values()),

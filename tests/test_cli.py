@@ -366,6 +366,16 @@ def test_morse_levels_that_overflow_exit3():
     assert json.loads(out)["energies"] == [-4.9999999999999995e+299] * 5
 
 
+def test_k0_coefficients_that_overflow_exit3_naming_the_class_and_degree():
+    """At A- = 1e160 K0's u_0 squares n + mu + 1/2 past double range: one
+    SeriesOverflow line that names the class and the degree, not the bare
+    OverflowError text (34, 'Numerical result out of range')."""
+    argv = ["verify", "--class", "K0", "--a", "1", "--b", "0", "--Ap", "-1",
+            "--A1", "-0.25", "--A0", "2", "--Am", "1e160"]
+    assert run_cli(argv) == (3, "", "numerical failure: K0: the recursion coefficients "
+                                    "overflow double precision at n=0\n")
+
+
 @pytest.mark.parametrize("argv, line", [
     (["--system", "well", "--Ap", "0", "--Am", "1e150", "--lam", "1e10"],
      "the Morse levels overflow double precision (A-=1e+150, lam=10000000000.0)"),
@@ -1023,6 +1033,22 @@ def test_each_command_loads_only_the_layers_it_runs(key):
     assert [m for m in loaded if m.startswith("trabessel")] == sorted(want)
     assert ("numpy" in loaded) is numpy
     assert not [m for m in loaded if m.startswith("mpmath")]
+
+
+def test_explicit_n_max_well_prints_the_default_and_loads_no_numpy():
+    """Whether --N is given does not decide how the well's matrix is solved:
+    --N 999 at A- = 1000.5 is its n_max, so the energies and metadata are the
+    default's, from the same leading block, and the command loads no numpy."""
+    argv = ["spectrum", "--system", "well", "--Am", "1000.5", "--Ap", "-1",
+            "--format", "json"]
+    code, out, err = run_cli(argv)
+    explicit = run_cli(argv + ["--N", "999"])
+    assert (code, err) == (0, "") and explicit[0] == 0
+    default, given = json.loads(out), json.loads(explicit[1])
+    assert given["energies"] == default["energies"]
+    assert given["metadata"] == default["metadata"]
+    assert given["metadata"]["matrix_size"] == 7
+    assert _modules_loaded(argv + ["--N", "999"], ("numpy",)) == []
 
 
 def test_the_morse_well_loads_neither_numpy_nor_the_solver():

@@ -308,14 +308,41 @@ def test_default_well_levels_carry_ritz_bounds_of_at_most_one_ulp(A_minus):
 
 
 @pytest.mark.parametrize("A_minus, N", [
-    (20.5, None), (quantum._WELL_BLOCK_ROWS + 0.5, None),   # at or below the crossover
-    (400.5, 30), (400.5, 399), (1000.5, 6)])               # an explicit N
-def test_explicit_n_and_small_default_wells_solve_the_full_matrix(A_minus, N):
+    (20.5, None), (quantum._WELL_BLOCK_ROWS + 0.5, None),   # a default N
+    (400.5, 30), (1000.5, 6), (1000.5, quantum._WELL_BLOCK_ROWS - 1)])   # an explicit N
+def test_wells_of_at_most_59_rows_solve_the_full_matrix(A_minus, N):
+    """At most _WELL_BLOCK_ROWS rows, given N or not, keep dstevd's bits."""
     _, res = confining_well(A_minus, -1.0, 1.0, N=N)
     d, e = _well_matrix(A_minus, N)
-    assert res.metadata["matrix_size"] == len(d)
+    assert res.metadata["matrix_size"] == len(d) <= quantum._WELL_BLOCK_ROWS
     assert res.metadata["z_eigenvalues"] == tridiag_eigenvalues(d, e)[:5].tolist()
     assert "ritz_bounds" not in res.metadata
+
+
+@pytest.mark.parametrize("A_minus", [100.5, 400.5, 1000.5])
+def test_explicit_n_max_well_is_the_default_bit_for_bit(A_minus):
+    """Whether N is given does not decide how the matrix is solved: N = n_max
+    gives the default's energies and metadata, its leading block included."""
+    _, default = confining_well(A_minus, -1.0, 1.0)
+    _, explicit = confining_well(A_minus, -1.0, 1.0, N=int(A_minus - 0.5) - 1)
+    assert explicit.metadata["matrix_size"] == default.metadata["matrix_size"] <= 13
+    assert explicit.energies.tolist() == default.energies.tolist()
+    assert explicit.metadata == default.metadata
+
+
+@pytest.mark.parametrize("A_minus, N", [(400.5, 200), (400.5, 399),
+                                        (1000.5, quantum._WELL_BLOCK_ROWS)])
+def test_explicit_n_past_the_crossover_solves_a_leading_block(A_minus, N):
+    """An explicit N of more than _WELL_BLOCK_ROWS rows, below n_max too, is
+    solved as the default is: a leading block whose Ritz bounds are at most one
+    ulp, its levels within 2 ulp of its own (N+1)-row matrix's in 40 digits."""
+    md = confining_well(A_minus, -1.0, 1.0, N=N)[1].metadata
+    z = md["z_eigenvalues"]
+    assert md["matrix_size"] <= 13
+    assert len(md["ritz_bounds"]) == len(z) == 5
+    assert all(0 <= b <= math.ulp(zk) for b, zk in zip(md["ritz_bounds"], z))
+    for zk, ref in zip(z, _sturm_levels(*_well_matrix(A_minus, N), z)):
+        assert abs(zk - ref) <= 2 * math.ulp(zk)
 
 
 @pytest.mark.parametrize("A_minus", [60.5, 100.5])
@@ -330,11 +357,14 @@ def test_default_well_whose_block_does_not_converge_solves_the_full_matrix(A_min
     assert md["z_eigenvalues"] == tridiag_eigenvalues(*jacobi_matrix(sol, sol.n_max))[:5].tolist()
 
 
-@pytest.mark.parametrize("A_minus", [60.5, 100.5])
-def test_default_well_whose_block_cannot_converge_solves_no_block(monkeypatch, A_minus):
+@pytest.mark.parametrize("A_minus, N", [(60.5, None), (100.5, None), (60.5, 59), (100.5, 99),
+                                        (100.5, 80)],
+                         ids=["60.5", "100.5", "60.5-N59", "100.5-N99", "100.5-N80"])
+def test_default_well_whose_block_cannot_converge_solves_no_block(monkeypatch, A_minus, N):
     """At A+ = -1e6 the first coupling is 1.9 and 1.2 times the first diagonal
-    gap, and the well goes to the full matrix before any block eigensolve;
-    at A+ = -1 the same wells solve one block of 7 rows."""
+    gap, and the well goes to the full matrix before any block eigensolve,
+    whether N is given or not; at A+ = -1 the same wells solve one block of 7
+    rows."""
     from trabessel import _lapack
 
     calls = []
@@ -344,9 +374,10 @@ def test_default_well_whose_block_cannot_converge_solves_no_block(monkeypatch, A
         calls.append(args)
         return solve(*args, **kwargs)
     monkeypatch.setattr(_lapack, "lowest_eigenpairs", counted)
-    confining_well(A_minus, -1e6, 1.0)
+    rows = int(A_minus - 0.5) if N is None else N + 1
+    assert confining_well(A_minus, -1e6, 1.0, N=N)[1].metadata["matrix_size"] == rows
     assert calls == []
-    assert confining_well(A_minus, -1.0, 1.0)[1].metadata["matrix_size"] == 7
+    assert confining_well(A_minus, -1.0, 1.0, N=N)[1].metadata["matrix_size"] == 7
     assert len(calls) == 1
 
 
@@ -358,6 +389,9 @@ def test_default_well_past_the_crossover_keeps_the_full_matrix_refusals():
     with pytest.raises(DomainError) as exc:
         confining_well(1000.0, -1.0, 1.0)
     assert str(exc.value) == "coefficient denominator (n+mu)(n+mu+1) vanishes at n=999"
+    with pytest.raises(DomainError) as explicit:
+        confining_well(1000.0, -1.0, 1.0, N=999)   # an explicit N = n_max as well
+    assert str(explicit.value) == str(exc.value)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])

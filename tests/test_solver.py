@@ -592,6 +592,18 @@ def test_closed_form_cn_overflow_is_a_series_overflow():
         assert str(exc.value) == "closed-form C_n overflows double precision at n=171"
 
 
+def test_coefficient_overflow_is_a_series_overflow():
+    """At A- = 1e160 K0's u_0 squares n + mu + 1/2 past double range:
+    recursion_coeffs and the sweep raise SeriesOverflow naming the class and
+    the degree, not Python's OverflowError."""
+    sol = resolve_class(OdeParams(a=1.0, b=0.0, A_plus=-1.0, A_minus=1e160,
+                                  A_one=-0.25, A_zero=2.0), ClassId.K0)
+    for call in (lambda: recursion_coeffs(sol, 0), lambda: tridiagonality_sweep(sol, [0, 1])):
+        with pytest.raises(SeriesOverflow) as exc:
+            call()
+        assert str(exc.value) == "K0: the recursion coefficients overflow double precision at n=0"
+
+
 def test_coefficient_route_equivalence():
     """prod t/s equals the printed closed form C_n, n <= 10, 1e-12 relative."""
     for cid in (ClassId.K0, ClassId.K1, ClassId.C8B, ClassId.L39A, ClassId.L39C):

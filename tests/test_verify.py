@@ -244,6 +244,22 @@ def test_sweep_fails_on_a_nonfinite_deviation():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("cid", [ClassId.K0, ClassId.K1])
+def test_sweep_reports_a_nan_degree_as_its_worst(cid):
+    """Near x = 1e60 the Bessel basis underflows: degrees 0..3 read 0.0 on the
+    1e-300 scale floor and degrees 4 and 5 NaN.  The report's deviation is then
+    NaN, the first NaN degree's, not the 0.0 that max finds past NaNs; per_n
+    keeps every degree's value."""
+    p, free = DOCUMENTED[cid]
+    sol = resolve_class(p, cid, free)
+    with np.errstate(all="ignore"):
+        rep = tridiagonality_sweep(sol, range(6), UNDERFLOW)
+    assert [rep.per_n[n] for n in range(4)] == [0.0] * 4
+    assert np.isnan(rep.per_n[4]) and np.isnan(rep.per_n[5])
+    assert np.isnan(rep.max_rel_deviation) and np.isnan(rep.max_abs_deviation)
+    assert not rep.passed
+
+
 def test_sweep_builds_one_basis_block(monkeypatch):
     """The sweep's work stays linear in the top degree: one basis block,
     no per-degree basis calls, one operator application on the whole block
@@ -309,7 +325,8 @@ def ref_tridiagonality_sweep(sol, n_values, grid=None, tol=1e-8):
         scale = max(float(np.max(np.abs(lhs))), verify._SCALE_FLOOR)
         i = int(np.argmax(dev))
         checks[n] = (float(dev[i]), float(dev[i]) / scale, float(x[i]), scale)
-    dev, rel, argmax, scale = max(checks.values(), key=lambda c: c[1])
+    nan = [c for c in checks.values() if np.isnan(c[1])]   # the first NaN degree is the worst
+    dev, rel, argmax, scale = nan[0] if nan else max(checks.values(), key=lambda c: c[1])
     return verify.CheckReport(max_abs_deviation=dev, max_rel_deviation=rel, argmax_x=argmax,
                               scale=scale, tolerance=tol,
                               passed=all(c[1] <= tol for c in checks.values()),
