@@ -197,6 +197,10 @@ def _cmd_verify(args):
     from .verify import residual, tridiagonality_sweep
 
     _json_only(args)
+    if not args.check_tol >= 0:
+        raise ConstraintViolation("--check-tol >= 0", got=args.check_tol)
+    if args.n_min < 0:
+        raise ConstraintViolation("--n-min >= 0", got=args.n_min)
     if args.n_min > args.n:
         raise ConstraintViolation(
             f"--n-min <= --n (got --n-min {args.n_min}, --n {args.n})")

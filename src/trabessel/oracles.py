@@ -4,7 +4,9 @@ Nothing here runs on a command-line path, so no command loads this module;
 `trabessel` re-exports its public names, which load it on first use.
 
 - terminating-hypergeometric oracles of the polynomial families, reduction
-  identities, generating functions and orthogonality integrals;
+  identities, generating functions, and orthogonality integrals as one
+  tanh-sinh quadrature each (mpmath, imported inside the two functions that
+  use it);
 - the printed closed forms C_n of the class coefficient products, the
   u_n = a_n - z c decomposition and the rejected or informational readings
   of the printed bindings;
@@ -24,7 +26,7 @@ from .errors import (DerivativeUnavailable, DomainError, QuadratureFailure,
                      SeriesOverflow, UnsupportedOracle, _check_integer)
 from .families import (BesselJ, BesselJbar, ContDualHahnS, ContHahnH, DeformedB,
                        DeformedY, DeformedZ, DualHahnR, HahnQ, LaguerreL, MeixnerM,
-                       MeixnerPollaczekP, _check_degree, _three_term, eval_poly,
+                       MeixnerPollaczekP, _STEPS, _check_degree, _three_term, eval_poly,
                        eval_poly_sequence, pochhammer)
 from .ode import OdeParams, apply_D_values
 from .solver import ClassSolution, _coefficients, _row
@@ -237,88 +239,64 @@ def generating_check(family, x, t: float, n_terms: int = 30):
 def orthogonality_integral(family, n: int, m: int, tol: float = 1e-10):
     """Numeric orthogonality integral against its closed-form right-hand side.
 
-    BesselJ: weight x^{2mu} e^{-1/x} on (0, inf), evaluated after u = 1/x as a
-    Gauss-Laguerre integral of adaptive order (64 doubling to 1024).
-    DeformedY with |eta| < 1: Meixner-Pollaczek-type weight on the real line,
-    truncated where the envelope falls below 1e-16 of its peak and integrated
-    by composite Gauss-Legendre panels.
+    BesselJ: weight x^{2mu} e^{-1/x} on (0, inf), after u = 1/x the weight
+    u^{-2mu-2} e^{-u}, split at its peak u = -2mu - 2 (at 0 for mu >= -1,
+    where n_max = 0 and the weight is singular there).  DeformedY with
+    |eta| < 1: the Meixner-Pollaczek-type weight on the real line, split at 0.
+    One mpmath tanh-sinh quadrature at a double's 53 bits, of the polynomials
+    from the family's own recursion run on mpmath numbers (which do not
+    overflow at the far nodes), with the integrand divided by sqrt(|h_n h_m|)
+    from the closed-form norms h_k: by Cauchy-Schwarz the normalized integral
+    is at most 1 in size, so mpmath's absolute error estimate (capped at 1)
+    reads as a relative one.
 
-    Returns (numeric_integral, analytic_rhs).
+    Returns (numeric_integral, analytic_rhs); QuadratureFailure when the error
+    estimate exceeds `tol`.
     """
-    # imported here, so that only these quadrature oracles load scipy.special,
-    # the slowest import the package has
-    from numpy.polynomial.legendre import leggauss
-    from scipy.special import loggamma, roots_laguerre
-
     family.validate()
     _check_degree(family, max(n, m))
-    if isinstance(family, BesselJ):
-        mu = family.mu
+    import mpmath  # here, so that only the oracle loads it
 
-        def estimate(order):
-            u, w = roots_laguerre(order)
-            sn = np.array([eval_poly(family, n, 1.0 / ui) for ui in u])
-            sm = sn if m == n else np.array([eval_poly(family, m, 1.0 / ui) for ui in u])
-            terms = w * u ** (-2 * mu - 2) * sn * sm
-            # the L1 mass sets the roundoff floor: off-diagonal integrals
-            # cancel to ~eps of it, never to an absolute 0
-            return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+    mp = mpmath.mp
+    with mpmath.workprec(53):
+        if isinstance(family, BesselJ):
+            mu = family.mu
+            norms = [-mp.factorial(k) * mp.gamma(-k - 2 * mu) / (2 * k + 2 * mu + 1)
+                     for k in (n, m)]
+            points = [0, max(-2 * mu - 2, 0), mp.inf]
 
-        order = 64
-        prev, l1 = estimate(order)
-        while order < 1024:
-            order *= 2
-            cur, l1 = estimate(order)
-            floor = 1e3 * np.finfo(float).eps * l1
-            if abs(cur - prev) <= max(tol * abs(cur), floor):
-                prev = cur
-                break
-            prev = cur
+            def weighted(u):  # the weight in u = 1/x, and x
+                return u ** (-2 * mu - 2) * mp.exp(-u), 1 / u
+        elif isinstance(family, DeformedY):
+            lam = family.lam
+            q, phi, root = _y_to_p(family.theta, family.eta)
+            norms = [q ** k * mp.gamma(k + 2 * lam) / mp.factorial(k) for k in (n, m)]
+            points = [-mp.inf, 0, mp.inf]
+            pref = (2 * mp.sin(phi)) ** (2 * lam) / (2 * mp.pi * root)
+
+            # pref e^{(2phi - pi) y} |Gamma(lam + iy)|^2 with y = x / root; log-gamma in
+            # doubles (mpmath.fp), a tenth of the multiprecision one's time: the
+            # exponent is needed to a double's accuracy only
+            def weighted(x):
+                y = x / root
+                log_gamma = mpmath.fp.loggamma(complex(lam, y)).real
+                return pref * mp.exp((2 * phi - mp.pi) * y + 2 * log_gamma), x
         else:
-            raise QuadratureFailure(
-                f"Gauss-Laguerre did not converge to {tol} by order 1024")
-        rhs = 0.0
-        if n == m:
-            rhs = -math.factorial(n) * math.gamma(-n - 2 * mu) / (2 * n + 2 * mu + 1)
-        return prev, rhs
-    if isinstance(family, DeformedY):
-        lam = family.lam
-        q, phi, root = _y_to_p(family.theta, family.eta)
+            raise DomainError(
+                f"orthogonality integral implemented for BesselJ and DeformedY only, "
+                f"not {type(family).__name__}")
+        scale = mp.sqrt(abs(norms[0] * norms[1]))
 
-        def integrand(x):
-            y = x / root
-            w = math.exp((2 * phi - math.pi) * y + 2 * loggamma(complex(lam, y)).real)
-            vals = eval_poly_sequence(family, max(n, m), x)
-            return w * vals[n] * vals[m]
+        def integrand(t):
+            w, x = weighted(t)
+            p = list(_three_term(_STEPS[type(family)](family, max(n, m), x), mp.one))
+            return w * p[n] * p[m] / scale
 
-        peak = abs(integrand(0.0)) + 1e-300
-        hi = 1.0
-        while abs(integrand(hi)) > 1e-16 * peak and hi < 500:
-            hi *= 1.25
-        lo = -1.0
-        while abs(integrand(lo)) > 1e-16 * peak and lo > -500:
-            lo *= 1.25
-
-        def panels(npan):
-            xs, ws = leggauss(24)
-            edges = np.linspace(lo, hi, npan + 1)
-            total = 0.0
-            for i in range(npan):
-                mid = (edges[i] + edges[i + 1]) / 2
-                half = (edges[i + 1] - edges[i]) / 2
-                total += half * sum(w * integrand(mid + half * xx) for xx, w in zip(xs, ws))
-            return total
-
-        first, second = panels(48), panels(96)
-        if abs(second - first) > 1e-8 * max(1.0, abs(second)):
-            raise QuadratureFailure("panel refinement did not stabilize the B20 integral")
-        pref = (2 * math.sin(phi)) ** (2 * lam) / (2 * math.pi * root)
-        num = pref * second
-        rhs = q ** n * math.gamma(n + 2 * lam) / math.factorial(n) if n == m else 0.0
-        return num, rhs
-    raise DomainError(
-        f"orthogonality integral implemented for BesselJ and DeformedY only, "
-        f"not {type(family).__name__}")
+        value, error = mp.quad(integrand, points, error=True)
+        if error > tol:
+            raise QuadratureFailure(f"tanh-sinh error estimate {float(error):.1e} "
+                                    f"exceeds tol={tol}")
+        return float(value * scale), float(norms[0]) if n == m else 0.0
 
 
 # ---------------------------------------------------------------------------

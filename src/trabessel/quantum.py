@@ -455,6 +455,7 @@ def oscillator_potential(A_one: float, Lambda: float, ell: int, lam: float):
 
 def spectrum_eq64(k: int, lam: float, A_one: float, Lambda: float, ell: int) -> float:
     """E_k = 4 lam^2 sqrt(-A1) [k + 1/2 + sqrt(Lambda + (ell+1/2)^2)/2]."""
+    _check_integer(k, "k")
     _check_ell(ell)
     _check_lam(lam)
     if not A_one < 0:

@@ -716,16 +716,34 @@ def _check_last_diagonal(sol: ClassSolution, N: int):
 
 
 def _jacobi_lists(sol: ClassSolution, N: int):
-    """`jacobi_matrix` as two lists of Python floats, which needs no numpy."""
+    """`jacobi_matrix` as two lists of Python floats, which needs no numpy.
+
+    A product s_n t_n that is not positive though s_n and t_n share their sign
+    (it underflowed; at a huge A- both may be 0.0, their denominators having
+    overflowed) and an a_n past double range are a SeriesOverflow, not an
+    indefinite matrix."""
     row, prods = _coupling_products(sol, N)
     bad = next((n for n, p in enumerate(prods) if not p > 0), None)
     if bad is not None:
+        s, t = row.s(bad), row.t(bad)
+        if (s == 0) == (t == 0) and (s > 0) == (t > 0):   # one sign, or both zero
+            raise _jacobi_overflow(sol, bad)
         raise DefinitenessError(
             f"s_n t_n <= 0 at n={bad} ({prods[bad]:.3e}); no symmetric Jacobi form")
     _check_last_diagonal(sol, N)
     scale = abs(row.c)
-    return ([row.a_n(n) / row.c for n in range(N + 1)],
-            [math.sqrt(p) / scale for p in prods])
+    diag = []
+    try:
+        for n in range(N + 1):
+            diag.append(row.a_n(n) / row.c)
+    except OverflowError:  # float ** past double range
+        raise _jacobi_overflow(sol, n) from None
+    return diag, [math.sqrt(p) / scale for p in prods]
+
+
+def _jacobi_overflow(sol: ClassSolution, n: int):
+    return SeriesOverflow(f"{sol.class_id.value}: the Jacobi matrix overflows double "
+                          f"precision at n={n}")
 
 
 def jacobi_matrix(sol: ClassSolution, N: int):

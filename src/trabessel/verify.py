@@ -12,7 +12,7 @@ import numpy as np
 
 from ._record import Record
 from .basis import basis_block, series_derivatives
-from .errors import DomainError, SeriesOverflow
+from .errors import ConstraintViolation, DomainError, SeriesOverflow
 from .grid import GridSpec, default_grid
 from .ode import apply_D_values
 from .solver import ClassSolution, SeriesSolution, _coefficients
@@ -21,6 +21,11 @@ __all__ = ["GridSpec", "CheckReport", "default_grid", "tridiagonality_check",
            "tridiagonality_sweep", "residual"]
 
 _SCALE_FLOOR = 1e-300
+
+
+def _check_tol(tol):
+    if not tol >= 0:  # NaN too: no deviation would pass it
+        raise ConstraintViolation("tol >= 0", got=tol)
 
 
 class CheckReport(Record):
@@ -55,6 +60,7 @@ def tridiagonality_sweep(sol: ClassSolution, n_values, grid: GridSpec | None = N
     evaluated once; then one basis block for degrees 0..max + 1.  So the cost is
     linear in the top degree, and a coefficient error comes before a basis error.
     """
+    _check_tol(tol)
     degrees = list(n_values)
     if not degrees:
         raise DomainError("a tridiagonality sweep needs at least one degree")
@@ -111,6 +117,8 @@ def residual(series: SeriesSolution, grid: GridSpec | None = None,
     A series with all-zero coefficients is flagged degenerate; one that
     overflows double precision on the grid raises SeriesOverflow.
     """
+    if tol is not None:
+        _check_tol(tol)
     x = (grid or default_grid()).points()
     coeffs = np.asarray(series.coeffs, dtype=float)
     if (coeffs == 0.0).all():

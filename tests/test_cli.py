@@ -376,6 +376,17 @@ def test_k0_coefficients_that_overflow_exit3_naming_the_class_and_degree():
                                     "overflow double precision at n=0\n")
 
 
+@pytest.mark.parametrize("am", ["1e120", "1e160"])
+def test_well_jacobi_matrices_that_overflow_exit3(am):
+    """At A- = 1e120 s_0 = -1e-240 and t_0 = -2e-120 share their sign, but
+    their product underflows to 0; at 1e160 both are -0.0, their denominators
+    having overflowed.  Either way one SeriesOverflow line, not an indefinite
+    matrix."""
+    argv = ["spectrum", "--system", "well", "--Am", am, "--Ap", "-1", "--N", "5"]
+    assert run_cli(argv) == (3, "", "numerical failure: K0: the Jacobi matrix "
+                                    "overflows double precision at n=0\n")
+
+
 @pytest.mark.parametrize("argv, line", [
     (["--system", "well", "--Ap", "0", "--Am", "1e150", "--lam", "1e10"],
      "the Morse levels overflow double precision (A-=1e+150, lam=10000000000.0)"),
@@ -884,6 +895,17 @@ def test_solve_l39c_refuses_beta_free_flag():
                               "--Ap", "0", "--Am", "1", "--A1", "-0.25",
                               "--A0", "0.9375", "--tau", "3", "--beta-free", "0.1"])
     assert (code, out) == (2, "") and "unrecognized arguments: --beta-free 0.1" in err
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--check-tol", "-1"], "error: --check-tol >= 0 (got -1.0)"),
+    (["--n-min", "-1"], "error: --n-min >= 0 (got -1)"),
+], ids=["check-tol", "n-min"])
+def test_verify_refuses_a_negative_flag_naming_it(flags, line):
+    """A negative --check-tol would fail every degree, and a negative --n-min
+    is no degree: exit 2 and one line that names the flag."""
+    argv = ["verify"] + L39A_FLAGS + flags
+    assert run_cli(argv) == (2, "", line + "\n")
 
 
 def test_verify_degree_range_exit2():

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from pytest import approx
 
+import trabessel
 from trabessel import BesselJ, DeformedY, LaguerreL, orthogonality_integral
-from trabessel.errors import DomainError
+from trabessel.errors import DomainError, QuadratureFailure
 
 
 def bessel_rhs(mu, n):
@@ -61,3 +65,43 @@ def test_deformedy_needs_small_eta():
 def test_unsupported_family():
     with pytest.raises(DomainError):
         orthogonality_integral(LaguerreL(alpha=1.0), 0, 0)
+
+
+def test_bessel_high_degree_mu40():
+    """mu = -40.5 puts the weight's peak at u = 79, where the quadrature is split;
+    h_15 is about 2e101."""
+    fam = BesselJ(mu=-40.5, n_max=15)
+    num, rhs = orthogonality_integral(fam, 15, 15)
+    assert rhs == approx(bessel_rhs(-40.5, 15), rel=1e-14)
+    assert num == approx(rhs, rel=1e-12)
+    num, rhs = orthogonality_integral(fam, 14, 15)
+    assert rhs == 0.0
+    assert abs(num) <= 1e-12 * math.sqrt(abs(bessel_rhs(-40.5, 14) * bessel_rhs(-40.5, 15)))
+
+
+def test_deformedy_degree_10():
+    fam = DeformedY(lam=1.5, theta=math.pi / 3, eta=0.3)
+    num, rhs = orthogonality_integral(fam, 10, 10)
+    assert num == approx(rhs, rel=1e-12)
+    num, rhs = orthogonality_integral(fam, 9, 10)
+    assert rhs == 0.0
+    assert abs(num) <= 1e-12
+
+
+def test_unreachable_tolerance_is_a_quadrature_failure():
+    """A tolerance far below the 53-bit working precision is not met."""
+    with pytest.raises(QuadratureFailure, match="exceeds tol=1e-40"):
+        orthogonality_integral(BesselJ(mu=-5.0, n_max=1), 0, 0, tol=1e-40)
+
+
+def test_oracle_loads_no_scipy_module():
+    code = ("import math, sys\n"
+            "from trabessel import BesselJ, DeformedY, orthogonality_integral\n"
+            "orthogonality_integral(BesselJ(mu=-5.0, n_max=1), 0, 1)\n"
+            "orthogonality_integral(DeformedY(lam=1.5, theta=math.pi / 3, eta=0.3), 1, 1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trabessel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

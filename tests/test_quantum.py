@@ -89,6 +89,10 @@ def test_spectrum_eq64_guards():
         spectrum_eq64(0, 1.0, -0.25, -5.0, 0)  # fall to the center
     with pytest.raises(ConstraintViolation):
         spectrum_eq64(-1, 1.0, -0.25, 0.0, 0)
+    for k in (1.5, True, 2.0):   # a level index is an integer, as n_levels is
+        with pytest.raises(DomainError, match="k must be an integer"):
+            spectrum_eq64(k, 1.0, -0.25, 0.0, 0)
+    assert spectrum_eq64(np.int64(1), 1.0, -0.25, 0.0, 0) == spectrum_eq64(1, 1.0, -0.25, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from trabessel import (ClassId, OdeParams, apply_D, apply_D_values,
 from trabessel import basis as basis_mod
 from trabessel import solver, verify
 from trabessel.basis import BasisSpec, basis_block
-from trabessel.errors import DomainError, SeriesOverflow
+from trabessel.errors import ConstraintViolation, DomainError, SeriesOverflow
 from trabessel.solver import SeriesSolution
 from trabessel.verify import GridSpec, default_grid
 
@@ -231,6 +232,21 @@ def test_sweep_needs_a_degree():
     sol = resolve_class(p, ClassId.L39A, free)
     with pytest.raises(DomainError, match="at least one degree"):
         tridiagonality_sweep(sol, [])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_a_tolerance_that_cannot_be_met_is_refused(tol):
+    """A negative or NaN tol fails every series, so it is refused before any
+    work: before the sweep's check that it has a degree, too."""
+    p, free = DOCUMENTED[ClassId.L39A]
+    sol = resolve_class(p, ClassId.L39A, free)
+    for call in (lambda: tridiagonality_sweep(sol, [], tol=tol),
+                 lambda: tridiagonality_check(sol, 1, tol=tol),
+                 lambda: residual(build_series(sol, 10), tol=tol)):
+        with pytest.raises(ConstraintViolation, match=r"^tol >= 0 \(got"):
+            call()
+    assert not tridiagonality_sweep(sol, [1], tol=0.0).passed
+    assert residual(build_series(sol, 10), tol=math.inf).passed
 
 
 def test_sweep_fails_on_a_nonfinite_deviation():
